@@ -1,9 +1,12 @@
 """Random-forest detection and classification with F-beta scoring.
 
-Trees grow greedily on Gini impurity with exact threshold search. The split
-threshold is the largest left-group value (predicate x <= t), which makes
-tree structure and predictions invariant under any strictly monotone
-per-feature transform. Vote ties resolve to the smallest class index.
+Trees grow greedily on Gini impurity with exact threshold search. Each node
+scores every sampled feature and every cut in one pass; among equal Gini
+values it takes the first sampled feature (in ascending feature order), then
+the first cut. The split threshold is the largest left-group value
+(predicate x <= t), which makes tree structure and predictions invariant
+under any strictly monotone per-feature transform. Vote ties resolve to the
+smallest class index.
 """
 
 from dataclasses import dataclass, field
@@ -57,38 +60,40 @@ def _majority(y, n_classes):
 
 
 def _best_split(X, y, feats, n_classes, min_leaf):
-    """Lowest weighted Gini over (feature, threshold); None when unsplittable."""
+    """Lowest weighted Gini over (feature, threshold); None when unsplittable.
+
+    Scores every sampled feature in one pass over a (feature, cut) array.
+    Ties go to the first feature in ``feats`` order, then to its first cut.
+    """
     n = len(y)
+    cols = X[:, feats]
+    order = np.argsort(cols, axis=0, kind="stable").T  # (k, n)
+    xs = np.take_along_axis(cols.T, order, axis=1)
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
-    best = (math.inf, -1, 0.0)
-    for j in feats:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        cum = np.cumsum(onehot[order], axis=0)
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        left_counts = cum[:-1]
-        right_counts = cum[-1] - left_counts
-        gini_l = 1.0 - np.sum(left_counts**2, axis=1) / left_n**2
-        gini_r = 1.0 - np.sum(right_counts**2, axis=1) / right_n**2
-        w = (left_n * gini_l + right_n * gini_r) / n
-        w[xs[:-1] >= xs[1:]] = math.inf  # only between distinct values
-        w[(left_n < min_leaf) | (right_n < min_leaf)] = math.inf
-        i = int(np.argmin(w))
-        if w[i] < best[0]:
-            best = (float(w[i]), int(j), float(xs[i]))
-    if not math.isfinite(best[0]):
+    cum = np.cumsum(onehot[order], axis=1)  # (k, n, n_classes)
+    left_n = np.arange(1, n, dtype=np.float64)
+    right_n = n - left_n
+    left_counts = cum[:, :-1]
+    right_counts = cum[:, -1:] - left_counts
+    # class counts are small integers, so these sums are exact in any order
+    gini_l = 1.0 - np.sum(left_counts**2, axis=2) / left_n**2
+    gini_r = 1.0 - np.sum(right_counts**2, axis=2) / right_n**2
+    w = (left_n * gini_l + right_n * gini_r) / n
+    w[xs[:, :-1] >= xs[:, 1:]] = math.inf  # only between distinct values
+    w[:, (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    f, i = divmod(int(np.argmin(w)), n - 1)  # row-major: first feature, then first cut
+    if not math.isfinite(w[f, i]):
         return None
-    return best[1], best[2]
+    return int(feats[f]), float(xs[f, i])
 
 
 def _grow(X, y, n_classes, depth, cfg, k_features, rng):
     node = _Node()
     if (
-        len(np.unique(y)) == 1
+        len(y) < 2 * cfg.min_leaf
+        or y.min() == y.max()
         or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        or len(y) < 2 * cfg.min_leaf
     ):
         node.label = _majority(y, n_classes)
         return node
@@ -123,10 +128,15 @@ class Forest:
     n_features: int
     degenerate: bool = False  # trained on a single class
 
-    def predict_indices(self, X):
+    def _rows(self, X) -> np.ndarray:
+        """``X`` as a float64 matrix; ShapeError unless it has ``n_features`` columns."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ShapeError(f"forest expects {self.n_features} features, got {X.shape[1]}")
+        return X
+
+    def predict_indices(self, X):
+        X = self._rows(X)
         votes = np.zeros((X.shape[0], len(self.classes)), dtype=np.int64)
         idx = np.arange(X.shape[0])
         out = np.zeros(X.shape[0], dtype=np.int64)
@@ -164,8 +174,14 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
 
 
 def predict(forest: Forest, x):
-    """Majority-vote label for one sample."""
-    return forest.classes[int(forest.predict_indices(np.atleast_2d(x))[0])]
+    """Majority-vote label for one sample, walking each tree on Python floats."""
+    row = forest._rows(x)[0].tolist()
+    votes = [0] * len(forest.classes)
+    for node in forest.trees:
+        while node.label < 0:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        votes[node.label] += 1
+    return forest.classes[votes.index(max(votes))]  # first max: smallest class index
 
 
 def predict_batch(forest: Forest, X) -> np.ndarray:
