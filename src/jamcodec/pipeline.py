@@ -8,9 +8,8 @@ with an unchanged key and intact outputs is skipped. The run manifest
 timestamps, so identical (config, seed) runs produce byte-identical
 manifests.
 
-Environment overrides (the only ones): JAMCODEC_OUTPUT_DIR replaces the
-configured output directory, JAMCODEC_THREADS caps worker pools (stages
-currently execute serially, so it is recorded but has no effect).
+The one environment override: JAMCODEC_OUTPUT_DIR replaces the configured
+output directory.
 """
 
 from dataclasses import dataclass, field
@@ -179,7 +178,8 @@ class Runner:
 
     def _stage_key(self, name, input_paths, sections) -> str:
         parts = [name, self.cfg.section_hash(*sections)]
-        for p in input_paths:
+        # a cache hit returns outputs in manifest order, a fresh stage in creation order
+        for p in sorted(input_paths, key=self._rel):
             parts.append(self._rel(p))
             parts.append(_sha_file(p))
         return _sha_bytes("\n".join(parts).encode())
