@@ -82,7 +82,7 @@ def _best_split(X, y, feats, n_classes, min_leaf):
     w = (left_n * gini_l + right_n * gini_r) / n
     w[xs[:, :-1] >= xs[:, 1:]] = math.inf  # only between distinct values
     w[:, (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
-    f, i = divmod(int(np.argmin(w)), n - 1)  # row-major: first feature, then first cut
+    f, i = divmod(int(np.argmin(w)), n - 1)
     if not math.isfinite(w[f, i]):
         return None
     return int(feats[f]), float(xs[f, i])
