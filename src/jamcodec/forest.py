@@ -112,15 +112,6 @@ def _grow(X, y, n_classes, depth, cfg, k_features, rng):
     return node
 
 
-def _tree_predict(node, X, idx, out):
-    if node.label >= 0:
-        out[idx] = node.label
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _tree_predict(node.left, X, idx[mask], out)
-    _tree_predict(node.right, X, idx[~mask], out)
-
-
 @dataclass
 class Forest:
     trees: list
@@ -128,22 +119,20 @@ class Forest:
     n_features: int
     degenerate: bool = False  # trained on a single class
 
-    def _rows(self, X) -> np.ndarray:
-        """``X`` as a float64 matrix; ShapeError unless it has ``n_features`` columns."""
+    def predict_indices(self, X):
+        """Majority-vote class index per row, walking each tree on Python floats."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ShapeError(f"forest expects {self.n_features} features, got {X.shape[1]}")
-        return X
-
-    def predict_indices(self, X):
-        X = self._rows(X)
-        votes = np.zeros((X.shape[0], len(self.classes)), dtype=np.int64)
-        idx = np.arange(X.shape[0])
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            _tree_predict(tree, X, idx, out)
-            votes[idx, out] += 1
-        return np.argmax(votes, axis=1)  # argmax takes the first max: smallest class index
+        out = []
+        for row in X.tolist():
+            votes = [0] * len(self.classes)
+            for node in self.trees:
+                while node.label < 0:
+                    node = node.left if row[node.feature] <= node.threshold else node.right
+                votes[node.label] += 1
+            out.append(votes.index(max(votes)))  # first max: smallest class index
+        return np.asarray(out, dtype=np.int64)
 
 
 def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
@@ -174,14 +163,8 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
 
 
 def predict(forest: Forest, x):
-    """Majority-vote label for one sample, walking each tree on Python floats."""
-    row = forest._rows(x)[0].tolist()
-    votes = [0] * len(forest.classes)
-    for node in forest.trees:
-        while node.label < 0:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        votes[node.label] += 1
-    return forest.classes[votes.index(max(votes))]  # first max: smallest class index
+    """Majority-vote label for one sample."""
+    return forest.classes[int(forest.predict_indices(np.atleast_2d(x))[0])]
 
 
 def predict_batch(forest: Forest, X) -> np.ndarray:
