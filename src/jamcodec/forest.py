@@ -91,9 +91,9 @@ def _best_split(X, y, feats, n_classes, min_leaf):
 def _grow(X, y, n_classes, depth, cfg, k_features, rng):
     node = _Node()
     if (
-        len(y) < 2 * cfg.min_leaf
-        or y.min() == y.max()
+        y.min() == y.max()
         or (cfg.max_depth is not None and depth >= cfg.max_depth)
+        or len(y) < 2 * cfg.min_leaf
     ):
         node.label = _majority(y, n_classes)
         return node
