@@ -139,12 +139,14 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
     """Bootstrap-sampled Gini trees; deterministic for a fixed config seed.
 
     Single-class data yields a flagged constant classifier rather than an
-    error.
+    error; a NaN or infinite value in X raises InvalidSpecError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     if X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise InvalidSpecError("X and y must be non-empty and aligned")
+    if not np.isfinite(X).all():
+        raise InvalidSpecError("X must be finite")
     classes = tuple(sorted(set(y.tolist())))
     y_idx = np.searchsorted(np.asarray(classes, dtype=y.dtype), y).astype(np.int64)
     n_classes = len(classes)

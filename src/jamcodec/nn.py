@@ -79,7 +79,7 @@ class Dense:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"dense expects {self.n_in} inputs, got {x.shape[-1]}")
-        z = x @ self.w.astype(np.float64) + self.b.astype(np.float64)
+        z = x @ self.w + self.b
         if train:
             self._cache = (x, z)
         return _act(self.activation, z)
@@ -89,7 +89,7 @@ class Dense:
         gz = grad_out * _act_grad(self.activation, z)
         self.grads[0] = x.reshape(-1, self.n_in).T @ gz.reshape(-1, self.n_out)
         self.grads[1] = gz.reshape(-1, self.n_out).sum(axis=0)
-        return gz @ self.w.astype(np.float64).T
+        return gz @ self.w.T
 
     def spec(self):
         return {"kind": "dense", "in": self.n_in, "out": self.n_out, "activation": self.activation}
@@ -137,8 +137,8 @@ class Conv1d:
         out_len, pad_left, total_pad, idx = _conv1d_geometry(length, self.kernel, self.stride)
         xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
         cols = xp[:, idx, :].reshape(batch, out_len, self.kernel * self.in_ch)
-        wmat = self.w.astype(np.float64).reshape(self.kernel * self.in_ch, self.out_ch)
-        z = cols @ wmat + self.b.astype(np.float64)
+        wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
+        z = cols @ wmat + self.b
         if train:
             self._cache = (cols, z, x.shape, pad_left, total_pad, idx)
         return _act(self.activation, z)
@@ -148,7 +148,7 @@ class Conv1d:
         batch, length, _ = x_shape
         out_len = z.shape[1]
         gz = grad_out * _act_grad(self.activation, z)
-        wmat = self.w.astype(np.float64).reshape(self.kernel * self.in_ch, self.out_ch)
+        wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
         self.grads[0] = (
             cols.reshape(-1, self.kernel * self.in_ch).T @ gz.reshape(-1, self.out_ch)
         ).reshape(self.w.shape)
@@ -199,10 +199,10 @@ class ConvTranspose1d:
         expected, pad_left, total_pad, idx = _conv1d_geometry(self.output_len, self.kernel, self.stride)
         if expected != in_len:
             raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
-        contrib = np.einsum("blc,kco->blko", x, self.w.astype(np.float64))
+        contrib = np.einsum("blc,kco->blko", x, self.w)
         zpad = np.zeros((batch, self.output_len + total_pad, self.out_ch), dtype=np.float64)
         np.add.at(zpad, (slice(None), idx), contrib)
-        z = zpad[:, pad_left : pad_left + self.output_len, :] + self.b.astype(np.float64)
+        z = zpad[:, pad_left : pad_left + self.output_len, :] + self.b
         if train:
             self._cache = (x, z, pad_left, total_pad, idx)
         return _act(self.activation, z)
@@ -214,7 +214,7 @@ class ConvTranspose1d:
         gcols = gzpad[:, idx, :]  # (B, in_len, kernel, out_ch)
         self.grads[0] = np.einsum("blc,blko->kco", x, gcols)
         self.grads[1] = gz.reshape(-1, self.out_ch).sum(axis=0)
-        return np.einsum("blko,kco->blc", gcols, self.w.astype(np.float64))
+        return np.einsum("blko,kco->blc", gcols, self.w)
 
     def spec(self):
         return {

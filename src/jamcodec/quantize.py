@@ -2,11 +2,14 @@
 
 Weights are quantized symmetrically per tensor (zero point 0), activations
 asymmetrically from calibration ranges, biases as int32 at the combined
-input*weight scale. Inference accumulates in int32 (emulated exactly, with
-saturation counted), requantizes through a 32-bit fixed-point multiplier and
-a rounding right shift (round half away from zero), and touches no float
-arithmetic between the input quantizer and the output dequantizer -- so
-results are bit-identical across platforms.
+input*weight scale. Inference follows Jacob et al. 2018 (arXiv:1712.05877):
+exact int32 accumulation with saturation counted, then requantization through
+a 32-bit fixed-point multiplier and a right shift rounding half away from zero.
+The dot products run as float64 BLAS matmuls and stay exact: the operands are
+integers (centred activations |c| <= 255, int8 weights |w| <= 127), so with
+the int32 bias every partial sum is an integer below 2^53 for any fan-in
+under 2^53 / 32385, in any summation order. One in-place pass requantizes the
+int64 accumulator, so results are bit-identical across platforms.
 """
 
 from dataclasses import dataclass
@@ -140,15 +143,6 @@ def _fixed_point_multiplier(m_real: float) -> tuple:
     return m, shift
 
 
-def _rounding_rshift(t: np.ndarray, shift: int) -> np.ndarray:
-    """Integer right shift rounding half away from zero."""
-    if shift <= 0:
-        return t << (-shift)
-    offset = np.int64(1) << np.int64(shift - 1)
-    mag = (np.abs(t) + offset) >> np.int64(shift)
-    return np.where(t >= 0, mag, -mag)
-
-
 @dataclass
 class QuantLayer:
     kind: str
@@ -213,73 +207,76 @@ def quantize_model(model: nn.AeModel, stats: CalibrationStats) -> QuantizedModel
                           latent_dim=model.latent_dim, input_dim=model.input_dim)
 
 
-def _saturate_i32(acc: np.ndarray) -> tuple:
+def _requantize(ql: QuantLayer, acc: np.ndarray) -> int:
+    """Requantize an int64 accumulator in place; returns its int32-saturation count.
+
+    Saturate to int32, multiply by the fixed-point multiplier, shift right
+    rounding half away from zero as ``(t + 2^(shift-1) - (t < 0)) >> shift``,
+    add the output zero point and clamp to int8 (to [zero point, 127] for ReLU).
+    """
     over = int(np.count_nonzero((acc > INT32_MAX) | (acc < INT32_MIN)))
-    return np.clip(acc, INT32_MIN, INT32_MAX), over
-
-
-def _requant(ql: QuantLayer, acc: np.ndarray) -> np.ndarray:
-    t = acc * np.int64(ql.multiplier)
-    y = _rounding_rshift(t, ql.shift) + np.int64(ql.out_qp.zero_point)
-    y = np.clip(y, QMIN, QMAX)
-    if ql.activation == "relu":
-        y = np.maximum(y, np.int64(ql.out_qp.zero_point))
-    return y
-
-
-def _conv_geom(length, kernel, stride):
-    out_len = -(-length // stride)
-    total_pad = max(0, (out_len - 1) * stride + kernel - length)
-    pad_left = total_pad // 2
-    idx = np.arange(out_len)[:, None] * stride + np.arange(kernel)[None, :]
-    return out_len, pad_left, total_pad, idx
+    np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
+    acc *= ql.multiplier
+    if ql.shift > 0:
+        negative = acc < 0
+        acc += np.int64(1) << np.int64(ql.shift - 1)
+        acc -= negative
+        acc >>= ql.shift
+    else:
+        acc <<= -ql.shift
+    acc += ql.out_qp.zero_point
+    np.clip(acc, ql.out_qp.zero_point if ql.activation == "relu" else QMIN, QMAX, out=acc)
+    return over
 
 
 def int8_forward(qm: QuantizedModel, x, return_info=False):
     """Reconstruction through the integer path; float only at the ends.
 
     Accepts one vector or a batch. With ``return_info`` also returns a dict
-    holding the int32-saturation count.
+    holding the int32-saturation count. Each layer's float64 matmul gives the
+    exact integer accumulator (see above), converted to int64 once.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[-1] != qm.input_dim:
         raise ShapeError(f"quantized model expects {qm.input_dim} inputs, got {x.shape[-1]}")
-    h = quantize_tensor(x, qm.input_qp).astype(np.int64)
+    h = quantize_tensor(x, qm.input_qp)
     overflows = 0
     last = None
     for ql in qm.layers:
         if ql.kind == "reshape":
             h = h.reshape(h.shape[0], *ql.geometry["out_shape"])
             continue
+        centered = np.subtract(h, ql.in_qp.zero_point, dtype=np.float64)
+        w = ql.w_q.astype(np.float64)
         if ql.kind == "dense":
-            centered = h - np.int64(ql.in_qp.zero_point)
-            acc = centered @ ql.w_q.astype(np.int64) + ql.b_q.astype(np.int64)
+            acc = centered @ w
         elif ql.kind == "conv1d":
-            centered = h - np.int64(ql.in_qp.zero_point)
             batch, length, in_ch = centered.shape
             kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
-            out_len, pad_left, total_pad, idx = _conv_geom(length, kernel, stride)
+            out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
             xp = np.pad(centered, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
-            cols = xp[:, idx, :].reshape(batch, out_len, kernel * in_ch)
-            wmat = ql.w_q.astype(np.int64).reshape(kernel * in_ch, -1)
-            acc = cols @ wmat + ql.b_q.astype(np.int64)
+            acc = xp[:, idx, :].reshape(batch, out_len, kernel * in_ch) @ w.reshape(kernel * in_ch, -1)
         elif ql.kind == "conv1d_t":
-            centered = h - np.int64(ql.in_qp.zero_point)
-            batch = centered.shape[0]
-            kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
-            out_len = ql.geometry["output_len"]
-            _, pad_left, total_pad, idx = _conv_geom(out_len, kernel, stride)
-            contrib = np.einsum("blc,kco->blko", centered, ql.w_q.astype(np.int64))
-            zpad = np.zeros((batch, out_len + total_pad, ql.w_q.shape[2]), dtype=np.int64)
-            np.add.at(zpad, (slice(None), idx), contrib)
-            acc = zpad[:, pad_left : pad_left + out_len, :] + ql.b_q.astype(np.int64)
+            batch, in_len, in_ch = centered.shape
+            kernel, stride, out_len = ql.geometry["kernel"], ql.geometry["stride"], ql.geometry["output_len"]
+            expected, pad_left, total_pad, _ = nn._conv1d_geometry(out_len, kernel, stride)
+            if expected != in_len:
+                raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
+            n_out = w.shape[2]
+            contrib = (centered @ w.transpose(1, 0, 2).reshape(in_ch, kernel * n_out)).reshape(
+                batch, in_len, kernel, n_out)
+            zpad = np.zeros((batch, out_len + total_pad, n_out))
+            span = stride * (in_len - 1) + 1
+            for j in range(kernel):  # overlap-add: input step t feeds output row t*stride + j
+                zpad[:, j : j + span : stride] += contrib[:, :, j]
+            acc = zpad[:, pad_left : pad_left + out_len]
         else:
             raise InvalidSpecError(f"unsupported quantized layer kind {ql.kind!r}")
-        acc, over = _saturate_i32(acc)
-        overflows += over
-        h = _requant(ql, acc)
+        acc += ql.b_q
+        h = acc.astype(np.int64)
+        overflows += _requantize(ql, h)
         last = ql
     out = dequantize(h, last.out_qp)
     out = out[0] if single else out
@@ -350,21 +347,35 @@ def save_quantized(path, qm: QuantizedModel) -> None:
             fh.write(np.ascontiguousarray(l.b_q, dtype="<i4").tobytes())
 
 
+def _read_exact(fh, n, path, what) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise InvalidSpecError(f"{path}: truncated {what}: {len(data)} of {n} bytes")
+    return data
+
+
 def load_quantized(path) -> QuantizedModel:
+    """Read an AEQ1 file; a short read or trailing bytes raise InvalidSpecError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != QUANT_MAGIC:
             raise InvalidSpecError(f"{path}: bad magic {magic!r}, expected {QUANT_MAGIC!r}")
-        (desc_len,) = struct.unpack("<I", fh.read(4))
-        descriptor = json.loads(fh.read(desc_len).decode("utf-8"))
+        (desc_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        desc = _read_exact(fh, desc_len, path, "descriptor")
+        try:
+            descriptor = json.loads(desc.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise InvalidSpecError(f"{path}: unreadable descriptor: {exc}") from None
         if descriptor.get("version") != 1:
             raise InvalidSpecError(f"{path}: unsupported quantized model version")
         layers = []
         for spec in descriptor["layers"]:
             w_size = int(np.prod(spec["w_shape"])) if spec["w_shape"] else 0
             b_size = int(np.prod(spec["b_shape"])) if spec["b_shape"] else 0
-            w_q = np.frombuffer(fh.read(w_size), dtype="<i1").reshape(spec["w_shape"]).copy()
-            b_q = np.frombuffer(fh.read(4 * b_size), dtype="<i4").reshape(spec["b_shape"]).copy()
+            w_q = np.frombuffer(_read_exact(fh, w_size, path, f"{spec['kind']} weights"),
+                                dtype="<i1").reshape(spec["w_shape"])
+            b_q = np.frombuffer(_read_exact(fh, 4 * b_size, path, f"{spec['kind']} biases"),
+                                dtype="<i4").reshape(spec["b_shape"])
             layers.append(QuantLayer(
                 spec["kind"], w_q.astype(np.int8), b_q.astype(np.int32),
                 QuantParams(*spec["in_qp"]) if spec["in_qp"][0] > 0 else QuantParams(1.0, 0),
@@ -372,6 +383,8 @@ def load_quantized(path) -> QuantizedModel:
                 spec["w_scale"], spec["multiplier"], spec["shift"], spec["activation"],
                 spec["geometry"],
             ))
+        if fh.read(1):
+            raise InvalidSpecError(f"{path}: trailing bytes after the last tensor")
     return QuantizedModel(
         layers=layers,
         input_qp=QuantParams(*descriptor["input_qp"]),

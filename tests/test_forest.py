@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jamcodec import forest
-from jamcodec.errors import ShapeError
+from jamcodec.errors import InvalidSpecError, ShapeError
 
 
 def tied_data(seed, n=90):
@@ -79,6 +79,13 @@ class TestTrees:
                 == [dump(t, thresholds=False) for t in warped.trees])
         np.testing.assert_array_equal(forest.predict_batch(plain, X_test),
                                       forest.predict_batch(warped, warp(X_test)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_value_is_rejected(self, bad):
+        X = np.array([[np.nan], [np.nan], [1.0], [np.nan]])
+        cfg = forest.ForestConfig(n_trees=1, bootstrap=False)
+        with pytest.raises(InvalidSpecError):
+            forest.train_forest(np.where(np.isnan(X), bad, X), [0, 1, 0, 1], cfg)
 
 
 class TestPredict:

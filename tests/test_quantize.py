@@ -250,3 +250,29 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(InvalidSpecError):
             quantize.load_quantized(path)
+
+    @pytest.fixture
+    def saved(self, models, tmp_path):
+        path = tmp_path / "model.aeq"
+        quantize.save_quantized(path, models["conv"][0])
+        return path
+
+    @pytest.mark.parametrize("keep", [0, 2, 6, 40, -3, -1])
+    def test_truncated_file(self, saved, keep):
+        # 6 bytes cut the header, 40 the descriptor, -3 and -1 the last bias blob
+        data = saved.read_bytes()
+        saved.write_bytes(data[:keep] if keep >= 0 else data[:len(data) + keep])
+        with pytest.raises(InvalidSpecError):
+            quantize.load_quantized(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00\x00")
+        with pytest.raises(InvalidSpecError):
+            quantize.load_quantized(saved)
+
+    def test_corrupt_descriptor(self, saved):
+        data = bytearray(saved.read_bytes())
+        data[8] = 0xFF  # the descriptor's opening brace becomes invalid UTF-8
+        saved.write_bytes(bytes(data))
+        with pytest.raises(InvalidSpecError):
+            quantize.load_quantized(saved)
