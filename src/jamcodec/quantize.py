@@ -257,7 +257,8 @@ def int8_forward(qm: QuantizedModel, x, return_info=False):
             kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
             out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
             xp = np.pad(centered, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
-            acc = xp[:, idx, :].reshape(batch, out_len, kernel * in_ch) @ w.reshape(kernel * in_ch, -1)
+            cols = np.take(xp, idx, axis=1).reshape(batch, out_len, kernel * in_ch)
+            acc = cols @ w.reshape(kernel * in_ch, -1)
         elif ql.kind == "conv1d_t":
             batch, in_len, in_ch = centered.shape
             kernel, stride, out_len = ql.geometry["kernel"], ql.geometry["stride"], ql.geometry["output_len"]
