@@ -193,8 +193,8 @@ class TestRequantization:
         for multiplier, shift in [(1, 0), (3, 1), (5, 2), (2**30, 33), (1518500250, 32),
                                   (1234567891, 35), (2**31 - 1, 31), (1, -1)]:
             out = self._run(acc, multiplier, shift)
-            expect = [min(127, max(-128, _round_half_away(Fraction(int(a) * multiplier) / Fraction(2) ** shift)))
-                      for a in acc]
+            exact = [Fraction(int(a) * multiplier) / Fraction(2) ** shift for a in acc]
+            expect = [min(127, max(-128, _round_half_away(q))) for q in exact]
             assert out.tolist() == expect, (multiplier, shift)
 
     def test_relu_clamps_at_the_zero_point(self):
