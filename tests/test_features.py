@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestFft:
         got = features.fft(xb)
         for i in range(5):
             assert np.allclose(got[i], features.fft(xb[i]), atol=1e-12)
+
+    def test_golden_bytes(self):
+        rng = np.random.default_rng(2024)
+        x = rng.standard_normal((3, 4, 1024)) + 1j * rng.standard_normal((3, 4, 1024))
+        digest = hashlib.sha256(features.fft(x).tobytes()).hexdigest()
+        assert digest == "74326558b0b7dbb5512e2c64115f3d172468ef95a63c7295728997ed8c8f0577"
+
+    def test_input_untouched(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        before = x.copy()
+        features.fft(x)
+        assert np.array_equal(x, before)
 
 
 def tone_buffer(freq_frac, fs=8192.0, n=8192, amp=1.0):
@@ -170,6 +184,71 @@ class TestTemporalStats:
         x = rng.standard_normal(256) * 1e6
         frame = features.temporal_stats(x.astype(complex))
         assert np.all(np.isfinite(frame.stats))
+
+    @staticmethod
+    def _histogram_entropy(sub):
+        lo, hi = sub.min(), sub.max()
+        counts, _ = np.histogram((sub - lo) / (hi - lo), bins=16, range=(0.0, 1.0))
+        p = counts[counts > 0] / len(sub)
+        return float(-np.sum(p * np.log(p)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.3, 1.1), (1e-3, 7.0)])
+    def test_entropy_on_bin_edges_matches_histogram(self, lo, hi):
+        # magnitudes at lo + (k/16)(hi - lo) and one ulp either side: the bin edges
+        edges = np.linspace(0.0, 1.0, 17)
+        on = lo + edges * (hi - lo)
+        sub = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+        sub = np.clip(sub, lo, hi)
+        rng = np.random.default_rng(6)
+        subs = [rng.permutation(sub)] + [rng.uniform(lo, hi, len(sub)) for _ in range(6)]
+        frame = features.temporal_stats(np.concatenate(subs).astype(complex))
+        entropy = frame.stats.reshape(7, 7)[:, 6]
+        assert entropy.tolist() == [self._histogram_entropy(s) for s in subs]
+
+    def test_one_constant_subwindow(self):
+        rng = np.random.default_rng(8)
+        subs = rng.uniform(0.5, 2.0, (7, 40))
+        subs[3] = 1.25
+        frame = features.temporal_stats(subs.reshape(-1).astype(complex))
+        stats = frame.stats.reshape(7, 7)
+        assert stats[3, 1] == 0.0 and stats[3, 2] == 0.0 and stats[3, 3] == 3.0
+        assert stats[3, 6] == 0.0
+        assert frame.degenerate == (3,)
+        assert np.all(stats[np.arange(7) != 3, 6] > 0.0)
+
+
+def baseline_snapshots(seed, per_class=5):
+    """Every waveform class over scenarios 0-4 of the Baseline channel, 4096 samples at 1 MHz."""
+    scenarios = tuple(
+        signals.Scenario(i, signals.ChannelSpec(attenuation_db=20.0, jsr_db=10.0, noise_seed=i))
+        for i in range(5)
+    )
+    return signals.make_dataset(signals.DatasetSpec(
+        classes=signals.WAVEFORM_CLASSES, per_class_count=per_class, scenarios=scenarios,
+        seed=seed, sample=signals.SampleSpec.from_samples(1_000_000.0, 4096),
+    ))
+
+
+class TestDatasetFeatures:
+    GOLDEN = {
+        0: "de8542d2345553adb836f4950c559e201aa9367de071b75c0b97f258be3d6af2",
+        7: "90ebc97e5ef1580a3ccf153975b4eff6c0f6028c30333c480b8426f51094def7",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_bytes(self, seed):
+        data = features.dataset_features(baseline_snapshots(seed))
+        mixed = data[features.DOMAIN_MIXED]
+        assert mixed.shape == (5 * len(signals.WAVEFORM_CLASSES), features.MIXED_DIM)
+        assert hashlib.sha256(mixed.tobytes()).hexdigest() == self.GOLDEN[seed]
+
+    def test_rows_equal_snapshot_features(self):
+        snaps = baseline_snapshots(1, per_class=1)
+        data = features.dataset_features(snaps)
+        for i, snap in enumerate(snaps):
+            f = features.snapshot_features(snap)
+            for domain in (features.DOMAIN_SPECTRAL, features.DOMAIN_TEMPORAL, features.DOMAIN_MIXED):
+                assert data[domain][i].tobytes() == f[domain].tobytes()
 
 
 class TestMixedVector:
