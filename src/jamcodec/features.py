@@ -5,12 +5,19 @@ library FFT) over Hann-windowed segments and folds the magnitude-squared
 spectrum into 128 band powers. The temporal path splits the magnitude
 sequence into 7 sub-windows and computes 7 statistics per sub-window.
 Concatenating both (spectral first) yields the 177-value mixed vector.
+
+The FFT's bit-reverse permutation and twiddles, and the Hann window, are
+computed once per length and cached; each butterfly stage runs in place with
+one scratch buffer. These are the same floating-point operations on the same
+operands as computing them per call, so outputs are bit-identical. The
+entropy histograms of all sub-windows come from one ``np.bincount`` that
+applies ``np.histogram``'s uniform-bin rule, so the counts are the same too.
 """
 
 from dataclasses import dataclass
 import csv
+import functools
 import json
-import math
 
 import numpy as np
 
@@ -30,14 +37,27 @@ LOG_EPS = 1e-12
 ENTROPY_BINS = 16
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _fft_plan(n: int) -> tuple:
+    """Bit-reverse permutation and per-stage twiddles of a length-n radix-2 FFT (read-only)."""
     bits = n.bit_length() - 1
     idx = np.arange(n)
     rev = np.zeros(n, dtype=np.int64)
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
-    return rev
+    twiddles = [np.exp(-2j * np.pi * np.arange(m // 2) / m) for m in (2**k for k in range(1, bits + 1))]
+    for a in [rev, *twiddles]:
+        a.flags.writeable = False
+    return rev, tuple(twiddles)
+
+
+@functools.lru_cache(maxsize=None)
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length n (read-only)."""
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+    w.flags.writeable = False
+    return w
 
 
 def fft(x) -> np.ndarray:
@@ -50,17 +70,17 @@ def fft(x) -> np.ndarray:
     n = x.shape[-1]
     if n < 2 or (n & (n - 1)) != 0:
         raise InvalidLengthError(f"FFT length must be a power of two >= 2, got {n}")
-    y = x[..., _bit_reverse_indices(n)].copy()
-    m = 2
-    while m <= n:
-        half = m // 2
-        w = np.exp(-2j * np.pi * np.arange(half) / m)
-        blocks = y.reshape(*y.shape[:-1], n // m, m)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * w
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        m *= 2
+    rev, twiddles = _fft_plan(n)
+    y = np.take(x, rev, axis=-1)
+    scratch = np.empty(y.shape[:-1] + (n // 2,), dtype=np.complex128)
+    for w in twiddles:
+        half = len(w)
+        blocks = y.reshape(*y.shape[:-1], n // (2 * half), 2 * half)
+        even, odd = blocks[..., :half], blocks[..., half:]
+        t = scratch.reshape(odd.shape)
+        np.multiply(odd, w, out=t)
+        np.subtract(even, t, out=odd)
+        np.add(even, t, out=even)
     return y
 
 
@@ -139,9 +159,7 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
             f"buffer of {len(samples)} samples is shorter than one window ({window_len})"
         )
     frames = samples[: n_windows * window_len].reshape(n_windows, window_len)
-    k = np.arange(window_len)
-    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / window_len))
-    spectra = fft(frames * hann)
+    spectra = fft(frames * _hann(window_len))
     p = np.mean(np.abs(spectra) ** 2, axis=0) / float(window_len) ** 2
     return p.reshape(n_bins, window_len // n_bins).sum(axis=1)
 
@@ -150,6 +168,24 @@ def power_spectrum_bins(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -
     """Band powers on a dB scale: 10*log10(band_power + 1e-12)."""
     p = band_power(x, window_len=window_len, n_bins=n_bins)
     return SpectralFrame(10.0 * np.log10(p + LOG_EPS), window_len)
+
+
+_ENTROPY_EDGES = np.linspace(0.0, 1.0, ENTROPY_BINS + 1)
+
+
+def _entropy_counts(norm) -> np.ndarray:
+    """Per-row ``np.histogram(row, ENTROPY_BINS, range=(0, 1))`` counts of rows in [0, 1].
+
+    One ``np.bincount`` with numpy's uniform-bin rule: index floor(x * bins),
+    x == 1 into the last bin, then one step down where x lies below its bin's
+    left edge and one step up where it reaches the next edge.
+    """
+    idx = (norm * ENTROPY_BINS).astype(np.intp)
+    idx[idx == ENTROPY_BINS] -= 1
+    idx -= norm < _ENTROPY_EDGES[idx]
+    idx += (norm >= _ENTROPY_EDGES[idx + 1]) & (idx != ENTROPY_BINS - 1)
+    idx += ENTROPY_BINS * np.arange(len(norm))[:, None]
+    return np.bincount(idx.ravel(), minlength=len(norm) * ENTROPY_BINS).reshape(-1, ENTROPY_BINS)
 
 
 def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
@@ -181,14 +217,17 @@ def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
     max_abs = subs.max(axis=1)
     log_energy = np.log(np.sum(subs**2, axis=1) + LOG_EPS)
 
+    lo = subs.min(axis=1)
+    span = max_abs - lo
+    rows = np.flatnonzero((span > 0.0) & np.isfinite(span))
+    counts = _entropy_counts((subs[rows] - lo[rows, None]) / span[rows, None])
+    nonzero = counts > 0
+    p = counts[nonzero] / sub_len
+    plogp = p * np.log(p)
+    per_row = np.count_nonzero(nonzero, axis=1)
     entropy = np.zeros(n_sub)
-    for i in range(n_sub):
-        lo, hi = subs[i].min(), subs[i].max()
-        if hi > lo:
-            norm = (subs[i] - lo) / (hi - lo)
-            counts, _ = np.histogram(norm, bins=ENTROPY_BINS, range=(0.0, 1.0))
-            p = counts[counts > 0] / sub_len
-            entropy[i] = float(-np.sum(p * np.log(p)))
+    for i, end, n in zip(rows.tolist(), np.cumsum(per_row).tolist(), per_row.tolist()):
+        entropy[i] = float(-np.sum(plogp[end - n : end]))  # one pairwise sum per row, as before
 
     stats = np.stack([mean, std, skew, kurt, max_abs, log_energy, entropy], axis=1)
     return TemporalFrame(stats.reshape(-1), degenerate=tuple(int(i) for i in np.flatnonzero(~ok)))
@@ -345,9 +384,7 @@ def spectrogram_image(x, n_time: int = 32, n_freq: int = 32, n_avg: int = 1) -> 
             f"need {n_time * n_avg * window} samples for a {n_time}x{n_freq} spectrogram"
         )
     frames = samples[: n_time * n_avg * window].reshape(n_time, n_avg, window)
-    k = np.arange(window)
-    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / window))
-    spectra = fft(frames * hann)
+    spectra = fft(frames * _hann(window))
     p = np.mean(np.abs(spectra) ** 2, axis=1) / float(window) ** 2
     p = p.reshape(n_time, n_freq, 2).sum(axis=2)
     return 10.0 * np.log10(p + LOG_EPS)

@@ -136,7 +136,7 @@ class Conv1d:
         batch, length, _ = x.shape
         out_len, pad_left, total_pad, idx = _conv1d_geometry(length, self.kernel, self.stride)
         xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
-        cols = xp[:, idx, :].reshape(batch, out_len, self.kernel * self.in_ch)
+        cols = np.take(xp, idx, axis=1).reshape(batch, out_len, self.kernel * self.in_ch)
         wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
         z = cols @ wmat + self.b
         if train:
@@ -611,15 +611,33 @@ def save_model(path, model: AeModel) -> None:
             fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
+def _read_exact(fh, n, path, what) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise InvalidSpecError(f"{path}: truncated {what}: {len(data)} of {n} bytes")
+    return data
+
+
+def _read_descriptor(fh, path, magic) -> dict:
+    """Magic, little-endian u32 length and JSON descriptor of a model file; version 1 only."""
+    found = fh.read(len(magic))
+    if found != magic:
+        raise InvalidSpecError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    (desc_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+    desc = _read_exact(fh, desc_len, path, "descriptor")
+    try:
+        descriptor = json.loads(desc.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise InvalidSpecError(f"{path}: unreadable descriptor: {exc}") from None
+    if not isinstance(descriptor, dict) or descriptor.get("version") != 1:
+        raise InvalidSpecError(f"{path}: unsupported model version")
+    return descriptor
+
+
 def load_model(path) -> AeModel:
+    """Read an AEM1 file; a short read or trailing bytes raise InvalidSpecError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise InvalidSpecError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        (desc_len,) = struct.unpack("<I", fh.read(4))
-        descriptor = json.loads(fh.read(desc_len).decode("utf-8"))
-        if descriptor.get("version") != 1:
-            raise InvalidSpecError(f"{path}: unsupported model version {descriptor.get('version')}")
+        descriptor = _read_descriptor(fh, path, MODEL_MAGIC)
         arch = descriptor["arch"]
         model = build_autoencoder(
             arch["input_dim"],
@@ -631,9 +649,9 @@ def load_model(path) -> AeModel:
             hidden_activation=arch.get("hidden_activation", "relu"),
         )
         model.metadata = descriptor.get("metadata", {})
-        arrays = []
-        for p in model.parameters():
-            buf = fh.read(4 * p.size)
-            arrays.append(np.frombuffer(buf, dtype="<f4").reshape(p.shape).copy())
+        arrays = [np.frombuffer(_read_exact(fh, 4 * p.size, path, "weights"), dtype="<f4").reshape(p.shape)
+                  for p in model.parameters()]
+        if fh.read(1):
+            raise InvalidSpecError(f"{path}: trailing bytes after the last tensor")
         model.set_parameters(arrays)
     return model

@@ -12,7 +12,7 @@ under 2^53 / 32385, in any summation order. One in-place pass requantizes the
 int64 accumulator, so results are bit-identical across platforms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import json
 import math
 import struct
@@ -155,6 +155,16 @@ class QuantLayer:
     shift: int
     activation: str
     geometry: dict
+    # w_q as float64 in the shape its matmul takes; derived here, never serialized
+    w_mat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = self.w_q.astype(np.float64)
+        if self.kind == "conv1d":  # (kernel, in, out) -> (kernel * in, out)
+            w = w.reshape(-1, w.shape[2])
+        elif self.kind == "conv1d_t":  # (kernel, in, out) -> (in, kernel * out)
+            w = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(w.shape[1], -1)
+        self.w_mat = w
 
 
 @dataclass
@@ -249,25 +259,23 @@ def int8_forward(qm: QuantizedModel, x, return_info=False):
             h = h.reshape(h.shape[0], *ql.geometry["out_shape"])
             continue
         centered = np.subtract(h, ql.in_qp.zero_point, dtype=np.float64)
-        w = ql.w_q.astype(np.float64)
         if ql.kind == "dense":
-            acc = centered @ w
+            acc = centered @ ql.w_mat
         elif ql.kind == "conv1d":
             batch, length, in_ch = centered.shape
             kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
             out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
             xp = np.pad(centered, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
             cols = np.take(xp, idx, axis=1).reshape(batch, out_len, kernel * in_ch)
-            acc = cols @ w.reshape(kernel * in_ch, -1)
+            acc = cols @ ql.w_mat
         elif ql.kind == "conv1d_t":
             batch, in_len, in_ch = centered.shape
             kernel, stride, out_len = ql.geometry["kernel"], ql.geometry["stride"], ql.geometry["output_len"]
             expected, pad_left, total_pad, _ = nn._conv1d_geometry(out_len, kernel, stride)
             if expected != in_len:
                 raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
-            n_out = w.shape[2]
-            contrib = (centered @ w.transpose(1, 0, 2).reshape(in_ch, kernel * n_out)).reshape(
-                batch, in_len, kernel, n_out)
+            n_out = ql.w_q.shape[2]
+            contrib = (centered @ ql.w_mat).reshape(batch, in_len, kernel, n_out)
             zpad = np.zeros((batch, out_len + total_pad, n_out))
             span = stride * (in_len - 1) + 1
             for j in range(kernel):  # overlap-add: input step t feeds output row t*stride + j
@@ -348,34 +356,17 @@ def save_quantized(path, qm: QuantizedModel) -> None:
             fh.write(np.ascontiguousarray(l.b_q, dtype="<i4").tobytes())
 
 
-def _read_exact(fh, n, path, what) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise InvalidSpecError(f"{path}: truncated {what}: {len(data)} of {n} bytes")
-    return data
-
-
 def load_quantized(path) -> QuantizedModel:
     """Read an AEQ1 file; a short read or trailing bytes raise InvalidSpecError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != QUANT_MAGIC:
-            raise InvalidSpecError(f"{path}: bad magic {magic!r}, expected {QUANT_MAGIC!r}")
-        (desc_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
-        desc = _read_exact(fh, desc_len, path, "descriptor")
-        try:
-            descriptor = json.loads(desc.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-            raise InvalidSpecError(f"{path}: unreadable descriptor: {exc}") from None
-        if descriptor.get("version") != 1:
-            raise InvalidSpecError(f"{path}: unsupported quantized model version")
+        descriptor = nn._read_descriptor(fh, path, QUANT_MAGIC)
         layers = []
         for spec in descriptor["layers"]:
             w_size = int(np.prod(spec["w_shape"])) if spec["w_shape"] else 0
             b_size = int(np.prod(spec["b_shape"])) if spec["b_shape"] else 0
-            w_q = np.frombuffer(_read_exact(fh, w_size, path, f"{spec['kind']} weights"),
+            w_q = np.frombuffer(nn._read_exact(fh, w_size, path, f"{spec['kind']} weights"),
                                 dtype="<i1").reshape(spec["w_shape"])
-            b_q = np.frombuffer(_read_exact(fh, 4 * b_size, path, f"{spec['kind']} biases"),
+            b_q = np.frombuffer(nn._read_exact(fh, 4 * b_size, path, f"{spec['kind']} biases"),
                                 dtype="<i4").reshape(spec["b_shape"])
             layers.append(QuantLayer(
                 spec["kind"], w_q.astype(np.int8), b_q.astype(np.int32),

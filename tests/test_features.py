@@ -185,6 +185,13 @@ class TestTemporalStats:
         frame = features.temporal_stats(x.astype(complex))
         assert np.all(np.isfinite(frame.stats))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.arange(700, dtype=complex)
+        x[100] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidSpecError):
+            features.temporal_stats(x)
+
     @staticmethod
     def _histogram_entropy(sub):
         lo, hi = sub.min(), sub.max()

@@ -130,6 +130,15 @@ class TestBackprop:
         x = np.random.default_rng(2).uniform(0, 1, (4, 16))
         assert finite_difference_fraction(model, x) >= 0.99
 
+    @pytest.mark.parametrize("kernel, stride", [(5, 2), (3, 1), (4, 2)])
+    def test_conv_columns_equal_fancy_index_gather(self, kernel, stride):
+        layer = nn.Conv1d(3, 4, kernel, stride=stride, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal((7, 59, 3))
+        layer.forward(x, train=True)
+        cols, _, _, pad_left, total_pad, idx = layer._cache
+        xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
+        assert cols.tobytes() == xp[:, idx, :].reshape(cols.shape).tobytes()
+
     def test_conv_stride1_fd(self):
         model = nn.build_autoencoder(12, (5,), 2, seed=6, conv_front=((1, 3, 3, 1),))
         x = np.random.default_rng(3).uniform(0, 1, (3, 12))
@@ -369,3 +378,36 @@ class TestModelFile:
         p.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(InvalidSpecError):
             nn.load_model(p)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.aem"
+        nn.save_model(path, nn.build_autoencoder(20, (8,), 3, seed=2, conv_front=((2, 4, 3, 2),)))
+        return path
+
+    def test_resave_is_byte_identical(self, saved, tmp_path):
+        nn.save_model(tmp_path / "again.aem", nn.load_model(saved))
+        assert (tmp_path / "again.aem").read_bytes() == saved.read_bytes()
+
+    @pytest.mark.parametrize("keep", [0, 6, 40, -3, -1])
+    def test_truncated_file(self, saved, keep):
+        # 6 bytes cut the header, 40 the descriptor, -3 and -1 the last weight blob
+        data = saved.read_bytes()
+        saved.write_bytes(data[:keep] if keep >= 0 else data[:len(data) + keep])
+        with pytest.raises(InvalidSpecError):
+            nn.load_model(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00\x00")
+        with pytest.raises(InvalidSpecError):
+            nn.load_model(saved)
+
+    @pytest.mark.parametrize("descriptor", [b"\xff{}", b"{not json", b"[1]"])
+    def test_corrupt_descriptor(self, saved, descriptor):
+        data = saved.read_bytes()
+        header = len(nn.MODEL_MAGIC) + 4
+        desc_len = int.from_bytes(data[len(nn.MODEL_MAGIC):header], "little")
+        body = data[header + desc_len:]
+        saved.write_bytes(nn.MODEL_MAGIC + len(descriptor).to_bytes(4, "little") + descriptor + body)
+        with pytest.raises(InvalidSpecError):
+            nn.load_model(saved)

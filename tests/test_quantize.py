@@ -245,6 +245,31 @@ class TestSerialization:
             quantize.save_quantized(tmp_path / "again.aeq", back)
             assert (tmp_path / "again.aeq").read_bytes() == path.read_bytes()
 
+    # computed before int8_forward cached float64 weights on QuantLayer; they stay off disk
+    AEQ_GOLDEN = {
+        "dense": "7e62d83415e63a205906af64b174f22ee7214521c66024618001377b001e6f68",
+        "conv": "bef2db7527d902c3c50530ebe7874cbab9a7e5d1d63203127194872bd244b7ba",
+        "conv2": "db0493b279011ebb448e2abc1e3a8bc50d3d30fa015582f2f5ca8a085fbfb0ef",
+    }
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_file_golden_bytes(self, models, tmp_path, arch):
+        path = tmp_path / f"{arch}.aeq"
+        quantize.save_quantized(path, models[arch][0])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.AEQ_GOLDEN[arch]
+
+    def test_cached_weights_follow_w_q(self, models, tmp_path):
+        for arch in ARCHS:
+            path = tmp_path / f"{arch}.aeq"
+            quantize.save_quantized(path, models[arch][0])
+            for ql in quantize.load_quantized(path).layers:
+                assert ql.w_mat.dtype == np.float64 and ql.w_mat.size == ql.w_q.size
+                if ql.kind == "conv1d_t":
+                    assert np.array_equal(ql.w_mat.reshape(ql.w_q.shape[1], ql.w_q.shape[0], -1),
+                                          ql.w_q.transpose(1, 0, 2))
+                else:
+                    assert np.array_equal(ql.w_mat.reshape(ql.w_q.shape), ql.w_q)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.aeq"
         path.write_bytes(b"NOPE" + bytes(12))
