@@ -89,6 +89,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             nn.forward(model, np.zeros((2, 9)))
 
+    @pytest.mark.parametrize("kernel, stride", [(5, 2), (3, 1), (4, 2)])
+    def test_conv_columns_equal_fancy_index_gather(self, kernel, stride):
+        layer = nn.Conv1d(3, 4, kernel, stride=stride, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal((7, 59, 3))
+        layer.forward(x, train=True)
+        cols, _, _, pad_left, total_pad, idx = layer._cache
+        xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
+        assert cols.tobytes() == xp[:, idx, :].reshape(cols.shape).tobytes()
+
     def test_variational_forward_deterministic_without_seed(self):
         model = nn.build_autoencoder(6, (5,), 2, seed=1, variational=True)
         x = np.random.default_rng(0).uniform(0, 1, (3, 6))
@@ -129,15 +138,6 @@ class TestBackprop:
         model = nn.build_autoencoder(16, (6,), 3, seed=5, conv_front=((2, 4, 3, 2),))
         x = np.random.default_rng(2).uniform(0, 1, (4, 16))
         assert finite_difference_fraction(model, x) >= 0.99
-
-    @pytest.mark.parametrize("kernel, stride", [(5, 2), (3, 1), (4, 2)])
-    def test_conv_columns_equal_fancy_index_gather(self, kernel, stride):
-        layer = nn.Conv1d(3, 4, kernel, stride=stride, rng=np.random.default_rng(1))
-        x = np.random.default_rng(2).standard_normal((7, 59, 3))
-        layer.forward(x, train=True)
-        cols, _, _, pad_left, total_pad, idx = layer._cache
-        xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
-        assert cols.tobytes() == xp[:, idx, :].reshape(cols.shape).tobytes()
 
     def test_conv_stride1_fd(self):
         model = nn.build_autoencoder(12, (5,), 2, seed=6, conv_front=((1, 3, 3, 1),))
