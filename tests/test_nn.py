@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -346,6 +348,43 @@ class TestTrainAutoencoder:
                                 early_stop_patience=4000, batch_size=4, seed=0, lr=1e-2)
         model, history = nn.train_autoencoder(model, X, X, budget, early_stop=False)
         assert min(h["val_loss"] for h in history) < 1e-6
+
+
+# SHA-256 of (trained parameters, history JSON) after 6 epochs on 36 uniform rows
+GOLDEN_TRAINING = {
+    "dense_mse": (
+        dict(input_dim=12, hidden_widths=(8, 6), latent_dim=3, seed=1), "mse",
+        "9e2ab8d5942f2a14ebdb30e8bd6243833b2c221b9316a3c0d28dc67856ab0c3f",
+        "9c8bdb93181678c08476fec1c14acebd8daae989a742841b479ef2fa73e1e503",
+    ),
+    "variational_vae": (
+        dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True), "vae",
+        "5c99faf45239d000fb06aae5f2b07e0b2ae6bc9709775603efc35134ec674a91",
+        "40b87571da8f7df71f83a321f30eee3957d29e30da342319e85557da452b0fbb",
+    ),
+    "variational_mse": (
+        dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True), "mse",
+        "11ee238d22ba7785c8b1cc40676c228e553c0cf010ee689db756f8b3a97728d4",
+        "dc80eb2e996fd2142c1578beafb9292e21349795aef9929b75479afec0e8744f",
+    ),
+    "conv_front": (
+        dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)), "mse",
+        "1a0603e8fe9a380235f97e9d6754f61098aa0bc4c647a8a6f72aa0ef8d982027",
+        "fa0d57a3410604b8b1426b505ab4912ea897b02f0fcf8b9b737409acac08383a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAINING))
+def test_training_golden_bytes(name):
+    kwargs, loss_kind, params_sha, history_sha = GOLDEN_TRAINING[name]
+    x = np.random.default_rng(11).uniform(0, 1, (48, kwargs["input_dim"]))
+    budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=6, early_stop_patience=2,
+                            batch_size=16, seed=3, lr=3e-3)
+    model, history = nn.train_autoencoder(nn.build_autoencoder(**kwargs), x[:36], x[36:],
+                                          budget, loss_kind=loss_kind)
+    assert hashlib.sha256(b"".join(p.tobytes() for p in model.parameters())).hexdigest() == params_sha
+    assert hashlib.sha256(json.dumps(history, sort_keys=True).encode()).hexdigest() == history_sha
 
 
 class TestModelFile:
