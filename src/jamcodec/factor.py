@@ -1,15 +1,13 @@
-"""Factorized VAE on small spectrogram images, with latent classifier heads.
+"""Factorized VAE on small spectrogram images.
 
 A convolutional VAE is trained with the reconstruction + KL objective plus a
 total-correlation term estimated by a discriminator that tells joint latents
 from dimension-wise permuted ones. Training alternates one VAE update and one
-discriminator update per batch, with separate Adam optimizers. Frozen models
-feed latent classifier heads (1-3 linear layers with ReLU or batch
-normalization in between) over the mu / mu+logvar / sampled-z sources.
+discriminator update per batch, with separate Adam optimizers. The VAE is an
+nn.AeModel and runs nn's reparameterized forward and backward.
 """
 
-from dataclasses import dataclass, field
-import csv
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -19,57 +17,32 @@ from . import signals
 from .errors import InvalidSpecError, ShapeError, TrainingDivergedError
 from .nn import (
     AdamState,
+    AeModel,
     Dense,
     Reshape,
+    _WeightBias,
     _act,
     _act_grad,
-    _kaiming_uniform,
+    _conv1d_geometry,
     adam_step,
     gaussian_kl,
     mse_loss,
+    vae_backward,
+    vae_forward,
 )
 from .signals import derived_rng
-
-LOGVAR_CLAMP = 10.0
 
 SMALL_CONV = "small_conv"
 DEEP_RESIDUAL = "deep_residual"
 
-SOURCE_MU = "mu"
-SOURCE_MULOGVAR = "mulogvar"
-SOURCE_REP = "rep"
-INTER_RELU = "relu"
-INTER_BATCH_NORM = "batch_norm"
 
-
-def _conv2d_geometry(h, w, kernel, stride):
-    out_h, out_w = -(-h // stride), -(-w // stride)
-    pad_h = max(0, (out_h - 1) * stride + kernel - h)
-    pad_w = max(0, (out_w - 1) * stride + kernel - w)
-    top, left = pad_h // 2, pad_w // 2
-    return out_h, out_w, (top, pad_h - top, left, pad_w - left)
-
-
-class Conv2d:
+class Conv2d(_WeightBias):
     """2-D convolution over (batch, height, width, channels), 'same' padding."""
-
-    kind = "conv2d"
 
     def __init__(self, in_ch, out_ch, kernel=3, stride=1, activation="relu", rng=None):
         self.in_ch, self.out_ch, self.kernel, self.stride = in_ch, out_ch, kernel, stride
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        self.w = _kaiming_uniform(rng, in_ch * kernel * kernel, (kernel, kernel, in_ch, out_ch))
-        self.b = np.zeros(out_ch, dtype=np.float64)
-        self.grads = [np.zeros(self.w.shape, dtype=np.float64), np.zeros(self.b.shape, dtype=np.float64)]
-        self._cache = None
-
-    @property
-    def params(self):
-        return [self.w, self.b]
-
-    def set_params(self, arrays):
-        self.w, self.b = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
+        self._init_params(rng, in_ch * kernel * kernel, (kernel, kernel, in_ch, out_ch), out_ch)
 
     def _tap_view(self, arr, ti, tj, out_h, out_w):
         s = self.stride
@@ -80,44 +53,37 @@ class Conv2d:
         if x.ndim != 4 or x.shape[3] != self.in_ch:
             raise ShapeError(f"conv2d expects (B, H, W, {self.in_ch}), got {x.shape}")
         batch, h, w, _ = x.shape
-        out_h, out_w, pads = _conv2d_geometry(h, w, self.kernel, self.stride)
-        xp = np.pad(x, ((0, 0), (pads[0], pads[1]), (pads[2], pads[3]), (0, 0)))
+        out_h, top, pad_h, _ = _conv1d_geometry(h, self.kernel, self.stride)
+        out_w, left, pad_w, _ = _conv1d_geometry(w, self.kernel, self.stride)
+        xp = np.pad(x, ((0, 0), (top, pad_h - top), (left, pad_w - left), (0, 0)))
         # one strided view per kernel tap instead of a scatter/gather im2col
         cols_x = np.empty((batch, out_h, out_w, self.kernel, self.kernel, self.in_ch))
         for ti in range(self.kernel):
             for tj in range(self.kernel):
                 cols_x[:, :, :, ti, tj, :] = self._tap_view(xp, ti, tj, out_h, out_w)
         flat = cols_x.reshape(batch, out_h * out_w, -1)
-        wmat = self.w.astype(np.float64).reshape(-1, self.out_ch)
-        z = (flat @ wmat + self.b.astype(np.float64)).reshape(batch, out_h, out_w, self.out_ch)
+        z = (flat @ self.w.reshape(-1, self.out_ch) + self.b).reshape(batch, out_h, out_w, self.out_ch)
         if train:
-            self._cache = (flat, z, x.shape, pads)
+            self._cache = (flat, z, xp.shape, top, left, h, w)
         return _act(self.activation, z)
 
     def backward(self, grad_out):
-        flat, z, x_shape, pads = self._cache
-        batch, h, w, _ = x_shape
-        out_h, out_w = z.shape[1], z.shape[2]
+        flat, z, padded_shape, top, left, h, w = self._cache
+        batch, out_h, out_w = z.shape[:3]
         gz = (grad_out * _act_grad(self.activation, z)).reshape(batch, out_h * out_w, self.out_ch)
         self.grads[0] = (flat.reshape(-1, flat.shape[-1]).T @ gz.reshape(-1, self.out_ch)).reshape(self.w.shape)
         self.grads[1] = gz.reshape(-1, self.out_ch).sum(axis=0)
-        wmat = self.w.astype(np.float64).reshape(-1, self.out_ch)
-        gcols = (gz @ wmat.T).reshape(batch, out_h, out_w, self.kernel, self.kernel, self.in_ch)
-        gpad = np.zeros((batch, h + pads[0] + pads[1], w + pads[2] + pads[3], self.in_ch))
+        gcols = (gz @ self.w.reshape(-1, self.out_ch).T).reshape(
+            batch, out_h, out_w, self.kernel, self.kernel, self.in_ch)
+        gpad = np.zeros(padded_shape)
         for ti in range(self.kernel):
             for tj in range(self.kernel):
                 self._tap_view(gpad, ti, tj, out_h, out_w)[...] += gcols[:, :, :, ti, tj, :]
-        return gpad[:, pads[0] : pads[0] + h, pads[2] : pads[2] + w, :]
-
-    def spec(self):
-        return {"kind": "conv2d", "in_ch": self.in_ch, "out_ch": self.out_ch,
-                "kernel": self.kernel, "stride": self.stride, "activation": self.activation}
+        return gpad[:, top : top + h, left : left + w, :]
 
 
 class Upsample2x:
     """Nearest-neighbour 2x upsampling on (B, H, W, C)."""
-
-    kind = "upsample2x"
 
     def __init__(self):
         self.grads = []
@@ -140,14 +106,9 @@ class Upsample2x:
         b, h, w, c = self._in_shape
         return grad_out.reshape(b, h, 2, w, 2, c).sum(axis=(2, 4))
 
-    def spec(self):
-        return {"kind": "upsample2x"}
-
 
 class ResBlock2d:
     """Two 3x3 convolutions with an identity skip; ReLU after the addition."""
-
-    kind = "resblock2d"
 
     def __init__(self, channels, rng=None):
         self.conv1 = Conv2d(channels, channels, 3, 1, activation="relu", rng=rng)
@@ -178,59 +139,6 @@ class ResBlock2d:
         gx_branch = self.conv1.backward(self.conv2.backward(gs))
         return gx_branch + gs
 
-    def spec(self):
-        return {"kind": "resblock2d", "channels": self.conv1.in_ch}
-
-
-class BatchNorm1d:
-    """Feature-wise batch normalization with running statistics for eval."""
-
-    kind = "batch_norm"
-
-    def __init__(self, dim, momentum=0.1, eps=1e-5):
-        self.dim = dim
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.beta = np.zeros(dim, dtype=np.float64)
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
-        self.grads = [np.zeros(dim, dtype=np.float64), np.zeros(dim, dtype=np.float64)]
-        self._cache = None
-
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def set_params(self, arrays):
-        self.gamma, self.beta = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
-
-    def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
-        if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv
-        if train:
-            self._cache = (xhat, inv)
-        return self.gamma.astype(np.float64) * xhat + self.beta.astype(np.float64)
-
-    def backward(self, grad_out):
-        xhat, inv = self._cache
-        n = xhat.shape[0]
-        self.grads[0] = np.sum(grad_out * xhat, axis=0)
-        self.grads[1] = np.sum(grad_out, axis=0)
-        g = grad_out * self.gamma.astype(np.float64)
-        return inv / n * (n * g - np.sum(g, axis=0) - xhat * np.sum(g * xhat, axis=0))
-
-    def spec(self):
-        return {"kind": "batch_norm", "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class FactorVaeConfig:
@@ -257,14 +165,11 @@ class FactorVaeConfig:
 class Discriminator:
     """MLP mapping a latent batch to two logits (joint vs permuted)."""
 
-    def __init__(self, latent_dim, width=256, n_layers=4, seed=0, zero_init=False):
+    def __init__(self, latent_dim, width=256, n_layers=4, seed=0):
         rng = derived_rng(seed, 0xD15C)
         dims = [latent_dim] + [width] * (n_layers - 1)
         self.layers = [Dense(a, b, activation="leaky_relu", rng=rng) for a, b in zip(dims, dims[1:])]
         self.layers.append(Dense(dims[-1], 2, activation="linear", rng=rng))
-        if zero_init:
-            for layer in self.layers:
-                layer.set_params([np.zeros_like(p) for p in layer.params])
 
     def parameters(self):
         return [p for l in self.layers for p in l.params]
@@ -318,27 +223,17 @@ def permute_dims(z, seed) -> np.ndarray:
     return out
 
 
-def tc_loss(disc: Discriminator, z_true, z_perm) -> tuple:
-    """Discriminator CE (true=0, permuted=1) and the raw generator TC term.
-
-    The generator term mean(logit0 - logit1) over the true latents equals the
-    discriminator's log-density-ratio estimate; the caller scales it by the
-    configured weight before adding it to the VAE loss.
-    """
-    z_true = np.atleast_2d(np.asarray(z_true, dtype=np.float64))
-    z_perm = np.atleast_2d(np.asarray(z_perm, dtype=np.float64))
-    if z_true.shape[0] != z_perm.shape[0]:
-        raise ShapeError("true/permuted batch sizes differ")
-    logits_t = disc.forward(z_true)
-    logits_p = disc.forward(z_perm)
-    loss_t, _ = softmax_cross_entropy(logits_t, np.zeros(len(logits_t), dtype=np.int64))
-    loss_p, _ = softmax_cross_entropy(logits_p, np.ones(len(logits_p), dtype=np.int64))
-    disc_loss = 0.5 * (loss_t + loss_p)
-    tc_raw = float(np.mean(logits_t[:, 0] - logits_t[:, 1]))
-    return disc_loss, tc_raw
+def tc_term(disc: Discriminator, z, weight) -> tuple:
+    """Generator TC estimate mean(logit0 - logit1) over z, and the gradient of
+    weight times that estimate with respect to z."""
+    logits = disc.forward(z, train=True)
+    grad_logits = np.zeros_like(logits)
+    grad_logits[:, 0] = weight / len(z)
+    grad_logits[:, 1] = -weight / len(z)
+    return float(np.mean(logits[:, 0] - logits[:, 1])), disc.backward(grad_logits)
 
 
-class ImageVae:
+class ImageVae(AeModel):
     """Convolutional VAE over (B, H, W) images in [0, 1]."""
 
     def __init__(self, image_hw, latent_dim, encoder_kind=SMALL_CONV, seed=0):
@@ -346,18 +241,14 @@ class ImageVae:
         if h % 8 != 0 or w % 8 != 0:
             raise InvalidSpecError("image sides must be divisible by 8")
         rng = derived_rng(seed, 0xE4C)
-        self.image_hw = (h, w)
-        self.latent_dim = latent_dim
-        self.encoder_kind = encoder_kind
-
         if encoder_kind == SMALL_CONV:
-            self.encoder = [
+            convs = [
                 Conv2d(1, 8, 3, 2, activation="relu", rng=rng),
                 Conv2d(8, 16, 3, 2, activation="relu", rng=rng),
                 Conv2d(16, 32, 3, 2, activation="relu", rng=rng),
             ]
         else:
-            self.encoder = [
+            convs = [
                 Conv2d(1, 12, 3, 2, activation="relu", rng=rng),
                 ResBlock2d(12, rng=rng),
                 ResBlock2d(12, rng=rng),
@@ -368,10 +259,9 @@ class ImageVae:
             ]
         fh, fw = h // 8, w // 8
         flat = fh * fw * 32
-        self.encoder.append(Reshape((flat,)))
-        self.mu_head = Dense(flat, latent_dim, activation="linear", rng=rng)
-        self.logvar_head = Dense(flat, latent_dim, activation="linear", rng=rng)
-        self.decoder = [
+        mu_head = Dense(flat, latent_dim, activation="linear", rng=rng)
+        logvar_head = Dense(flat, latent_dim, activation="linear", rng=rng)
+        decoder = [
             Dense(latent_dim, flat, activation="relu", rng=rng),
             Reshape((fh, fw, 32)),
             Upsample2x(),
@@ -380,67 +270,21 @@ class ImageVae:
             Conv2d(16, 8, 3, 1, activation="relu", rng=rng),
             Upsample2x(),
             Conv2d(8, 1, 3, 1, activation="linear", rng=rng),
+            Reshape((h, w)),
         ]
-
-    def _vae_layers(self):
-        return self.encoder + [self.mu_head, self.logvar_head] + self.decoder
-
-    def parameters(self):
-        return [p for l in self._vae_layers() for p in l.params]
-
-    def gradients(self):
-        return [g for l in self._vae_layers() for g in l.grads]
-
-    def set_parameters(self, arrays):
-        i = 0
-        for l in self._vae_layers():
-            k = len(l.params)
-            if k:
-                l.set_params(arrays[i : i + k])
-            i += k
-
-    def _to_nhwc(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        if x.ndim == 3:
-            x = x[..., None]
-        if x.shape[1:3] != self.image_hw:
-            raise ShapeError(f"expected {self.image_hw} images, got {x.shape[1:3]}")
-        return x
+        encoder = [Reshape((h, w, 1)), *convs, Reshape((flat,))]
+        super().__init__(encoder, decoder, latent_dim, h * w, mu_head, logvar_head)
+        self.image_hw = (h, w)
+        self.encoder_kind = encoder_kind
 
     def encode(self, x, train=False):
-        h = self._to_nhwc(x)
-        for l in self.encoder:
-            h = l.forward(h, train=train)
-        mu = self.mu_head.forward(h, train=train)
-        logvar = np.clip(self.logvar_head.forward(h, train=train), -LOGVAR_CLAMP, LOGVAR_CLAMP)
-        return mu, logvar
-
-    def decode(self, z, train=False):
-        h = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        for l in self.decoder:
-            h = l.forward(h, train=train)
-        return h[..., 0]
-
-    def reconstruct(self, x):
-        mu, _ = self.encode(x)
-        return self.decode(mu)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[1:] != self.image_hw:
+            raise ShapeError(f"expected (B, {self.image_hw[0]}, {self.image_hw[1]}) images, got {x.shape}")
+        return super().encode(x, train=train)
 
 
-def pad_to_square(images) -> np.ndarray:
-    """Zero-pad the shorter image side ('extended to quadratic input')."""
-    images = np.asarray(images, dtype=np.float64)
-    _, h, w = images.shape
-    side = max(h, w)
-    side += (-side) % 8
-    out = np.zeros((images.shape[0], side, side), dtype=np.float64)
-    top, left = (side - h) // 2, (side - w) // 2
-    out[:, top : top + h, left : left + w] = images
-    return out
-
-
-def train_factorvae(cfg: FactorVaeConfig, images, history_out=None) -> tuple:
+def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
     """Alternating VAE/discriminator training; returns (model, disc, history).
 
     Per batch: one VAE update on recon + KL + tc_weight * TC (discriminator
@@ -464,59 +308,27 @@ def train_factorvae(cfg: FactorVaeConfig, images, history_out=None) -> tuple:
         sums = np.zeros(4)
         n_batches = 0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = images[order[start : start + cfg.batch_size]]
-            x = model._to_nhwc(batch)
+            x = images[order[start : start + cfg.batch_size]]
             bsz = x.shape[0]
 
             # --- VAE update (discriminator frozen) ---
-            h = x
-            for l in model.encoder:
-                h = l.forward(h, train=True)
-            mu = model.mu_head.forward(h, train=True)
-            logvar_raw = model.logvar_head.forward(h, train=True)
-            logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
-            clamp_mask = (logvar_raw > -LOGVAR_CLAMP) & (logvar_raw < LOGVAR_CLAMP)
-            eps = derived_rng(cfg.seed, 0x5A3, epoch, bi).standard_normal(mu.shape)
-            sigma = np.exp(0.5 * logvar)
-            z = mu + sigma * eps
-
-            dh = z
-            for l in model.decoder:
-                dh = l.forward(dh, train=True)
-            recon = dh
+            fwd = vae_forward(model, x, derived_rng(cfg.seed, 0x5A3, epoch, bi))
+            recon_loss = mse_loss(x, fwd.recon)
+            kl = gaussian_kl(fwd.mu, fwd.logvar)
+            tc_raw, grad_z_tc = 0.0, np.zeros_like(fwd.z)
+            if cfg.tc_weight > 0.0:
+                tc_raw, grad_z_tc = tc_term(disc, fwd.z, cfg.tc_weight)
             # Reconstruction term sums squared error over pixels (per sample,
             # batch-averaged); a per-pixel mean would let the KL term crush
             # the latent code. The logged "recon" metric stays per-pixel MSE.
-            recon_loss = mse_loss(x, recon)
-            kl = gaussian_kl(mu, logvar)
-
-            grad_z_tc = np.zeros_like(z)
-            tc_raw = 0.0
-            if cfg.tc_weight > 0.0:
-                logits = disc.forward(z, train=True)
-                tc_raw = float(np.mean(logits[:, 0] - logits[:, 1]))
-                gl = np.zeros_like(logits)
-                gl[:, 0] = cfg.tc_weight / bsz
-                gl[:, 1] = -cfg.tc_weight / bsz
-                grad_z_tc = disc.backward(gl)
-
-            grad = 2.0 * (recon - x) / bsz
-            for l in reversed(model.decoder):
-                grad = l.backward(grad)
-            grad_z = grad + grad_z_tc
-            grad_mu = grad_z + mu / bsz
-            grad_logvar = (grad_z * (0.5 * sigma * eps) - 0.5 * (1.0 - np.exp(logvar)) / bsz)
-            grad_logvar = grad_logvar * clamp_mask
-            gh = model.mu_head.backward(grad_mu) + model.logvar_head.backward(grad_logvar)
-            for l in reversed(model.encoder):
-                gh = l.backward(gh)
+            vae_backward(model, fwd, 2.0 * (fwd.recon - x) / bsz, grad_z_tc)
             model.set_parameters(adam_step(model.parameters(), model.gradients(), opt_vae))
 
             # --- discriminator update on detached latents ---
             disc_loss = math.log(2.0)
             if cfg.tc_weight > 0.0:
-                z_perm = permute_dims(z, _permute_seed(cfg.seed, epoch, bi))
-                logits_t = disc.forward(z, train=True)
+                z_perm = permute_dims(fwd.z, _permute_seed(cfg.seed, epoch, bi))
+                logits_t = disc.forward(fwd.z, train=True)
                 loss_t, gt = softmax_cross_entropy(logits_t, np.zeros(bsz, dtype=np.int64))
                 disc.backward(0.5 * gt)
                 grads_t = [g.copy() for g in disc.gradients()]
@@ -543,8 +355,6 @@ def train_factorvae(cfg: FactorVaeConfig, images, history_out=None) -> tuple:
             "disc_loss": float(means[3]),
             "objective": float(means[0] * pixels + means[1] + cfg.tc_weight * means[2]),
         })
-        if history_out is not None:
-            history_out.append(history[-1])
     return model, disc, history
 
 
@@ -555,7 +365,8 @@ def _permute_seed(seed, epoch, batch):
 def interpolate(model: ImageVae, x_a, x_b, steps: int) -> np.ndarray:
     """Decode evenly spaced points on the segment between two latent means.
 
-    The endpoints are the direct decodings of mu_a and mu_b, bit for bit.
+    The first frame is the direct decoding of mu_a, bit for bit. The last
+    decodes mu_a + (mu_b - mu_a), which can differ from mu_b in the last bits.
     """
     if steps < 2:
         raise InvalidSpecError("interpolation needs at least 2 steps")
@@ -565,150 +376,6 @@ def interpolate(model: ImageVae, x_a, x_b, steps: int) -> np.ndarray:
     for t in np.linspace(0.0, 1.0, steps):
         out.append(model.decode(mu_a + t * (mu_b - mu_a))[0])
     return np.asarray(out)
-
-
-@dataclass(frozen=True)
-class HeadSpec:
-    """Latent classifier head: depth, inter-layer op, and input source."""
-
-    n_linear: int = 2
-    inter_op: str = INTER_RELU
-    input_source: str = SOURCE_MU
-    hidden: int = 32
-
-    def __post_init__(self):
-        if self.n_linear not in (1, 2, 3):
-            raise InvalidSpecError("head depth must be 1, 2, or 3")
-        if self.inter_op not in (INTER_RELU, INTER_BATCH_NORM):
-            raise InvalidSpecError(f"unknown inter op {self.inter_op!r}")
-        if self.input_source not in (SOURCE_MU, SOURCE_MULOGVAR, SOURCE_REP):
-            raise InvalidSpecError(f"unknown input source {self.input_source!r}")
-
-
-def _head_inputs(model, images, source, seed):
-    mu, logvar = model.encode(images)
-    if source == SOURCE_MU:
-        return mu
-    if source == SOURCE_MULOGVAR:
-        return np.concatenate([mu, logvar], axis=1)
-    eps = derived_rng(seed, 0x4E9).standard_normal(mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
-
-
-def _build_head(in_dim, n_classes, spec: HeadSpec, seed):
-    rng = derived_rng(seed, 0x6EAD)
-    layers = []
-    if spec.n_linear == 1:
-        layers.append(Dense(in_dim, n_classes, activation="linear", rng=rng))
-        return layers
-    dims = [in_dim] + [spec.hidden] * (spec.n_linear - 1) + [n_classes]
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        last = i == len(dims) - 2
-        if spec.inter_op == INTER_RELU:
-            layers.append(Dense(a, b, activation="linear" if last else "relu", rng=rng))
-        else:
-            layers.append(Dense(a, b, activation="linear", rng=rng))
-            if not last:
-                layers.append(BatchNorm1d(b))
-    return layers
-
-
-def _head_forward(layers, x, train=False):
-    h = x
-    for l in layers:
-        h = l.forward(h, train=train)
-    return h
-
-
-def train_latent_head(model: ImageVae, images, labels, head: HeadSpec,
-                      seed=0, epochs=200, lr=1e-2, holdout=0.25) -> dict:
-    """Train a classifier head on frozen latents; report held-out metrics.
-
-    The reparameterized source draws a fresh noise sample every epoch (and an
-    independent one for evaluation), so its scores genuinely include the
-    sampling noise.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = tuple(sorted(set(labels.tolist())))
-    y = np.searchsorted(np.asarray(classes, dtype=labels.dtype), labels).astype(np.int64)
-
-    order = derived_rng(seed, 0x51).permutation(len(y))
-    n_eval = max(1, int(len(y) * holdout))
-    eval_idx, train_idx = order[:n_eval], order[n_eval:]
-
-    base = _head_inputs(model, images, head.input_source, seed)
-    layers = _build_head(base.shape[1], len(classes), head, seed)
-    params = [p for l in layers for p in l.params]
-    opt = AdamState(params, lr=lr)
-
-    for epoch in range(epochs):
-        if head.input_source == SOURCE_REP:
-            x_all = _head_inputs(model, images, SOURCE_REP, _permute_seed(seed, epoch, 0))
-        else:
-            x_all = base
-        logits = _head_forward(layers, x_all[train_idx], train=True)
-        _, grad = softmax_cross_entropy(logits, y[train_idx])
-        g = grad
-        for l in reversed(layers):
-            g = l.backward(g)
-        params = [p for l in layers for p in l.params]
-        grads = [gg for l in layers for gg in l.grads]
-        new = adam_step(params, grads, opt)
-        i = 0
-        for l in layers:
-            k = len(l.params)
-            if k:
-                l.set_params(new[i : i + k])
-            i += k
-
-    if head.input_source == SOURCE_REP:
-        x_eval = _head_inputs(model, images, SOURCE_REP, _permute_seed(seed, epochs, 1))[eval_idx]
-    else:
-        x_eval = base[eval_idx]
-    pred = np.argmax(_head_forward(layers, x_eval, train=False), axis=1)
-    truth = y[eval_idx]
-    accuracy = float(np.mean(pred == truth))
-
-    from .forest import confusion_matrix, fbeta  # local import avoids a cycle
-
-    cm = confusion_matrix(truth, pred, labels=tuple(range(len(classes))))
-    return {
-        "head": head,
-        "layers": layers,
-        "accuracy": accuracy,
-        "f2": fbeta(cm, 2.0).macro,
-        "n_eval": int(n_eval),
-        "classes": classes,
-    }
-
-
-def ablation_grid(model: ImageVae, images, labels, specs, seeds, epochs=200) -> list:
-    """Evaluate every head spec across seeds; rows mirror the results figure."""
-    rows = []
-    for spec in specs:
-        for seed in seeds:
-            r = train_latent_head(model, images, labels, spec, seed=seed, epochs=epochs)
-            rows.append({
-                "encoder": model.encoder_kind,
-                "latent_dim": model.latent_dim,
-                "n_linear": spec.n_linear,
-                "inter_op": spec.inter_op,
-                "source": spec.input_source,
-                "seed": seed,
-                "accuracy": r["accuracy"],
-                "f2": r["f2"],
-            })
-    return rows
-
-
-def write_ablation_csv(path, rows) -> None:
-    cols = ["encoder", "latent_dim", "n_linear", "inter_op", "source", "seed", "accuracy", "f2"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r[c] for c in cols])
 
 
 def _desk_waveform(label, spec, rng):

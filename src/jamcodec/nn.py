@@ -1,12 +1,14 @@
 """Minimal neural-network kernel for the autoencoder compressors.
 
 Dense and 1-D convolutional layers with hand-written backpropagation, Adam,
-MSE and Gaussian-KL losses, the reparameterization trick, and the training
-loop with early stopping. In-memory state and all arithmetic are float64 so
+MSE and Gaussian-KL losses, the reparameterized VAE forward/backward pair
+(which the FactorVAE in factor.py also runs), and the training loop with
+early stopping. In-memory state and all arithmetic are float64 so
 gradients check out against finite differences and results are reproducible
 bit-for-bit on one platform; serialized weights are little-endian float32.
 """
 
+import collections
 import json
 import math
 import struct
@@ -14,7 +16,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeError, TrainingDivergedError
-from .signals import derived_rng
+from .signals import _read_exact, derived_rng
 
 MODEL_MAGIC = b"AEM1"
 LOGVAR_CLAMP = 10.0
@@ -53,19 +55,13 @@ def _kaiming_uniform(rng, fan_in, shape):
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
-class Dense:
-    kind = "dense"
+class _WeightBias:
+    """Weight/bias parameter plumbing shared by the layers with parameters."""
 
-    def __init__(self, n_in, n_out, activation="relu", rng=None):
-        self.n_in = int(n_in)
-        self.n_out = int(n_out)
-        if self.n_in <= 0 or self.n_out <= 0:
-            raise InvalidSpecError("dense dimensions must be positive")
-        self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        self.w = _kaiming_uniform(rng, self.n_in, (self.n_in, self.n_out))
-        self.b = np.zeros(self.n_out, dtype=np.float64)
-        self.grads = [np.zeros_like(self.w, dtype=np.float64), np.zeros_like(self.b, dtype=np.float64)]
+    def _init_params(self, rng, fan_in, w_shape, n_out):
+        self.w = _kaiming_uniform(rng or np.random.default_rng(0), fan_in, w_shape)
+        self.b = np.zeros(n_out, dtype=np.float64)
+        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self._cache = None
 
     @property
@@ -74,6 +70,18 @@ class Dense:
 
     def set_params(self, arrays):
         self.w, self.b = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
+
+
+class Dense(_WeightBias):
+    kind = "dense"
+
+    def __init__(self, n_in, n_out, activation="relu", rng=None):
+        self.n_in = int(n_in)
+        self.n_out = int(n_out)
+        if self.n_in <= 0 or self.n_out <= 0:
+            raise InvalidSpecError("dense dimensions must be positive")
+        self.activation = activation
+        self._init_params(rng, self.n_in, (self.n_in, self.n_out), self.n_out)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -103,7 +111,7 @@ def _conv1d_geometry(length, kernel, stride):
     return out_len, pad_left, total_pad, idx
 
 
-class Conv1d:
+class Conv1d(_WeightBias):
     """1-D convolution over (batch, length, channels), 'same' padding."""
 
     kind = "conv1d"
@@ -113,18 +121,7 @@ class Conv1d:
             raise InvalidSpecError(f"conv stride must be 1 or 2, got {stride}")
         self.in_ch, self.out_ch, self.kernel, self.stride = int(in_ch), int(out_ch), int(kernel), int(stride)
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        self.w = _kaiming_uniform(rng, in_ch * kernel, (kernel, in_ch, out_ch))
-        self.b = np.zeros(out_ch, dtype=np.float64)
-        self.grads = [np.zeros_like(self.w, dtype=np.float64), np.zeros_like(self.b, dtype=np.float64)]
-        self._cache = None
-
-    @property
-    def params(self):
-        return [self.w, self.b]
-
-    def set_params(self, arrays):
-        self.w, self.b = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
+        self._init_params(rng, in_ch * kernel, (kernel, in_ch, out_ch), out_ch)
 
     def out_len(self, length):
         return _conv1d_geometry(length, self.kernel, self.stride)[0]
@@ -169,7 +166,7 @@ class Conv1d:
         }
 
 
-class ConvTranspose1d:
+class ConvTranspose1d(_WeightBias):
     """Adjoint of Conv1d; used to mirror strided conv layers in decoders."""
 
     kind = "conv1d_t"
@@ -178,18 +175,7 @@ class ConvTranspose1d:
         self.in_ch, self.out_ch, self.kernel, self.stride = int(in_ch), int(out_ch), int(kernel), int(stride)
         self.output_len = int(output_len)
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        self.w = _kaiming_uniform(rng, in_ch * kernel, (kernel, in_ch, out_ch))
-        self.b = np.zeros(out_ch, dtype=np.float64)
-        self.grads = [np.zeros_like(self.w, dtype=np.float64), np.zeros_like(self.b, dtype=np.float64)]
-        self._cache = None
-
-    @property
-    def params(self):
-        return [self.w, self.b]
-
-    def set_params(self, arrays):
-        self.w, self.b = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
+        self._init_params(rng, in_ch * kernel, (kernel, in_ch, out_ch), out_ch)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -363,6 +349,44 @@ def reparameterize(mu, logvar, seed) -> np.ndarray:
     return mu + np.exp(0.5 * logvar) * eps
 
 
+VaePass = collections.namedtuple("VaePass", "recon mu logvar z sigma eps clamp_mask")
+
+
+def vae_forward(model: AeModel, x, rng) -> VaePass:
+    """Training-mode forward with z = mu + exp(logvar/2) * eps, eps drawn from rng."""
+    h = x
+    for layer in model.encoder:
+        h = layer.forward(h, train=True)
+    mu = model.mu_head.forward(h, train=True)
+    logvar_raw = model.logvar_head.forward(h, train=True)
+    logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
+    clamp_mask = (logvar_raw > -LOGVAR_CLAMP) & (logvar_raw < LOGVAR_CLAMP)
+    eps = rng.standard_normal(mu.shape)
+    sigma = np.exp(0.5 * logvar)
+    z = mu + sigma * eps
+    return VaePass(model.decode(z, train=True), mu, logvar, z, sigma, eps, clamp_mask)
+
+
+def vae_backward(model: AeModel, fwd: VaePass, grad_recon, grad_z=None) -> None:
+    """Backward of vae_forward plus the batch-mean KL term into the layer grads.
+
+    grad_recon is the caller's reconstruction-loss gradient; grad_z, if given,
+    is an extra loss gradient with respect to z.
+    """
+    batch = fwd.mu.shape[0]
+    grad = grad_recon
+    for layer in reversed(model.decoder):
+        grad = layer.backward(grad)
+    if grad_z is not None:
+        grad = grad + grad_z
+    grad_mu = grad + fwd.mu / batch
+    grad_logvar = grad * (0.5 * fwd.sigma * fwd.eps) - 0.5 * (1.0 - np.exp(fwd.logvar)) / batch
+    grad_logvar = grad_logvar * fwd.clamp_mask
+    grad_h = model.mu_head.backward(grad_mu) + model.logvar_head.backward(grad_logvar)
+    for layer in reversed(model.encoder):
+        grad_h = layer.backward(grad_h)
+
+
 def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
     """Loss and gradients for one batch.
 
@@ -370,35 +394,14 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
     (variational models only) samples z with the seed and adds the KL term.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    batch = x.shape[0]
     for layer in model._layers():
         for i, g in enumerate(layer.grads):
             layer.grads[i] = np.zeros_like(g)
 
     if model.variational and loss_kind == "vae":
-        h = x
-        for layer in model.encoder:
-            h = layer.forward(h, train=True)
-        mu = model.mu_head.forward(h, train=True)
-        logvar_raw = model.logvar_head.forward(h, train=True)
-        logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
-        clamp_mask = (logvar_raw > -LOGVAR_CLAMP) & (logvar_raw < LOGVAR_CLAMP)
-        eps = derived_rng(seed).standard_normal(mu.shape)
-        sigma = np.exp(0.5 * logvar)
-        z = mu + sigma * eps
-        recon = model.decode(z, train=True)
-
-        loss = mse_loss(x, recon) + gaussian_kl(mu, logvar)
-        grad_recon = 2.0 * (recon - x) / x.size
-        grad = grad_recon
-        for layer in reversed(model.decoder):
-            grad = layer.backward(grad)
-        grad_mu = grad + mu / batch
-        grad_logvar = grad * (0.5 * sigma * eps) - 0.5 * (1.0 - np.exp(logvar)) / batch
-        grad_logvar = grad_logvar * clamp_mask
-        grad_h = model.mu_head.backward(grad_mu) + model.logvar_head.backward(grad_logvar)
-        for layer in reversed(model.encoder):
-            grad_h = layer.backward(grad_h)
+        fwd = vae_forward(model, x, derived_rng(seed))
+        loss = mse_loss(x, fwd.recon) + gaussian_kl(fwd.mu, fwd.logvar)
+        vae_backward(model, fwd, 2.0 * (fwd.recon - x) / x.size)
         return loss, model.gradients()
 
     # plain reconstruction path (mu is the latent for variational models)
@@ -609,13 +612,6 @@ def save_model(path, model: AeModel) -> None:
         fh.write(desc)
         for p in model.parameters():
             fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
-
-
-def _read_exact(fh, n, path, what) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise InvalidSpecError(f"{path}: truncated {what}: {len(data)} of {n} bytes")
-    return data
 
 
 def _read_descriptor(fh, path, magic) -> dict:

@@ -136,8 +136,15 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+        """Read a saved manifest; bad JSON or a missing key raises InvalidSpecError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise InvalidSpecError(f"{path}: unreadable run manifest: {exc}") from None
+        if (not isinstance(d, dict) or not {"config_hash", "tool_version"} <= d.keys()
+                or not isinstance(d.get("stages", {}), dict)):
+            raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version and a stages object")
         return cls(config_hash=d["config_hash"], tool_version=d["tool_version"],
                    stages=d.get("stages", {}))
 

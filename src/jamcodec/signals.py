@@ -39,6 +39,7 @@ DETECTION_CLEAN = "clean"
 DETECTION_INTERFERENCE = "interference"
 
 IQ_MAGIC = b"IQF1"
+_MANIFEST_KEYS = ("file", "class", "detection", "scenario_id")
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -534,15 +535,23 @@ def write_iq(path, iq: IqBuffer) -> None:
         fh.write(inter.tobytes())
 
 
+def _read_exact(fh, n, path, what) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise InvalidSpecError(f"{path}: truncated {what}: {len(data)} of {n} bytes")
+    return data
+
+
 def read_iq(path) -> IqBuffer:
+    """Read an IQF1 file; a short read or trailing bytes raise InvalidSpecError."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:4] != IQ_MAGIC:
-            raise InvalidSpecError(f"{path}: bad magic {header[:4]!r}, expected {IQ_MAGIC!r}")
-        n, rate, _ = struct.unpack("<IfI", header[4:])
-        inter = np.frombuffer(fh.read(8 * n), dtype="<f4")
-    if inter.size != 2 * n:
-        raise InvalidSpecError(f"{path}: truncated sample payload")
+        magic = fh.read(len(IQ_MAGIC))
+        if magic != IQ_MAGIC:
+            raise InvalidSpecError(f"{path}: bad magic {magic!r}, expected {IQ_MAGIC!r}")
+        n, rate, _ = struct.unpack("<IfI", _read_exact(fh, 12, path, "header"))
+        inter = np.frombuffer(_read_exact(fh, 8 * n, path, "sample payload"), dtype="<f4")
+        if fh.read(1):
+            raise InvalidSpecError(f"{path}: trailing bytes after the sample payload")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     return IqBuffer(samples, SampleSpec.from_samples(float(rate), n))
 
@@ -555,5 +564,13 @@ def write_manifest(path, records) -> None:
 
 
 def read_manifest(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """Records of write_manifest; bad JSON or a missing key raises InvalidSpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise InvalidSpecError(f"{path}: unreadable manifest: {exc}") from None
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or not all(k in rec for k in _MANIFEST_KEYS):
+            raise InvalidSpecError(f"{path}: record {i} lacks one of {_MANIFEST_KEYS}")
+    return records

@@ -1,0 +1,44 @@
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+from jamcodec import pipeline
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def jamcodec(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    env.pop("JAMCODEC_OUTPUT_DIR", None)
+    return subprocess.run([sys.executable, "-m", "jamcodec.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_energy_exits_zero():
+    done = jamcodec("energy")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.strip()
+
+
+def test_truncated_run_manifest_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    pipeline.RunManifest("abc", "0.1.0", {}).save(out / "manifest.json")
+    data = (out / "manifest.json").read_bytes()
+    (out / "manifest.json").write_bytes(data[: len(data) // 2])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "output_dir": str(out)}))
+    done = jamcodec("train", "--config", str(config))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_missing_config_is_a_usage_error():
+    done = jamcodec("train")
+    assert done.returncode == 2
+    assert "--config" in done.stderr

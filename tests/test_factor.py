@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jamcodec import cli, factor
+from jamcodec.errors import InvalidSpecError, ShapeError
 
 CLASSES = ("chirp", "multitone", "pulsed", "hopper", "modulated", "noise")
 
@@ -62,3 +63,103 @@ class TestGoldens:
         assert capsys.readouterr().out.splitlines()[0] == f"{prefix}_0.pgm"
         digest = sha((tmp_path / "strip_0.pgm").read_bytes())
         assert digest == "304da58730c18ebfc9d0f279e73638007344800d5d66d1f9f2ef2bcdf7c3bf05"
+
+
+def fd_fraction(arrays, grads, loss, h=1e-6, tol=1e-5):
+    """Fraction of entries whose analytic gradient matches a central difference."""
+    ok = total = 0
+    for arr, grad in zip(arrays, grads):
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + h
+            lp = loss()
+            arr[idx] = orig - h
+            lm = loss()
+            arr[idx] = orig
+            fd = (lp - lm) / (2 * h)
+            total += 1
+            ok += abs(grad[idx] - fd) <= tol * max(abs(grad[idx]), abs(fd), 1e-3)
+    return ok / total
+
+
+def layer_fd_fraction(layer, x):
+    """Input and parameter gradients of sum(layer(x) * r) against central differences."""
+    r = np.random.default_rng(5).standard_normal(layer.forward(x).shape)
+    layer.forward(x, train=True)
+    grads = [layer.backward(r)] + [g.copy() for g in layer.grads]
+    return fd_fraction([x] + layer.params, grads, lambda: float(np.sum(layer.forward(x) * r)))
+
+
+class TestGradients:
+    @pytest.mark.parametrize("stride, shape", [(1, (2, 5, 6, 2)), (2, (2, 7, 6, 2))])
+    def test_conv2d(self, stride, shape):
+        layer = factor.Conv2d(2, 3, 3, stride, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal(shape)
+        assert layer_fd_fraction(layer, x) >= 0.99
+
+    def test_conv2d_linear_exact(self):
+        layer = factor.Conv2d(2, 3, 3, 2, activation="linear", rng=np.random.default_rng(3))
+        x = np.random.default_rng(4).standard_normal((2, 6, 5, 2))
+        assert layer_fd_fraction(layer, x) == 1.0
+
+    def test_resblock2d(self):
+        layer = factor.ResBlock2d(2, rng=np.random.default_rng(6))
+        x = np.random.default_rng(7).standard_normal((2, 4, 4, 2))
+        assert layer_fd_fraction(layer, x) >= 0.99
+
+    def test_upsample2x(self):
+        x = np.random.default_rng(8).standard_normal((2, 3, 2, 3))
+        assert layer_fd_fraction(factor.Upsample2x(), x) == 1.0
+
+    def test_tc_gradient_wrt_z(self):
+        disc = factor.Discriminator(4, width=16, n_layers=3, seed=1)
+        z = np.random.default_rng(9).standard_normal((6, 4))
+        weight = 6.4
+        tc, grad_z = factor.tc_term(disc, z, weight)
+        logits = disc.forward(z)
+        assert tc == float(np.mean(logits[:, 0] - logits[:, 1]))
+
+        def loss():
+            logits = disc.forward(z)
+            return weight * float(np.mean(logits[:, 0] - logits[:, 1]))
+
+        assert fd_fraction([z], [grad_z], loss) >= 0.99
+
+
+class TestDocumentedClaims:
+    def test_permute_dims_keeps_each_dimension_multiset(self):
+        z = np.random.default_rng(10).standard_normal((17, 5))
+        out = factor.permute_dims(z, seed=3)
+        assert np.array_equal(np.sort(out, axis=0), np.sort(z, axis=0))
+        assert not np.array_equal(out, z)
+        assert np.array_equal(out, factor.permute_dims(z, seed=3))
+
+    def test_interpolate_endpoints(self, trained, images):
+        _, model, _, _ = trained
+        strip = factor.interpolate(model, images[3], images[40], 4)
+        mu_a, _ = model.encode(images[3][None])
+        mu_b, _ = model.encode(images[40][None])
+        assert strip.shape == (4, *model.image_hw)
+        assert strip[0].tobytes() == model.decode(mu_a)[0].tobytes()
+        assert strip[-1].tobytes() == model.decode(mu_a + (mu_b - mu_a))[0].tobytes()
+        assert np.allclose(strip[-1], model.decode(mu_b)[0], rtol=0, atol=1e-12)
+
+    def test_wrong_image_size_rejected(self, trained):
+        _, model, _, _ = trained
+        with pytest.raises(ShapeError):
+            model.encode(np.zeros((2, 16, 64)))
+        with pytest.raises(ShapeError):
+            factor.interpolate(model, np.zeros((32, 16)), np.zeros((32, 16)), 3)
+
+    def test_dataset_scaled_to_unit_range(self, images):
+        assert images.shape == (48, 32, 32)
+        assert images.min() == 0.0 and images.max() == 1.0
+
+    @pytest.mark.parametrize("kwargs", [{"tc_weight": -1.0}, {"encoder_kind": "vgg"}])
+    def test_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(InvalidSpecError):
+            factor.FactorVaeConfig(**kwargs)
+
+    def test_interpolate_needs_two_steps(self, trained, images):
+        with pytest.raises(InvalidSpecError):
+            factor.interpolate(trained[1], images[0], images[1], 1)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jamcodec import pipeline
+from jamcodec.errors import InvalidSpecError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
 
@@ -52,3 +53,23 @@ def test_stage_key_ignores_input_order(tiny_config):
     b.write_bytes(b"beta")
     assert (runner._stage_key("quantize", [a, b], ["quant"])
             == runner._stage_key("quantize", [b, a], ["quant"]))
+
+
+def test_manifest_roundtrip(tmp_path):
+    m = pipeline.RunManifest("abc", "0.1.0", {"synth": {"key": "k", "outputs": {}}})
+    m.save(tmp_path / "manifest.json")
+    assert pipeline.RunManifest.load(tmp_path / "manifest.json") == m
+
+
+@pytest.mark.parametrize("content", [
+    b'{"config_hash": "abc", "tool_ver',
+    b"\xff\xfe",
+    b'{"config_hash": "abc", "stages": {}}',
+    b'{"config_hash": "abc", "tool_version": "0.1.0", "stages": []}',
+    b"[]",
+])
+def test_bad_manifest_rejected(tmp_path, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidSpecError):
+        pipeline.RunManifest.load(path)

@@ -384,3 +384,35 @@ class TestIqFileFormat:
         path = tmp_path / "manifest.jsonl"
         signals.write_manifest(path, records)
         assert signals.read_manifest(path) == records
+
+    @pytest.fixture
+    def saved_iq(self, tmp_path):
+        path = tmp_path / "x.iqf"
+        rng = np.random.default_rng(1)
+        signals.write_iq(path, signals.IqBuffer(rng.standard_normal(64) + 0j, spec_of(8000.0, 64)))
+        return path
+
+    @pytest.mark.parametrize("keep", [0, 6, -3])
+    def test_truncated_iq_rejected(self, saved_iq, keep):
+        # 0 bytes lose the magic, 6 cut the header, -3 the last sample
+        data = saved_iq.read_bytes()
+        saved_iq.write_bytes(data[:keep] if keep >= 0 else data[:len(data) + keep])
+        with pytest.raises(InvalidSpecError):
+            signals.read_iq(saved_iq)
+
+    def test_trailing_iq_bytes_rejected(self, saved_iq):
+        saved_iq.write_bytes(saved_iq.read_bytes() + b"\x00\x00")
+        with pytest.raises(InvalidSpecError):
+            signals.read_iq(saved_iq)
+
+    @pytest.mark.parametrize("content", [
+        b'{"file": "a.iqf", "class": "chirp"',
+        b"\xff\xfe\n",
+        b'{"file": "a.iqf", "class": "chirp", "detection": "interference"}\n',
+        b"[1, 2]\n",
+    ])
+    def test_bad_manifest_rejected(self, tmp_path, content):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(InvalidSpecError):
+            signals.read_manifest(path)
