@@ -144,7 +144,7 @@ class RunManifest:
             raise InvalidSpecError(f"{path}: unreadable run manifest: {exc}") from None
         if (not isinstance(d, dict) or not {"config_hash", "tool_version"} <= d.keys()
                 or not isinstance(d.get("stages", {}), dict)):
-            raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version and a stages object")
+            raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version, object stages")
         return cls(config_hash=d["config_hash"], tool_version=d["tool_version"],
                    stages=d.get("stages", {}))
 
