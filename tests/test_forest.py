@@ -49,6 +49,28 @@ GOLDEN = {
 }
 
 
+def baseline_shaped(seed, n=144):
+    """Continuous rows shaped like the Baseline train split: 177 features, 6 balanced classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 177))
+    score = X[:, :6] @ rng.normal(size=6) + 0.3 * rng.normal(size=n)
+    y = np.digitize(score, np.quantile(score, [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6]))
+    return X, y
+
+
+def no_cut_data(seed, n=60):
+    """Constant and duplicated columns, labels they cannot separate: many nodes have no cut."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, 8))
+    X[:, 0:3] = 2.5
+    X[:, 3] = rng.integers(0, 3, size=n)
+    X[:, 4] = X[:, 3]
+    X[:, 5] = rng.integers(0, 2, size=n) * 1.5
+    X[:, 6] = X[:, 5]
+    X[:, 7] = -1.0
+    return X, rng.integers(0, 3, size=n)
+
+
 class TestTrees:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_trees_and_predictions(self, name):
@@ -56,6 +78,44 @@ class TestTrees:
         X, y = tied_data(0)
         X_test, _ = tied_data(1, n=60)
         assert fingerprint(forest.train_forest(X, y, cfg), X_test) == expect
+
+    def test_golden_baseline_shaped(self):
+        X, y = baseline_shaped(0)
+        X_test, _ = baseline_shaped(1, n=36)
+        model = forest.train_forest(X, y, forest.ForestConfig(n_trees=120, seed=0))
+        assert (fingerprint(model, X_test)
+                == "1b18dfb96a2a10269b3e71c4bd074f80fb13eb03652d5238b8b77595ed2e6d4f")
+
+    def test_golden_single_class(self):
+        X, _ = baseline_shaped(0, n=40)
+        X_test, _ = baseline_shaped(1, n=36)
+        model = forest.train_forest(X, np.full(40, 5), forest.ForestConfig(n_trees=7, seed=2))
+        assert model.degenerate and {dump(t) for t in model.trees} == {"L0"}
+        assert (fingerprint(model, X_test)
+                == "0bd98dfed517aea8d82d0b89959b191f1de13fc4ab31785a2894f96b08abd439")
+
+    def test_golden_constant_and_duplicated_columns(self):
+        X, y = no_cut_data(0)
+        X_test, _ = no_cut_data(1, n=30)
+        model = forest.train_forest(X, y, forest.ForestConfig(n_trees=30, features_per_split=2,
+                                                              seed=4))
+        assert "L1" in [dump(t) for t in model.trees]  # a root with no valid cut
+        assert (fingerprint(model, X_test)
+                == "a526d3b3df7593976e1bb56bfb120128c110045a5ed34ddc764d0cc7ee31c23f")
+
+    def test_golden_min_leaf_2_full_width(self):
+        X, y = baseline_shaped(2, n=80)
+        X_test, _ = baseline_shaped(1, n=36)
+        cfg = forest.ForestConfig(n_trees=10, min_leaf=2, features_per_split=20, seed=6)
+        model = forest.train_forest(X[:, :20], y, cfg)
+        assert (fingerprint(model, X_test[:, :20])
+                == "72171accf851b227b339fb3a3ab124813ffb3ec1b06ce162b7b0330695981852")
+
+    def test_tree_does_not_depend_on_forest_size(self):
+        X, y = baseline_shaped(3, n=100)
+        small = forest.train_forest(X, y, forest.ForestConfig(n_trees=10, seed=9))
+        large = forest.train_forest(X, y, forest.ForestConfig(n_trees=40, seed=9))
+        assert [dump(t) for t in large.trees[:10]] == [dump(t) for t in small.trees]
 
     def test_tie_break_first_feature_then_first_cut(self):
         # columns 0 and 1 are identical; both cuts of column 0 score 1/3
