@@ -1,10 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 stage failure, 2 usage error (argparse default).
+
+``main`` pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``) unless the caller set them: the
+matrices here are small, and a second BLAS thread made a Baseline run
+slower. BLAS reads these only when numpy is first imported, so this module
+imports numpy-using modules inside the commands, never at import time.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import FORMAT_VERSIONS, __version__, energy
@@ -167,7 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -1,12 +1,15 @@
 """Random-forest detection and classification with F-beta scoring.
 
-Trees grow greedily on Gini impurity with exact threshold search. Each node
-scores every sampled feature and every cut in one pass; among equal Gini
-values it takes the first sampled feature (in ascending feature order), then
-the first cut. The split threshold is the largest left-group value
-(predicate x <= t), which makes tree structure and predictions invariant
-under any strictly monotone per-feature transform. Vote ties resolve to the
-smallest class index.
+Trees grow greedily on Gini impurity with exact threshold search. All trees
+of a forest grow in lockstep: each step takes the next node of every live
+tree, up to a fixed budget of rows, and scores every sampled feature and
+every cut of all of them in one batched search. Among equal Gini values a
+node takes the first sampled feature (in ascending feature order), then the
+first cut. Trees do not depend on the batching: each tree draws from its own
+generator in depth-first pre-order, and the Gini sums are exact integers.
+The split threshold is the largest left-group value (predicate x <= t), which
+makes tree structure and predictions invariant under any strictly monotone
+per-feature transform. Vote ties resolve to the smallest class index.
 """
 
 from dataclasses import dataclass, field
@@ -55,61 +58,96 @@ class _Node:
         self.label = -1
 
 
-def _majority(y, n_classes):
-    return int(np.argmax(np.bincount(y, minlength=n_classes)))
+_STEP_ROWS = 2048  # rows per batched split search; bounds its (k, rows) arrays
 
 
-def _best_split(X, y, feats, n_classes, min_leaf):
-    """Lowest weighted Gini over (feature, threshold); None when unsplittable.
+def _dense_ranks(X):
+    """Per-column rank of each value among that column's distinct values.
 
-    Scores every sampled feature in one pass over a (feature, cut) array.
-    Ties go to the first feature in ``feats`` order, then to its first cut.
+    Ranks order like the values and tie exactly where the values tie, so a
+    sort by rank is a sort by value.
     """
-    n = len(y)
-    cols = X[:, feats]
-    order = np.argsort(cols, axis=0, kind="stable").T  # (k, n)
-    xs = np.take_along_axis(cols.T, order, axis=1)
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-    cum = np.cumsum(onehot[order], axis=1)  # (k, n, n_classes)
-    left_n = np.arange(1, n, dtype=np.float64)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ranks_sorted = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=ranks_sorted[1:])
+    ranks = np.empty_like(ranks_sorted)
+    np.put_along_axis(ranks, order, ranks_sorted, axis=0)
+    return ranks
+
+
+def _best_splits(X, ranks, y, rows, sizes, feats, n_classes, min_leaf):
+    """Lowest weighted Gini over (feature, threshold) for a batch of nodes.
+
+    Node ``b`` owns the next ``sizes[b]`` entries of ``rows`` (indices into
+    ``X``, duplicates allowed) and the sampled feature indices ``feats[b]``;
+    ``ranks`` is ``_dense_ranks(X)``. Returns ``(feature, threshold)`` arrays;
+    a node with no valid cut gets feature -1 and threshold +inf. Within a node
+    ties go to the first feature in ``feats[b]`` order, then to its first cut.
+
+    All nodes are segments of one (k, M) array, sorted at once by the key
+    ``node * len(ranks) + rank``. The class sums of squares left and right of
+    every cut are exact integers, so every Gini value is bit-equal to a
+    per-node search over the same rows.
+    """
+    n_nodes, k = feats.shape
+    m = len(rows)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(n_nodes), sizes)
+    pos = np.arange(m)
+    flat = np.arange(0, k * m, m)[:, None]  # row offsets into a raveled (k, M) array
+    keys = seg * len(ranks) + ranks.ravel()[rows * ranks.shape[1] + feats[seg].T]
+    keys = keys.astype(np.min_scalar_type(n_nodes * len(ranks) - 1))  # radix sort if narrow
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = keys.ravel()[order + flat]
+
+    # Adding a row of class c to the left raises sum L_c^2 by 2*occ + 1, where
+    # occ counts the rows of class c before it in the node's sorted order, and
+    # changes sum R_c^2 by 2*occ + 1 - 2*T_c. A stable sort by (node, class)
+    # puts group g in the same tot[g] slots of every row, which gives occ.
+    y_rows = y[rows]
+    tot = np.bincount(seg * n_classes + y_rows, minlength=n_nodes * n_classes)
+    groups = seg * n_classes + y_rows[order]
+    g_order = np.argsort(groups.astype(np.min_scalar_type(n_nodes * n_classes - 1)),
+                         axis=1, kind="stable")
+    left_sq = np.empty((k, m))
+    left_sq.ravel()[g_order + flat] = 2.0 * (pos - np.repeat(np.cumsum(tot) - tot, tot)) + 1.0
+    right_sq = (2.0 * tot)[groups]
+    np.subtract(left_sq, right_sq, out=right_sq)
+    # one cumsum per row, reset at node starts by the node's sum T_c^2; every
+    # partial sum is a small integer, so float64 holds it exactly
+    tot_sq = (tot.reshape(n_nodes, n_classes) ** 2).sum(axis=1).astype(np.float64)
+    left_sq[:, starts[1:]] -= tot_sq[:-1]
+    right_sq[:, starts] += tot_sq
+    np.cumsum(left_sq, axis=1, out=left_sq)
+    np.cumsum(right_sq, axis=1, out=right_sq)
+
+    # w = (left_n * gini_l + right_n * gini_r) / n with gini = 1 - sq / count**2:
+    # the IEEE operations of a per-node search, in place to spare page faults
+    n = np.repeat(sizes.astype(np.float64), sizes)
+    left_n = (pos - np.repeat(starts, sizes) + 1).astype(np.float64)
     right_n = n - left_n
-    left_counts = cum[:, :-1]
-    right_counts = cum[:, -1:] - left_counts
-    # class counts are small integers, so these sums are exact in any order
-    gini_l = 1.0 - np.sum(left_counts**2, axis=2) / left_n**2
-    gini_r = 1.0 - np.sum(right_counts**2, axis=2) / right_n**2
-    w = (left_n * gini_l + right_n * gini_r) / n
-    w[xs[:, :-1] >= xs[:, 1:]] = math.inf  # only between distinct values
-    w[:, (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
-    f, i = divmod(int(np.argmin(w)), n - 1)
-    if not math.isfinite(w[f, i]):
-        return None
-    return int(feats[f]), float(xs[f, i])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 after each node's last row
+        gini_l = np.subtract(1.0, np.divide(left_sq, left_n**2, out=left_sq), out=left_sq)
+        gini_r = np.subtract(1.0, np.divide(right_sq, right_n**2, out=right_sq), out=right_sq)
+    w = np.multiply(left_n, gini_l, out=gini_l)
+    w += np.multiply(right_n, gini_r, out=gini_r)
+    w /= n
+    invalid = np.empty(w.shape, dtype=bool)
+    np.equal(keys[:, :-1], keys[:, 1:], out=invalid[:, :-1])  # only between distinct values
+    invalid[:, -1] = True
+    invalid |= (left_n < min_leaf) | (right_n < min_leaf)  # masks each node's last row too
+    w = np.where(invalid, math.inf, w)
 
-
-def _grow(X, y, n_classes, depth, cfg, k_features, rng):
-    node = _Node()
-    if (
-        y.min() == y.max()
-        or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        or len(y) < 2 * cfg.min_leaf
-    ):
-        node.label = _majority(y, n_classes)
-        return node
-    if k_features < X.shape[1]:
-        feats = np.sort(rng.choice(X.shape[1], size=k_features, replace=False))
-    else:
-        feats = np.arange(X.shape[1])
-    split = _best_split(X, y, feats, n_classes, cfg.min_leaf)
-    if split is None:
-        node.label = _majority(y, n_classes)
-        return node
-    node.feature, node.threshold = split
-    mask = X[:, node.feature] <= node.threshold
-    node.left = _grow(X[mask], y[mask], n_classes, depth + 1, cfg, k_features, rng)
-    node.right = _grow(X[~mask], y[~mask], n_classes, depth + 1, cfg, k_features, rng)
-    return node
+    row_min = np.minimum.reduceat(w, starts, axis=1)  # (k, n_nodes)
+    best = row_min.min(axis=0)
+    f = np.argmax(row_min == best, axis=0)
+    cut = np.minimum.reduceat(np.where(w[f[seg], pos] == best[seg], pos, m), starts)
+    feature = feats[np.arange(n_nodes), f]
+    threshold = X[rows[order[f, cut]], feature]
+    ok = np.isfinite(best)
+    return np.where(ok, feature, -1), np.where(ok, threshold, math.inf)
 
 
 @dataclass
@@ -138,6 +176,14 @@ class Forest:
 def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
     """Bootstrap-sampled Gini trees; deterministic for a fixed config seed.
 
+    All trees grow in lockstep: each step takes the next node of every live
+    tree, up to a budget of rows, and scores them in one batched split
+    search. Each tree keeps its own ``derived_rng(seed, t)`` and a depth-first
+    stack (right child pushed before left), so it draws its features in the
+    same pre-order as a recursive grower, and trees share no state, so which
+    trees share a step cannot change any of them. Gini sums are exact
+    integers, which makes every split the one a per-node search would choose.
+
     Single-class data yields a flagged constant classifier rather than an
     error; a NaN or infinite value in X raises InvalidSpecError.
     """
@@ -149,19 +195,74 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
         raise InvalidSpecError("X must be finite")
     classes = tuple(sorted(set(y.tolist())))
     y_idx = np.searchsorted(np.asarray(classes, dtype=y.dtype), y).astype(np.int64)
+    n_rows, n_features = X.shape
     n_classes = len(classes)
-    k = cfg.features_per_split or int(math.ceil(math.sqrt(X.shape[1])))
-    k = min(max(k, 1), X.shape[1])
+    k = cfg.features_per_split or int(math.ceil(math.sqrt(n_features)))
+    k = min(max(k, 1), n_features)
+    max_depth = math.inf if cfg.max_depth is None else cfg.max_depth
+    ranks = _dense_ranks(X)
 
-    trees = []
+    def settle(node, rows, depth, label, pure, stack):
+        if pure or depth >= max_depth or len(rows) < 2 * cfg.min_leaf:
+            node.label = label
+        else:
+            stack.append((node, rows, depth))
+
+    trees, rngs, stacks = [], [], []
     for t in range(cfg.n_trees):
         rng = derived_rng(cfg.seed, t)
-        if cfg.bootstrap:
-            rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            rows = np.arange(X.shape[0])
-        trees.append(_grow(X[rows], y_idx[rows], n_classes, 0, cfg, k, rng))
-    return Forest(trees=trees, classes=classes, n_features=X.shape[1], degenerate=n_classes == 1)
+        rows = rng.integers(0, n_rows, size=n_rows) if cfg.bootstrap else np.arange(n_rows)
+        counts = np.bincount(y_idx[rows], minlength=n_classes)
+        trees.append(_Node())
+        rngs.append(rng)
+        stacks.append([])
+        settle(trees[-1], rows, 0, int(np.argmax(counts)), int(counts.max()) == n_rows,
+               stacks[-1])
+
+    live = [t for t in range(cfg.n_trees) if stacks[t]]
+    while live:
+        batch, n_batch = [], 0
+        for t in live:
+            node, rows, depth = stacks[t][-1]
+            if batch and n_batch + len(rows) > _STEP_ROWS:
+                continue
+            stacks[t].pop()
+            if k < n_features:
+                feats = np.sort(rngs[t].choice(n_features, size=k, replace=False))
+            else:
+                feats = np.arange(n_features)
+            batch.append((t, node, rows, depth, feats))
+            n_batch += len(rows)
+        rows = np.concatenate([b[2] for b in batch])
+        sizes = [len(b[2]) for b in batch]
+        feature, threshold = _best_splits(X, ranks, y_idx, rows, sizes,
+                                          np.array([b[4] for b in batch]), n_classes,
+                                          cfg.min_leaf)
+        # children as segments 2b (left) and 2b + 1 (right); a node without a
+        # cut has threshold +inf, so all its rows land left and give its label
+        side = 2 * np.repeat(np.arange(len(batch)), sizes)
+        side += X[rows, np.repeat(feature, sizes)] > np.repeat(threshold, sizes)
+        child_rows = rows[np.argsort(side.astype(np.min_scalar_type(2 * len(batch))),
+                                     kind="stable")]
+        counts = np.bincount(side * n_classes + y_idx[rows],
+                             minlength=2 * len(batch) * n_classes).reshape(-1, n_classes)
+        ends = [0] + np.cumsum(counts.sum(axis=1)).tolist()
+        labels = counts.argmax(axis=1).tolist()
+        pure = (counts.max(axis=1) == counts.sum(axis=1)).tolist()
+        for b, ((t, node, _, depth, _), f, thr) in enumerate(
+                zip(batch, feature.tolist(), threshold.tolist())):
+            lo, mid, hi = ends[2 * b : 2 * b + 3]
+            if f < 0:
+                node.label = labels[2 * b]
+                continue
+            node.feature, node.threshold = f, thr
+            node.left, node.right = _Node(), _Node()
+            settle(node.right, child_rows[mid:hi], depth + 1, labels[2 * b + 1],
+                   pure[2 * b + 1], stacks[t])
+            settle(node.left, child_rows[lo:mid], depth + 1, labels[2 * b], pure[2 * b],
+                   stacks[t])
+        live = [t for t in live if stacks[t]]
+    return Forest(trees=trees, classes=classes, n_features=n_features, degenerate=n_classes == 1)
 
 
 def predict(forest: Forest, x):

@@ -443,11 +443,23 @@ def adam_step(params, grads, state: AdamState) -> list:
     bc2 = 1.0 - state.beta2**state.t
     out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # in place, with the IEEE operations of
+        # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
         g = np.asarray(g, dtype=np.float64)
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        out.append((p.astype(np.float64) - step).astype(p.dtype))
+        tmp = np.multiply(1.0 - state.beta1, g)
+        m *= state.beta1
+        m += tmp
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        step = np.divide(m, bc1)
+        step *= state.lr
+        denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        denom += state.eps
+        step /= denom
+        out.append(np.subtract(p, step, out=step).astype(p.dtype, copy=False))
     return out
 
 

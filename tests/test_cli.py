@@ -4,7 +4,7 @@ from pathlib import Path
 import subprocess
 import sys
 
-from jamcodec import pipeline
+from jamcodec import cli, pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,3 +42,33 @@ def test_missing_config_is_a_usage_error():
     done = jamcodec("train")
     assert done.returncode == 2
     assert "--config" in done.stderr
+
+
+def python_c(code, **env_overrides):
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    env.update(env_overrides)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+PIN_PROBE = """
+import json, os, sys
+import jamcodec.cli as cli
+numpy_at_import = "numpy" in sys.modules
+cli.main(["energy"])
+print(json.dumps([numpy_at_import, [os.environ.get(v) for v in cli.BLAS_THREAD_VARS]]))
+"""
+
+
+def test_import_leaves_numpy_unloaded_and_main_pins_blas_threads():
+    numpy_at_import, values = python_c(PIN_PROBE)
+    assert numpy_at_import is False
+    assert values == ["1", "1", "1"]
+
+
+def test_user_blas_thread_setting_wins():
+    _, values = python_c(PIN_PROBE, OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
+    assert values == ["2", "1", "3"]

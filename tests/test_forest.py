@@ -1,7 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jamcodec import forest
 from jamcodec.errors import InvalidSpecError, ShapeError
@@ -34,6 +37,50 @@ def fingerprint(model, X_test):
         h.update(b"\n")
     h.update(np.asarray(forest.predict_batch(model, X_test), dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def per_node_split(X, y, feats, n_classes, min_leaf):
+    """One node at a time: the split search trees were grown with before batching."""
+    n = len(y)
+    if n < 2:
+        return None
+    cols = X[:, feats]
+    order = np.argsort(cols, axis=0, kind="stable").T  # (k, n)
+    xs = np.take_along_axis(cols.T, order, axis=1)
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    cum = np.cumsum(onehot[order], axis=1)  # (k, n, n_classes)
+    left_n = np.arange(1, n, dtype=np.float64)
+    right_n = n - left_n
+    left_counts = cum[:, :-1]
+    right_counts = cum[:, -1:] - left_counts
+    gini_l = 1.0 - np.sum(left_counts**2, axis=2) / left_n**2
+    gini_r = 1.0 - np.sum(right_counts**2, axis=2) / right_n**2
+    w = (left_n * gini_l + right_n * gini_r) / n
+    w[xs[:, :-1] >= xs[:, 1:]] = math.inf
+    w[:, (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    f, i = divmod(int(np.argmin(w)), n - 1)
+    if not math.isfinite(w[f, i]):
+        return None
+    return int(feats[f]), float(xs[f, i]).hex()
+
+
+@st.composite
+def split_batches(draw):
+    """Tie-heavy rows, 1-6 classes and a batch of nodes of 1-40 (possibly repeated) rows."""
+    n_rows = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 6))
+    levels = draw(st.integers(0, 4))
+    X = draw(arrays(np.int64, (n_rows, n_features), elements=st.integers(0, levels))) * 0.5
+    y = draw(arrays(np.int64, n_rows, elements=st.integers(0, n_classes - 1)))
+    k = draw(st.integers(1, n_features))
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=40))
+        feats = sorted(draw(st.permutations(range(n_features)))[:k])
+        nodes.append((np.asarray(rows), np.asarray(feats)))
+    return X, y, n_classes, nodes, draw(st.integers(1, 3))
 
 
 GOLDEN = {
@@ -146,6 +193,27 @@ class TestTrees:
         cfg = forest.ForestConfig(n_trees=1, bootstrap=False)
         with pytest.raises(InvalidSpecError):
             forest.train_forest(np.where(np.isnan(X), bad, X), [0, 1, 0, 1], cfg)
+
+
+class TestBatchedSearch:
+    @given(split_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_node_search(self, batch):
+        X, y, n_classes, nodes, min_leaf = batch
+        feature, threshold = forest._best_splits(
+            X, forest._dense_ranks(X), y, np.concatenate([r for r, _ in nodes]),
+            [len(r) for r, _ in nodes], np.array([f for _, f in nodes]), n_classes, min_leaf)
+        got = [None if f < 0 else (int(f), float(t).hex()) for f, t in zip(feature, threshold)]
+        assert got == [per_node_split(X[r], y[r], f, n_classes, min_leaf) for r, f in nodes]
+
+    @pytest.mark.parametrize("budget", [1, 300])
+    def test_row_budget_does_not_change_trees(self, monkeypatch, budget):
+        monkeypatch.setattr(forest, "_STEP_ROWS", budget)
+        for name in ("default", "min_leaf_3"):
+            cfg, expect = GOLDEN[name]
+            X, y = tied_data(0)
+            X_test, _ = tied_data(1, n=60)
+            assert fingerprint(forest.train_forest(X, y, cfg), X_test) == expect
 
 
 class TestPredict:

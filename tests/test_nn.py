@@ -188,6 +188,28 @@ class TestAdam:
             got.append(float(p[0]))
         assert np.max(np.abs(np.array(got) - np.array(trace))) < 1e-12
 
+    def test_matches_out_of_place_expression_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        params = [rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=3).astype(np.float32)]
+        state = nn.AdamState(params, lr=0.01)
+        ref_p, ref_m, ref_v = list(params), [np.zeros(p.shape) for p in params], \
+            [np.zeros(p.shape) for p in params]
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 21):
+            grads = [rng.normal(size=p.shape) for p in params]
+            given = [p.copy() for p in params]
+            new = nn.adam_step(params, grads, state)
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(params, given))  # not mutated
+            params = new
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, g in enumerate(grads):
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+                step = 0.01 * (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
+                ref_p[i] = (ref_p[i].astype(np.float64) - step).astype(ref_p[i].dtype)
+            for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_state_shapes_validated(self):
         state = nn.AdamState([np.zeros(3)])
         with pytest.raises(ShapeError):
