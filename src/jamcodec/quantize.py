@@ -5,11 +5,19 @@ asymmetrically from calibration ranges, biases as int32 at the combined
 input*weight scale. Inference follows Jacob et al. 2018 (arXiv:1712.05877):
 exact int32 accumulation with saturation counted, then requantization through
 a 32-bit fixed-point multiplier and a right shift rounding half away from zero.
-The dot products run as float64 BLAS matmuls and stay exact: the operands are
-integers (centred activations |c| <= 255, int8 weights |w| <= 127), so with
-the int32 bias every partial sum is an integer below 2^53 for any fan-in
-under 2^53 / 32385, in any summation order. One in-place pass requantizes the
-int64 accumulator, so results are bit-identical across platforms.
+The dot products run as BLAS matmuls on integer-valued floats and stay exact:
+the operands are integers (centred activations |c| <= 255, int8 weights
+|w| <= 128), so for a layer of fan-in F (kernel * in channels for either
+convolution; a transposed one's overlap-add sums no more terms) every partial
+sum is an integer of magnitude at most F * 32640, in any summation order.
+That is exact in float32 for F <= 514, which each such layer uses
+(``QuantLayer.w_acc``), and in float64 for any F below 2^53 / 32640. The
+accumulator is converted to int64 once, the int32 bias added there, and one
+in-place pass requantizes it, so results are bit-identical across platforms.
+
+Every output row depends on its input row alone, so ``int8_forward`` runs a
+batch through all the layers ``_CHUNK_ROWS`` rows at a time, which keeps the
+working arrays cache-sized; the result is that of one pass over the batch.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +34,9 @@ QUANT_MAGIC = b"AEQ1"
 QMIN, QMAX = -128, 127
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 SCALE_FLOOR = 1e-8
+_MAX_PRODUCT = (QMAX - QMIN) * -QMIN  # bound on |centred activation * int8 weight|
+# int8_forward rows per pass through the layers: 128 to 512 time alike, 64 or 1000 slower
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,8 @@ class QuantLayer:
     geometry: dict
     # w_q as float64 in the shape its matmul takes; derived here, never serialized
     w_mat: np.ndarray = field(init=False, repr=False, compare=False)
+    # w_mat as float32 where float32 sums every dot product exactly, else w_mat itself
+    w_acc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.w_q.astype(np.float64)
@@ -165,6 +178,8 @@ class QuantLayer:
         elif self.kind == "conv1d_t":  # (kernel, in, out) -> (in, kernel * out)
             w = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(w.shape[1], -1)
         self.w_mat = w
+        fan_in = self.w_q.size // max(self.w_q.shape[-1], 1)  # kernel * in for both convs
+        self.w_acc = w.astype(np.float32) if fan_in * _MAX_PRODUCT <= 2**24 else w
 
 
 @dataclass
@@ -223,9 +238,12 @@ def _requantize(ql: QuantLayer, acc: np.ndarray) -> int:
     Saturate to int32, multiply by the fixed-point multiplier, shift right
     rounding half away from zero as ``(t + 2^(shift-1) - (t < 0)) >> shift``,
     add the output zero point and clamp to int8 (to [zero point, 127] for ReLU).
+    Saturations are counted and clipped only when the extremes leave int32.
     """
-    over = int(np.count_nonzero((acc > INT32_MAX) | (acc < INT32_MIN)))
-    np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
+    over = 0
+    if acc.min() < INT32_MIN or acc.max() > INT32_MAX:
+        over = int(np.count_nonzero((acc > INT32_MAX) | (acc < INT32_MIN)))
+        np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
     acc *= ql.multiplier
     if ql.shift > 0:
         negative = acc < 0
@@ -239,55 +257,71 @@ def _requantize(ql: QuantLayer, acc: np.ndarray) -> int:
     return over
 
 
+def _accumulate(ql: QuantLayer, h: np.ndarray) -> np.ndarray:
+    """One layer's exact int64 accumulator, bias included, for the int8 codes ``h``."""
+    w, zero_point, batch = ql.w_acc, ql.in_qp.zero_point, h.shape[0]
+    if ql.kind == "dense":
+        acc = np.subtract(h, zero_point, dtype=w.dtype) @ w
+    elif ql.kind == "conv1d":
+        _, length, in_ch = h.shape
+        kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
+        out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
+        xp = np.zeros((batch, length + total_pad, in_ch), w.dtype)
+        np.subtract(h, zero_point, out=xp[:, pad_left : pad_left + length], dtype=w.dtype)
+        acc = np.take(xp, idx, axis=1).reshape(batch, out_len, kernel * in_ch) @ w
+    elif ql.kind == "conv1d_t":
+        centered = np.subtract(h, zero_point, dtype=w.dtype)
+        _, in_len, in_ch = centered.shape
+        kernel, stride, out_len = ql.geometry["kernel"], ql.geometry["stride"], ql.geometry["output_len"]
+        expected, pad_left, total_pad, _ = nn._conv1d_geometry(out_len, kernel, stride)
+        if expected != in_len:
+            raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
+        n_out = ql.w_q.shape[2]
+        contrib = centered @ w  # (batch, in_len, kernel * n_out)
+        zpad = np.zeros((batch, out_len + total_pad, n_out), w.dtype)
+        flat, taps = zpad.reshape(batch, -1), kernel * n_out
+        for t in range(in_len):  # overlap-add: input step t feeds output rows t*stride .. + kernel - 1
+            flat[:, t * stride * n_out : t * stride * n_out + taps] += contrib[:, t]
+        acc = zpad[:, pad_left : pad_left + out_len]
+    else:
+        raise InvalidSpecError(f"unsupported quantized layer kind {ql.kind!r}")
+    acc = acc.astype(np.int64)
+    # a conv's bias goes in as one flat row per sample: a broadcast over few channels is slow
+    rows = acc.reshape(batch, -1)
+    rows += ql.b_q if rows.shape[1] == ql.b_q.size else np.tile(ql.b_q, rows.shape[1] // ql.b_q.size)
+    return acc
+
+
 def int8_forward(qm: QuantizedModel, x, return_info=False):
     """Reconstruction through the integer path; float only at the ends.
 
     Accepts one vector or a batch. With ``return_info`` also returns a dict
-    holding the int32-saturation count. Each layer's float64 matmul gives the
-    exact integer accumulator (see above), converted to int64 once.
+    holding the int32-saturation count. Each layer's matmul gives the exact
+    integer accumulator (see above), converted to int64 once.
+
+    The batch runs through the layers ``_CHUNK_ROWS`` rows at a time, and each
+    chunk's dequantized rows fill one preallocated output. This cannot change
+    a byte: every accumulator is exact, the overlap-add and the
+    requantization act row by row, and the saturation count is a sum.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[-1] != qm.input_dim:
         raise ShapeError(f"quantized model expects {qm.input_dim} inputs, got {x.shape[-1]}")
-    h = quantize_tensor(x, qm.input_qp)
+    out = np.empty((x.shape[0], qm.input_dim))
     overflows = 0
-    last = None
-    for ql in qm.layers:
-        if ql.kind == "reshape":
-            h = h.reshape(h.shape[0], *ql.geometry["out_shape"])
-            continue
-        centered = np.subtract(h, ql.in_qp.zero_point, dtype=np.float64)
-        if ql.kind == "dense":
-            acc = centered @ ql.w_mat
-        elif ql.kind == "conv1d":
-            batch, length, in_ch = centered.shape
-            kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
-            out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
-            xp = np.pad(centered, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
-            cols = np.take(xp, idx, axis=1).reshape(batch, out_len, kernel * in_ch)
-            acc = cols @ ql.w_mat
-        elif ql.kind == "conv1d_t":
-            batch, in_len, in_ch = centered.shape
-            kernel, stride, out_len = ql.geometry["kernel"], ql.geometry["stride"], ql.geometry["output_len"]
-            expected, pad_left, total_pad, _ = nn._conv1d_geometry(out_len, kernel, stride)
-            if expected != in_len:
-                raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
-            n_out = ql.w_q.shape[2]
-            contrib = (centered @ ql.w_mat).reshape(batch, in_len, kernel, n_out)
-            zpad = np.zeros((batch, out_len + total_pad, n_out))
-            span = stride * (in_len - 1) + 1
-            for j in range(kernel):  # overlap-add: input step t feeds output row t*stride + j
-                zpad[:, j : j + span : stride] += contrib[:, :, j]
-            acc = zpad[:, pad_left : pad_left + out_len]
-        else:
-            raise InvalidSpecError(f"unsupported quantized layer kind {ql.kind!r}")
-        acc += ql.b_q
-        h = acc.astype(np.int64)
-        overflows += _requantize(ql, h)
-        last = ql
-    out = dequantize(h, last.out_qp)
+    for start in range(0, x.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        h = quantize_tensor(x[rows], qm.input_qp)
+        for ql in qm.layers:
+            if ql.kind == "reshape":
+                h = h.reshape(h.shape[0], *ql.geometry["out_shape"])
+                continue
+            h = _accumulate(ql, h)
+            overflows += _requantize(ql, h)
+            last = ql
+        out[rows] = dequantize(h.reshape(h.shape[0], -1), last.out_qp)
     out = out[0] if single else out
     if return_info:
         return out, {"int32_saturations": overflows}

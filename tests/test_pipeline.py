@@ -73,3 +73,39 @@ def test_bad_manifest_rejected(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(InvalidSpecError):
         pipeline.RunManifest.load(path)
+
+
+@pytest.fixture
+def finished_run(tiny_config):
+    """A fresh small run: its manifest and output directory."""
+    return pipeline.run(tiny_config), tiny_config.parent / "run"
+
+
+def _quantize_output(manifest):
+    return sorted(manifest.stages["quantize"]["outputs"])[0]
+
+
+def test_audit_of_a_fresh_run_is_clean(finished_run):
+    manifest, out = finished_run
+    assert sum(len(rec["outputs"]) for rec in manifest.stages.values()) > 0
+    assert pipeline.audit(manifest, out) == []
+
+
+def test_audit_reports_a_flipped_byte(finished_run):
+    manifest, out = finished_run
+    rel = _quantize_output(manifest)
+    data = bytearray((out / rel).read_bytes())
+    data[len(data) // 2] ^= 0x01
+    (out / rel).write_bytes(bytes(data))
+    problems = pipeline.audit(manifest, out)
+    assert f"quantize: checksum mismatch for {rel}" in problems
+    assert all(p.endswith(f"checksum mismatch for {rel}") for p in problems)
+
+
+def test_audit_reports_a_missing_artifact(finished_run):
+    manifest, out = finished_run
+    rel = _quantize_output(manifest)
+    (out / rel).unlink()
+    problems = pipeline.audit(manifest, out)
+    assert f"quantize: missing artifact {rel}" in problems
+    assert all(p.endswith(f"missing artifact {rel}") for p in problems)

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -156,6 +157,91 @@ class TestInt8Forward:
             batch = quantize.int8_forward(qm, x)
             for row, expect in zip(x, batch):
                 assert quantize.int8_forward(qm, row).tobytes() == expect.tobytes()
+
+
+C = quantize._CHUNK_ROWS
+
+
+class TestChunking:
+    """int8_forward runs a batch in chunks of C rows; no boundary may move a byte."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 3])
+    def test_row_counts_match_int64_reference(self, models, arch, n):
+        qm = models[arch][0]
+        x = np.random.default_rng(n).normal(size=(n, INPUT_DIM))
+        out, info = quantize.int8_forward(qm, x, return_info=True)
+        ref, over = int64_forward(qm, x)
+        assert out.shape == (n, INPUT_DIM) and out.dtype == np.float64
+        assert out.tobytes() == ref.tobytes()
+        assert info["int32_saturations"] == over == 0
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_saturating_block_over_three_chunks(self, models, arch):
+        qm = models[arch][1]
+        x = 1e3 * np.random.default_rng(29).normal(size=(2 * C + 3, INPUT_DIM))
+        out, info = quantize.int8_forward(qm, x, return_info=True)
+        ref, over = int64_forward(qm, x)
+        assert out.tobytes() == ref.tobytes()
+        assert info["int32_saturations"] == over > 0
+
+
+class TestAccumulationDtype:
+    """float32 sums a dot product exactly up to fan-in 514, float64 beyond."""
+
+    @pytest.mark.parametrize("fan_in, dtype", [(514, np.float32), (515, np.float64)])
+    def test_extreme_accumulators_stay_exact(self, fan_in, dtype):
+        # centred activations of 255 against weights of -128 but one -127 per column: odd
+        # sums just under 2^24 in magnitude at fan-in 514, just over it at 515
+        w_q = np.full((fan_in, 2), -128, dtype=np.int8)
+        w_q[[0, 1], [0, 1]] = -127
+        ql = quantize.QuantLayer("dense", w_q, np.array([4, -4], np.int32), quantize.QuantParams(1.0, -128),
+                                 quantize.QuantParams(1.0, 0), 1.0, 2**30, 30, "linear",
+                                 {"in": fan_in, "out": 2})
+        assert ql.w_acc.dtype == dtype and ql.w_mat.dtype == np.float64
+        h = np.full((3, fan_in), 127, dtype=np.int8)
+        dot = (h.astype(np.int64) + 128) @ w_q.astype(np.int64)
+        assert np.all(dot % 2 == 1) and (abs(dot).max() > 2**24) == (fan_in == 515)
+        acc = quantize._accumulate(ql, h)
+        assert acc.dtype == np.int64 and acc.tolist() == (dot + ql.b_q).tolist()
+
+    def test_wide_model_takes_float64_and_matches_reference(self):
+        model = nn.build_autoencoder(600, (16,), 4, seed=2)
+        rng = np.random.default_rng(3)
+        qm = quantize.quantize_model(model, quantize.calibrate(model, rng.normal(size=(64, 600))))
+        assert [l.w_acc.dtype for l in qm.layers] == [np.float64, np.float32, np.float32, np.float32]
+        x = rng.normal(size=(C + 7, 600))
+        out, info = quantize.int8_forward(qm, x, return_info=True)
+        ref, over = int64_forward(qm, x)
+        assert out.tobytes() == ref.tobytes() and info["int32_saturations"] == over
+
+
+_BEYOND_INT32 = st.one_of(st.integers(-(2**40), quantize.INT32_MIN - 1),
+                         st.integers(quantize.INT32_MAX + 1, 2**40))
+
+
+class TestRequantizeProperty:
+    """_requantize, in place, against the separate-step reference _ref_requant.
+
+    With no value beyond int32 the fast path runs, with any the saturating one.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(inside=st.lists(st.integers(quantize.INT32_MIN, quantize.INT32_MAX), min_size=1, max_size=40),
+           beyond=st.lists(_BEYOND_INT32, max_size=5),
+           scale=st.one_of(st.tuples(st.integers(2**30, 2**31 - 1), st.integers(1, 48)),
+                           st.tuples(st.integers(0, 1000), st.integers(-3, 0))),
+           activation=st.sampled_from(["relu", "linear"]),
+           zero_point=st.sampled_from([-128, -37, 0, 5, 127]),
+           data=st.data())
+    def test_matches_reference(self, inside, beyond, scale, activation, zero_point, data):
+        multiplier, shift = scale
+        acc = np.array(data.draw(st.permutations(inside + beyond)), dtype=np.int64)
+        ql = _identity_layer(1, multiplier, shift, activation, zero_point)
+        expect, expect_over = _ref_requant(ql, acc.copy())
+        over = quantize._requantize(ql, acc)
+        assert over == expect_over == len(beyond)
+        assert acc.dtype == np.int64 and acc.tolist() == expect.tolist()
 
 
 def _identity_layer(n, multiplier, shift, activation="linear", zero_point=0):
