@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -109,3 +110,100 @@ def test_audit_reports_a_missing_artifact(finished_run):
     problems = pipeline.audit(manifest, out)
     assert f"quantize: missing artifact {rel}" in problems
     assert all(p.endswith(f"missing artifact {rel}") for p in problems)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_digests(out):
+    """SHA-256 of every artifact but manifest.json; the snapshots as one digest."""
+    digests = {str(p.relative_to(out)): _sha(p.read_bytes())
+               for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+    snaps = sorted(rel for rel in digests if rel.startswith("data/snap_"))
+    digests["data/snap_*.iqf"] = _sha("".join(digests.pop(rel) for rel in snaps).encode())
+    return digests
+
+
+TINY_GOLDEN = {
+    "classify/confusion_float_recon_classification.csv":
+        "c73e43f46477fd4e7f20c26ca51819e35a9f4ab92019c2d807d9bf3afc2f960e",
+    "classify/confusion_float_recon_detection.csv":
+        "21a902fa7d38d06c41bfeaf8a5c66c5503108e8ed669aaa63a2b2ed0e61b8d47",
+    "classify/confusion_int8_recon_classification.csv":
+        "ea8fc2f5675fa1ac068bb1bdecb68832d90b906306c1e13d34324ba74278703f",
+    "classify/confusion_int8_recon_detection.csv":
+        "21a902fa7d38d06c41bfeaf8a5c66c5503108e8ed669aaa63a2b2ed0e61b8d47",
+    "classify/confusion_raw_classification.csv":
+        "416af1745ba5c1525e668af0b2e534dd937b7a40bce1a761d7e38af368c7ef31",
+    "classify/confusion_raw_detection.csv":
+        "6295f1bec09d5b99e974b55585dfd5181fa14de238db05fefb21494796a9200a",
+    "classify/metrics.json":
+        "4535bb42c7ceeac4f5296d81e20841a3cebeb5fdfaaff838af8b911357143338",
+    "data/manifest.jsonl":
+        "fed0f1171e0acaf38caa77f604fcef12cd6eac4dde928a35d0e47f3571242f40",
+    "data/snap_*.iqf":
+        "620ce95510b1cff0d50c4a52b8a43abb7f27223cd1401f88dc8b52072fb0671a",
+    "energy/energy.json":
+        "db6b850ec7ed33b18ff79e655402db2a3b0ce9b36a84306452d711c2fc3e5d02",
+    "energy/energy.txt":
+        "89858059371f8e99f11399c3b46da13a382a312a65ec41cf5ef70bdeec900cf2",
+    "features/features.csv":
+        "8b3b79015748945713e459d4df203a0a4e55db8ace99a7bb5079e6eb0242d103",
+    "quantize/model.aeq":
+        "ba37b5e370309a11128270cbd6d54a795a817501109bc9c985a7c120f93212ac",
+    "quantize/quant_report.json":
+        "5afeb591135d33dbc4af11d6e4dd208e0cba6c499f19f22f05b0497b342066c7",
+    "report/confusion_float_recon_classification.svg":
+        "acb20a1b4ecf2c063553e3e571f8ad7f0fa26dbca1533e1c789e76e6d0f60275",
+    "report/confusion_float_recon_detection.svg":
+        "fc3728e37627c0c1bec6f1534704ccaf9130d27b9e09c83edd8f6aca3d0ae007",
+    "report/confusion_int8_recon_classification.svg":
+        "3979528b1f08458162a97bef380e28499490453e1927c98a9aa2a4c3577c4549",
+    "report/confusion_int8_recon_detection.svg":
+        "9ecc12efa2fad7425521f2038f7b42d37bb70c7f19dce8c2cef09fd7f8bfd3ab",
+    "report/confusion_raw_classification.svg":
+        "a1214e956a7d92cae9d37a95c12ac5954b5809a072ad59f967165f5c5d336329",
+    "report/confusion_raw_detection.svg":
+        "44e255e89f828ef99a373d8051b056d6b620892e38c010c3641f84a63e9f1d6f",
+    "report/summary.txt":
+        "c2da64c2333053046f3ac5005e749177c36de34c00c02232c087572fd6f4c738",
+    "train/history.json":
+        "9511df728f91c023e40f48542e30106d71748ce6c3d13afbf5d07957e7b3ffad",
+    "train/model.aem":
+        "bd64cf9c10ea624c51b69f7c51b0e3d33d2a344d498bae3a7bf10f22556f7d79",
+    "train/normstats.json":
+        "ff35ddd98f29b9153b3b235f89dd82393d7d6e1ff19ee269ce7b9520646d6f13",
+}
+
+
+def test_tiny_run_artifacts_are_pinned(finished_run):
+    assert artifact_digests(finished_run[1]) == TINY_GOLDEN
+
+
+def test_replaced_stage_functions_and_run_stage_see_every_call(tiny_config, monkeypatch):
+    """What a tracer sees: the stage functions and run_stage replaced after import."""
+    events = []
+
+    def traced_stage(name, func):
+        def wrapper(*args, **kwargs):
+            events.append(("enter", name))
+            result = func(*args, **kwargs)
+            events.append(("exit", name))
+            return result
+        return wrapper
+
+    for s in STAGES:
+        monkeypatch.setattr(pipeline, f"stage_{s}", traced_stage(s, getattr(pipeline, f"stage_{s}")))
+    run_stage = pipeline.Runner.run_stage
+
+    def traced_run_stage(self, name, *args, **kwargs):
+        events.append(("run_stage", name))
+        return run_stage(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.Runner, "run_stage", traced_run_stage)
+    expected = [e for s in STAGES for e in (("enter", s), ("run_stage", s), ("exit", s))]
+    for _ in range(2):  # a fresh run, then a cached rerun
+        events.clear()
+        pipeline.run(tiny_config)
+        assert events == expected
