@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 stage failure, 2 usage error (argparse default).
 
+``run`` runs every pipeline stage with caching. Each stage subcommand
+(``synth`` ... ``classify``, and ``report``, which renders the metrics
+tables and SVG heatmaps) is the same run stopped after that stage; it keeps
+the manifest's records of the later stages, so a following ``run`` still
+hits them. ``energy`` prints the energy accounting for the given model
+parameters without touching a run.
+
 ``main`` pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``) unless the caller set them: the
 matrices here are small, and a second BLAS thread made a Baseline run
@@ -10,7 +17,6 @@ imports numpy-using modules inside the commands, never at import time.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -23,50 +29,11 @@ def _version_string() -> str:
     return f"jamcodec {__version__} (formats: {formats})"
 
 
-def _add_config_arg(sub):
-    sub.add_argument("--config", required=True, help="experiment config JSON")
-
-
-def _stage_command(name):
-    def _run(args):
-        from . import pipeline
-
-        cfg = pipeline.ExperimentConfig.from_json(args.config)
-        runner = pipeline.Runner(cfg)
-        try:
-            synth_out = pipeline.stage_synth(runner)
-            if name == "synth":
-                return runner
-            feat_out = pipeline.stage_features(runner, synth_out)
-            if name == "features":
-                return runner
-            if name == "search":
-                pipeline.stage_search(runner, feat_out)
-                return runner
-            if cfg.section("search").get("enabled"):
-                pipeline.stage_search(runner, feat_out)
-            train_out = pipeline.stage_train(runner, feat_out)
-            if name == "train":
-                return runner
-            quant_out = pipeline.stage_quantize(runner, train_out)
-            if name == "quantize":
-                return runner
-            classify_out = pipeline.stage_classify(runner, quant_out)
-            if name == "classify":
-                return runner
-            pipeline.stage_report(runner, classify_out)
-            return runner
-        finally:
-            runner.manifest.save(runner.manifest_path)
-
-    return _run
-
-
 def cmd_run(args):
     from . import pipeline
 
-    manifest = pipeline.run(args.config)
-    print(f"run complete: {len(manifest.stages)} stages recorded")
+    manifest = pipeline.run(args.config, until=None if args.command == "run" else args.command)
+    print(f"{args.command} complete: {len(manifest.stages)} stages recorded")
     return 0
 
 
@@ -88,18 +55,6 @@ def cmd_energy(args):
     print(energy.format_table(rep))
     if args.json:
         print(rep.dumps())
-    return 0
-
-
-def cmd_report(args):
-    from . import pipeline
-
-    cfg = pipeline.ExperimentConfig.from_json(args.config)
-    runner = pipeline.Runner(cfg)
-    outs = pipeline.stage_report(runner, [])
-    runner.manifest.save(runner.manifest_path)
-    for p in outs:
-        print(p)
     return 0
 
 
@@ -131,18 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=_version_string())
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name in ("synth", "features", "search", "train", "quantize", "classify"):
-        s = sub.add_parser(name, help=f"run the pipeline through the {name} stage")
-        _add_config_arg(s)
-        s.set_defaults(handler=lambda a, n=name: (_stage_command(n)(a), 0)[1])
-
-    s = sub.add_parser("run", help="run every stage with caching")
-    _add_config_arg(s)
-    s.set_defaults(handler=cmd_run)
-
-    s = sub.add_parser("report", help="render metrics tables and SVG heatmaps")
-    _add_config_arg(s)
-    s.set_defaults(handler=cmd_report)
+    for name in ("run", "synth", "features", "search", "train", "quantize", "classify", "report"):
+        s = sub.add_parser(name, help="run every stage with caching" if name == "run"
+                           else f"run the pipeline through the {name} stage")
+        s.add_argument("--config", required=True, help="experiment config JSON")
+        s.set_defaults(handler=cmd_run)
 
     s = sub.add_parser("energy", help="print the energy/traffic accounting table")
     s.add_argument("--tpu-watts", type=float, default=1.6)

@@ -55,7 +55,3 @@ class StageError(JamcodecError):
 
 class ChecksumMismatchError(JamcodecError):
     """A cached artifact does not match its recorded checksum."""
-
-
-class NoArtifactsError(JamcodecError):
-    """A report was requested for a directory with no run artifacts."""

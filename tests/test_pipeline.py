@@ -1,9 +1,12 @@
+import builtins
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from jamcodec import pipeline
+from jamcodec import cli, pipeline
 from jamcodec.errors import InvalidSpecError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
@@ -21,6 +24,10 @@ def tiny_config(tmp_path, monkeypatch):
         "forest": {"n_trees": 4},
     }))
     return path
+
+
+def update_config(path, **sections):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **sections}))
 
 
 def recording_runners(monkeypatch):
@@ -46,14 +53,94 @@ def test_rerun_hits_every_stage_and_keeps_manifest(tiny_config, monkeypatch):
     assert manifest.read_bytes() == first
 
 
+def cli_command(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return args.handler(args)
+
+
+@pytest.mark.parametrize("command", ["report", "train"])
+def test_partial_run_keeps_the_later_stages_cached(tiny_config, monkeypatch, command):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    manifest = tiny_config.parent / "run" / "manifest.json"
+    first = manifest.read_bytes()
+    assert cli_command(command, "--config", str(tiny_config)) == 0
+    assert runners[1].cache_hits == STAGES[: STAGES.index(command) + 1]
+    pipeline.run(tiny_config)
+    assert runners[2].cache_hits == STAGES
+    assert manifest.read_bytes() == first
+
+
+def test_partial_run_that_retrains_invalidates_the_carried_stages(tiny_config, monkeypatch):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    update_config(tiny_config, train={"screen_epochs": 3, "retrain_epochs_max": 4})
+    pipeline.run(tiny_config, until="train")
+    assert runners[1].cache_hits == ["synth", "features"]
+    pipeline.run(tiny_config)
+    assert runners[2].cache_hits == ["synth", "features", "train", "energy"]
+
+
+def test_a_source_change_misses_every_stage(tiny_config, monkeypatch):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    monkeypatch.setattr(pipeline, "_source_digest", lambda: "0" * 64)
+    pipeline.run(tiny_config)
+    assert runners[1].cache_hits == []
+    pipeline.run(tiny_config)
+    assert runners[2].cache_hits == STAGES
+
+
+TINY_SEARCH = {"enabled": True, "widths": [8], "depths": [2], "latents": [3], "top_k": 1}
+
+
+@pytest.mark.parametrize("search", [False, True])
+def test_each_stage_declares_every_file_it_opens(tiny_config, monkeypatch, search):
+    if search:
+        update_config(tiny_config, search=TINY_SEARCH)
+    out = (tiny_config.parent / "run").resolve()
+    current, opened = [], {}
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if current and "r" in mode and isinstance(file, (str, os.PathLike)):
+            path = Path(file).resolve()
+            if out in path.parents:
+                opened.setdefault(current[-1], set()).add(path.relative_to(out).as_posix())
+        return real_open(file, mode, *args, **kwargs)
+
+    run_stage = pipeline.Runner.run_stage
+
+    def tracking_run_stage(self, name, *args, **kwargs):
+        current.append(name)
+        try:
+            return run_stage(self, name, *args, **kwargs)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(pipeline.Runner, "run_stage", tracking_run_stage)
+    manifest = pipeline.run(tiny_config)
+    assert set(opened) == set(manifest.stages) == set(STAGES) | ({"search"} if search else set())
+    assert "data/manifest.jsonl" in opened["classify"]
+    assert ("search/best_arch.json" in opened["train"]) == search
+    for stage, files in opened.items():
+        rec = manifest.stages[stage]
+        assert files <= rec["inputs"].keys() | rec["outputs"].keys(), stage
+
+
+def test_non_string_domain_is_rejected(tiny_config):
+    update_config(tiny_config, domain=["mixed"])
+    with pytest.raises(InvalidSpecError, match="unknown domain"):
+        pipeline.run(tiny_config)
+
+
 def test_stage_key_ignores_input_order(tiny_config):
     cfg = pipeline.ExperimentConfig.from_json(tiny_config)
     runner = pipeline.Runner(cfg)
-    a, b = runner.out / "a.bin", runner.out / "b.bin"
-    a.write_bytes(b"alpha")
-    b.write_bytes(b"beta")
-    assert (runner._stage_key("quantize", [a, b], ["quant"])
-            == runner._stage_key("quantize", [b, a], ["quant"]))
+    a, b = ("a.bin", "1" * 64), ("b.bin", "2" * 64)
+    assert (runner._stage_key("quantize", ["quant"], dict([a, b]))
+            == runner._stage_key("quantize", ["quant"], dict([b, a])))
 
 
 def test_manifest_roundtrip(tmp_path):
