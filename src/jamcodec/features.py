@@ -1,10 +1,11 @@
 """Feature extraction: 128 spectral bins, 49 temporal statistics, 177 mixed.
 
-The spectral path runs a radix-2 FFT (built here; the toolkit never calls a
-library FFT) over Hann-windowed segments and folds the magnitude-squared
-spectrum into 128 band powers. The temporal path splits the magnitude
-sequence into 7 sub-windows and computes 7 statistics per sub-window.
-Concatenating both (spectral first) yields the 177-value mixed vector.
+The spectral path runs a forward radix-2 FFT (built here; the toolkit never
+calls a library FFT and needs no inverse) over Hann-windowed segments and
+folds the magnitude-squared spectrum into 128 band powers. The temporal path
+splits the magnitude sequence into 7 sub-windows and computes 7 statistics
+per sub-window. Concatenating both (spectral first) yields the 177-value
+mixed vector.
 
 The FFT's bit-reverse permutation and twiddles, and the Hann window, are
 computed once per length and cached; each butterfly stage runs in place with
@@ -84,12 +85,6 @@ def fft(x) -> np.ndarray:
     return y
 
 
-def ifft(x) -> np.ndarray:
-    """Inverse DFT via the conjugate trick, scaled by 1/n."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
-
-
 @dataclass
 class SpectralFrame:
     """128 log-power bins (dB) plus the analysis window length."""
@@ -118,22 +113,6 @@ class TemporalFrame:
             raise InvalidSpecError(f"temporal frame must have {TEMPORAL_DIM} values")
         if not np.all(np.isfinite(self.stats)):
             raise InvalidSpecError("temporal frame contains non-finite values")
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    domain: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = {DOMAIN_SPECTRAL: SPECTRAL_DIM, DOMAIN_TEMPORAL: TEMPORAL_DIM, DOMAIN_MIXED: MIXED_DIM}
-        if self.domain not in expected:
-            raise InvalidSpecError(f"unknown feature domain {self.domain!r}")
-        if self.values.shape != (expected[self.domain],):
-            raise InvalidSpecError(
-                f"{self.domain} vector must have {expected[self.domain]} values, got {self.values.shape}"
-            )
 
 
 def _samples_of(x) -> np.ndarray:
@@ -233,17 +212,6 @@ def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
     return TemporalFrame(stats.reshape(-1), degenerate=tuple(int(i) for i in np.flatnonzero(~ok)))
 
 
-def mixed_vector(s: SpectralFrame, t: TemporalFrame) -> FeatureVector:
-    """177-value concatenation, spectral first."""
-    return FeatureVector(np.concatenate([s.bins, t.stats]), DOMAIN_MIXED)
-
-
-def split_mixed(v: FeatureVector) -> tuple:
-    if v.domain != DOMAIN_MIXED:
-        raise InvalidSpecError("split_mixed expects a mixed-domain vector")
-    return v.values[:SPECTRAL_DIM].copy(), v.values[SPECTRAL_DIM:].copy()
-
-
 @dataclass
 class NormStats:
     """Per-dimension min/max from the training split."""
@@ -259,19 +227,19 @@ class NormStats:
         if np.any(self.min > self.max):
             raise InvalidSpecError("min must not exceed max")
 
-    @property
-    def constant_dims(self) -> np.ndarray:
-        return np.flatnonzero(self.max == self.min)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"min": self.min.tolist(), "max": self.max.tolist()}, fh, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "NormStats":
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-        return cls(np.asarray(d["min"]), np.asarray(d["max"]))
+        """Read save's JSON; a truncated or broken file raises InvalidSpecError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+            return cls(np.asarray(d["min"]), np.asarray(d["max"]))
+        except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, a missing key, a wrong type
+            raise InvalidSpecError(f"{path}: unreadable norm stats: {exc!r}") from None
 
 
 def fit_minmax(X) -> NormStats:
@@ -298,22 +266,11 @@ def apply_minmax(stats: NormStats, X) -> tuple:
     return clipped, clip_rate
 
 
-def normalize(X) -> tuple:
-    """Fit min-max statistics on X and return (normalized X, stats)."""
-    stats = fit_minmax(X)
-    scaled, _ = apply_minmax(stats, X)
-    return scaled, stats
-
-
 def snapshot_features(snapshot, window_len: int = 1024) -> dict:
-    """All three domains for one snapshot."""
-    s = power_spectrum_bins(snapshot.iq, window_len=window_len)
-    t = temporal_stats(snapshot.iq)
-    return {
-        DOMAIN_SPECTRAL: s.bins,
-        DOMAIN_TEMPORAL: t.stats,
-        DOMAIN_MIXED: mixed_vector(s, t).values,
-    }
+    """All three domains for one snapshot; mixed is the 177-value concatenation, spectral first."""
+    s = power_spectrum_bins(snapshot.iq, window_len=window_len).bins
+    t = temporal_stats(snapshot.iq).stats
+    return {DOMAIN_SPECTRAL: s, DOMAIN_TEMPORAL: t, DOMAIN_MIXED: np.concatenate([s, t])}
 
 
 def dataset_features(snapshots, window_len: int = 1024) -> dict:
@@ -352,13 +309,18 @@ def write_feature_csv(path, mixed_rows, class_labels, detection_labels) -> None:
 
 
 def read_feature_csv(path) -> dict:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        rows = list(r)
-    if header[:MIXED_DIM] != feature_header():
-        raise InvalidSpecError(f"{path}: unexpected feature CSV header")
-    X = np.asarray([[float(v) for v in row[:MIXED_DIM]] for row in rows])
+    """Read write_feature_csv's file; a truncated or broken one raises InvalidSpecError."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if not rows or rows[0][:MIXED_DIM] != feature_header():
+            raise InvalidSpecError(f"{path}: unexpected feature CSV header")
+        rows = rows[1:]
+        if any(len(row) != MIXED_DIM + 2 for row in rows):
+            raise InvalidSpecError(f"{path}: a row does not hold {MIXED_DIM} values, class, detection")
+        X = np.asarray([[float(v) for v in row[:MIXED_DIM]] for row in rows]).reshape(-1, MIXED_DIM)
+    except (ValueError, csv.Error) as exc:  # bad UTF-8, a non-numeric value, a broken quote
+        raise InvalidSpecError(f"{path}: unreadable feature CSV: {exc!r}") from None
     return {
         DOMAIN_MIXED: X,
         DOMAIN_SPECTRAL: X[:, :SPECTRAL_DIM],

@@ -12,7 +12,7 @@ makes tree structure and predictions invariant under any strictly monotone
 per-feature transform. Vote ties resolve to the smallest class index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import csv
 import json
 import math
@@ -368,28 +368,6 @@ class EvaluationReport:
     results: dict
     n_train: int
     n_test: int
-
-    def score(self, variant, task, beta=2.0) -> float:
-        key = "f2" if beta == 2.0 else "f05"
-        return self.results[variant][task][key]
-
-    def confusions(self) -> list:
-        return [self.results[v][t]["confusion"] for v in self.results for t in self.results[v]]
-
-    def to_json(self) -> dict:
-        out = {"n_train": self.n_train, "n_test": self.n_test, "results": {}}
-        for variant, tasks in self.results.items():
-            out["results"][variant] = {}
-            for task, r in tasks.items():
-                cm = r["confusion"]
-                out["results"][variant][task] = {
-                    "f2": r["f2"],
-                    "f05": r["f05"],
-                    "labels": list(cm.labels),
-                    "confusion": cm.counts.tolist(),
-                    "per_class_f2": r["per_class_f2"],
-                }
-        return out
 
 
 def _score_task(train_X, train_y, test_X, test_y, cfg, labels) -> dict:

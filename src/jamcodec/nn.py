@@ -21,7 +21,6 @@ from .signals import _read_exact, derived_rng
 MODEL_MAGIC = b"AEM1"
 LOGVAR_CLAMP = 10.0
 
-ACTIVATIONS = ("relu", "linear", "sigmoid", "leaky_relu")
 _LEAKY_SLOPE = 0.2
 
 
@@ -30,8 +29,6 @@ def _act(name, z):
         return np.maximum(z, 0.0)
     if name == "linear":
         return z
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
     if name == "leaky_relu":
         return np.where(z > 0.0, z, _LEAKY_SLOPE * z)
     raise InvalidSpecError(f"unknown activation {name!r}")
@@ -42,9 +39,6 @@ def _act_grad(name, z):
         return (z > 0.0).astype(np.float64)
     if name == "linear":
         return np.ones_like(z)
-    if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
     if name == "leaky_relu":
         return np.where(z > 0.0, 1.0, _LEAKY_SLOPE)
     raise InvalidSpecError(f"unknown activation {name!r}")

@@ -1,6 +1,12 @@
 """Config-driven orchestration: synth -> features -> [search] -> train ->
 quantize -> classify -> energy -> report, with reproducible on-disk artifacts.
 
+``ExperimentConfig.from_json`` validates the whole config before any stage
+runs: it builds every typed spec the stages read (dataset, training budget,
+forest, power and traffic models, ...), so an unreadable file, a wrong type,
+an out-of-range value, or a dataset that leaves a split or the calibration set
+short raises InvalidSpecError and nothing is written.
+
 One ordered table, ``STAGES``, gives each stage's config subsections and the
 files it reads, named by the upstream stage that writes them.
 ``run(config, until=name)`` walks it, calling ``stage_<name>`` for each; the
@@ -8,8 +14,10 @@ CLI's stage subcommands are ``run`` with ``until``.
 
 A stage's cache key is the SHA-256 of (stage name, subsection JSON, a digest
 of the jamcodec sources, the checksums of its declared reads as recorded by
-their writers earlier in this run), so keys change with any source change. A
-rerun with an unchanged key and intact outputs is skipped. The run manifest
+their writers earlier in this run), so keys change with any source change.
+``Runner.run_stage`` is the one artifact check: a rerun with an unchanged key
+is skipped when every recorded output is intact, re-runs its stage when an
+output is gone, and raises ChecksumMismatchError when one changed. The run manifest
 (manifest.json) lists every artifact with its checksum and contains no
 timestamps, so identical (config, seed) runs produce byte-identical
 manifests. A run through ``until`` keeps the previous manifest's records of
@@ -19,6 +27,7 @@ The one environment override: JAMCODEC_OUTPUT_DIR replaces the configured
 output directory.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 import functools
 import hashlib
@@ -111,26 +120,131 @@ def _merge(base, override):
     return out
 
 
-@dataclass
+_DOMAIN_DIM = {feat.DOMAIN_SPECTRAL: feat.SPECTRAL_DIM, feat.DOMAIN_TEMPORAL: feat.TEMPORAL_DIM,
+               feat.DOMAIN_MIXED: feat.MIXED_DIM}
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+@contextlib.contextmanager
+def _section(name):
+    """Report a missing key or a bad value met while reading config section ``name``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InvalidSpecError(f"config section {name!r}: {detail}") from None
+
+
 class ExperimentConfig:
-    seed: int
-    output_dir: Path
-    sections: dict
+    """An experiment's seed, output dir, merged config sections and the specs built from them.
+
+    Stage keys hash ``sections``; the stages read only the typed fields, which
+    the constructor builds and checks, so a bad config fails before any stage.
+    """
+
+    def __init__(self, seed, output_dir, sections):
+        self.sections = sections
+        with _section("seed"):
+            self.seed = int(seed)
+        with _section("output_dir"):
+            self.output_dir = Path(output_dir)
+        with _section("dataset"):
+            d = sections["dataset"]
+            self.dataset = signals.DatasetSpec(
+                classes=tuple(d["classes"]),
+                per_class_count=int(d["per_class_count"]),
+                scenarios=tuple(
+                    signals.Scenario(
+                        scenario_id=int(s["scenario_id"]),
+                        channel=signals.ChannelSpec(
+                            attenuation_db=float(s.get("attenuation_db", 0.0)),
+                            jsr_db=None if s.get("jsr_db") is None else float(s["jsr_db"]),
+                            multipath_taps=tuple(
+                                (int(t[0]), complex(t[1], t[2])) for t in s.get("multipath", [])
+                            ),
+                            noise_seed=int(s.get("noise_seed", 0)),
+                        ),
+                    )
+                    for s in d["scenarios"]
+                ),
+                seed=self.seed,
+                sample=signals.SampleSpec.from_samples(float(d["sample_rate_hz"]), int(d["n_samples"])),
+            )
+            self.test_scenarios = frozenset(_ints(d["test_scenarios"]))
+        self.domain = sections["domain"]
+        if not isinstance(self.domain, str) or self.domain not in _DOMAIN_DIM:
+            raise InvalidSpecError(f"unknown domain {self.domain!r}")
+        with _section("features"):
+            self.window_len = int(sections["features"]["window_len"])
+        with _section("search"):
+            sc = sections["search"]
+            self.search_enabled = bool(sc.get("enabled"))
+            self.search_space = search.SearchSpace(
+                input_dim=_DOMAIN_DIM[self.domain], widths=_ints(sc["widths"]),
+                depths=_ints(sc["depths"]), latents=_ints(sc["latents"]),
+            )
+            self.max_archs = int(sc["max_archs"]) if sc.get("max_archs") else None
+            self.top_k = int(sc["top_k"])
+        with _section("train"):
+            t = sections["train"]
+            self.budget = nn.TrainBudget(
+                screen_epochs=int(t["screen_epochs"]),
+                retrain_epochs_max=int(t["retrain_epochs_max"]),
+                early_stop_patience=int(t["early_stop_patience"]),
+                batch_size=int(t["batch_size"]),
+                seed=self.seed,
+                lr=float(t["lr"]),
+            )
+            self.val_fraction = float(t["val_fraction"])
+            self.hidden, self.latent_dim = _ints(t["hidden"]), int(t["latent_dim"])
+        with _section("quant"):
+            self.calib_count = int(sections["quant"]["calib_count"])
+            self.percentile = float(sections["quant"]["percentile"])
+        with _section("forest"):
+            f = sections["forest"]
+            self.forest_config = forest.ForestConfig(
+                n_trees=int(f["n_trees"]),
+                max_depth=None if f.get("max_depth") is None else int(f["max_depth"]),
+                min_leaf=int(f["min_leaf"]),
+                seed=self.seed,
+            )
+        with _section("power"):
+            self.power = energy.PowerModel(**sections["power"])
+        with _section("traffic"):
+            self.traffic = energy.TrafficModel(**sections["traffic"])
+        self._check_split_sizes()
+
+    def _check_split_sizes(self):
+        """Reject a dataset whose splits a later stage would refuse."""
+        ids = [s.scenario_id for s in self.dataset.scenarios]
+        if not self.test_scenarios <= set(ids):
+            raise InvalidSpecError(f"test scenarios {sorted(self.test_scenarios - set(ids))} are not listed")
+        # make_dataset puts repetition r of every class in scenario ids[r % len(ids)]
+        reps = [ids[r % len(ids)] in self.test_scenarios for r in range(self.dataset.per_class_count)]
+        n_test = len(self.dataset.classes) * sum(reps)
+        n_train = len(self.dataset.classes) * len(reps) - n_test
+        if not n_test or min(n_train, self.calib_count) < 16:
+            raise InvalidSpecError(f"the dataset gives {n_train} training and {n_test} test snapshots; a run "
+                                   "needs test snapshots and >= 16 training vectors (and calib_count >= 16)")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "seed" not in raw:
-            raise InvalidSpecError("experiment config must set a seed")
+        """Read a config file and merge it over DEFAULTS; any problem raises InvalidSpecError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # no file, bad UTF-8 or bad JSON
+            raise InvalidSpecError(f"{path}: unreadable config: {exc}") from None
+        if not isinstance(raw, dict) or "seed" not in raw:
+            raise InvalidSpecError("experiment config must be an object that sets a seed")
         out_dir = os.environ.get("JAMCODEC_OUTPUT_DIR") or raw.get("output_dir")
         if not out_dir:
             raise InvalidSpecError("experiment config must set output_dir")
         sections = _merge(DEFAULTS, {k: v for k, v in raw.items() if k not in ("seed", "output_dir")})
-        return cls(seed=int(raw["seed"]), output_dir=Path(out_dir), sections=sections)
-
-    def section(self, name):
-        return self.sections.get(name, {})
+        return cls(raw["seed"], out_dir, sections)
 
     def section_hash(self, *names) -> str:
         payload = {"seed": self.seed}
@@ -144,14 +258,8 @@ def _sha_bytes(b) -> str:
 
 
 def _sha_file(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            h.update(chunk)
-    return h.hexdigest()
+        return _sha_bytes(fh.read())
 
 
 @functools.cache
@@ -167,16 +275,9 @@ class RunManifest:
     tool_version: str
     stages: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "stages": {k: self.stages[k] for k in sorted(self.stages)},
-        }
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=2)
+            json.dump(vars(self), fh, sort_keys=True, indent=2)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -193,26 +294,12 @@ class RunManifest:
                    stages=d.get("stages", {}))
 
 
-def audit(manifest: RunManifest, out_dir) -> list:
-    """Verify every recorded artifact checksum; returns mismatch messages."""
-    problems = []
-    out_dir = Path(out_dir)
-    for stage, rec in manifest.stages.items():
-        for rel, sha in {**rec.get("inputs", {}), **rec.get("outputs", {})}.items():
-            p = out_dir / rel
-            if not p.exists():
-                problems.append(f"{stage}: missing artifact {rel}")
-            elif _sha_file(p) != sha:
-                problems.append(f"{stage}: checksum mismatch for {rel}")
-    return problems
-
-
 class Runner:
     """Executes stages with content-addressed caching under one output dir."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.out = Path(cfg.output_dir)
+        self.out = cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         self.previous = (
@@ -242,33 +329,35 @@ class Runner:
             inputs.update(written if rel == "*" else {rel: written[rel]})
         return inputs
 
-    def run_stage(self, name, func) -> list:
-        """Run one stage unless its cache key matches the previous run."""
+    def run_stage(self, name, func) -> None:
+        """Run one stage unless its cache key matches the previous run and its outputs are intact.
+
+        ``func()`` does the stage's work and returns the paths it wrote. A
+        recorded output that is gone re-runs the stage; one whose bytes
+        changed raises ChecksumMismatchError.
+        """
         stage = _STAGE[name]
         inputs = self._inputs(stage)
         key = self._stage_key(name, stage.sections, inputs)
         prev = (self.previous.stages.get(name) if self.previous else None) or {}
         if prev.get("key") == key:
-            outputs = {}
             for rel, sha in prev.get("outputs", {}).items():
-                p = self.out / rel
-                if not p.exists():
-                    outputs = None
+                try:
+                    digest = _sha_file(self.out / rel)
+                except FileNotFoundError:
                     break
-                if _sha_file(p) != sha:
+                if digest != sha:
                     raise ChecksumMismatchError(f"stage {name}: cached artifact {rel} is corrupt")
-                outputs[rel] = sha
-            if outputs is not None:
-                self.manifest.stages[name] = dict(prev)
+            else:
+                self.manifest.stages[name] = prev
                 self.cache_hits.append(name)
-                return [self.out / rel for rel in outputs]
+                return
         out_paths = func()
         self.manifest.stages[name] = {
             "key": key,
             "inputs": inputs,
             "outputs": {str(p.relative_to(self.out)): _sha_file(p) for p in out_paths},
         }
-        return out_paths
 
 
 def _cached(work):
@@ -276,43 +365,39 @@ def _cached(work):
     name = work.__name__.removeprefix("stage_")
 
     @functools.wraps(work)
-    def stage(runner: Runner) -> list:
-        return runner.run_stage(name, lambda: work(runner))
+    def stage(runner: Runner) -> None:
+        runner.run_stage(name, lambda: work(runner))
 
     return stage
 
 
-def _dataset_spec(cfg: ExperimentConfig) -> signals.DatasetSpec:
-    d = cfg.section("dataset")
-    scenarios = tuple(
-        signals.Scenario(
-            scenario_id=int(s["scenario_id"]),
-            channel=signals.ChannelSpec(
-                attenuation_db=float(s.get("attenuation_db", 0.0)),
-                jsr_db=None if s.get("jsr_db") is None else float(s["jsr_db"]),
-                multipath_taps=tuple(
-                    (int(t[0]), complex(t[1], t[2])) for t in s.get("multipath", [])
-                ),
-                noise_seed=int(s.get("noise_seed", 0)),
-            ),
-        )
-        for s in d["scenarios"]
-    )
-    sample = signals.SampleSpec.from_samples(float(d["sample_rate_hz"]), int(d["n_samples"]))
-    return signals.DatasetSpec(
-        classes=tuple(d["classes"]),
-        per_class_count=int(d["per_class_count"]),
-        scenarios=scenarios,
-        seed=cfg.seed,
-        sample=sample,
-    )
+def _read_json(path, parse):
+    """``parse`` of a JSON artifact's value; a broken file raises InvalidSpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, a missing key, a wrong type
+        raise InvalidSpecError(f"{path}: unreadable artifact: {exc!r}") from None
+
+
+def _best_arch(path) -> tuple:
+    """(hidden widths, latent dim) from search's best_arch.json."""
+    return _read_json(path, lambda best: (_ints(best["hidden"]), int(best["latent_dim"])))
+
+
+def _metrics_table(path) -> list:
+    """The report's rows (task, variant, F2, F0.5) from classify's metrics.json."""
+    return _read_json(path, lambda metrics: [
+        f"{r['task']:<13} {r['model_variant']:<13} {r['f2']:.3f}   {r['f05']:.3f}"
+        for r in sorted(metrics, key=lambda r: (r["task"], r["model_variant"]))
+    ])
 
 
 @_cached
 def stage_synth(runner: Runner) -> list:
     data_dir = runner.out / "data"
     data_dir.mkdir(exist_ok=True)
-    snapshots = signals.make_dataset(_dataset_spec(runner.cfg))
+    snapshots = signals.make_dataset(runner.cfg.dataset)
     records = []
     for i, snap in enumerate(snapshots):
         rel = f"data/snap_{i:05d}.iqf"
@@ -345,19 +430,12 @@ def stage_features(runner: Runner) -> list:
     fdir = runner.out / "features"
     fdir.mkdir(exist_ok=True)
     snaps = _load_snapshots(runner)
-    window = int(runner.cfg.section("features")["window_len"])
-    data = feat.dataset_features(snaps, window_len=window)
+    data = feat.dataset_features(snaps, window_len=runner.cfg.window_len)
     feat.write_feature_csv(
         fdir / "features.csv", data[feat.DOMAIN_MIXED],
         data["class_labels"], data["detection_labels"],
     )
     return [fdir / "features.csv"]
-
-
-def _domain_matrix(data, domain):
-    if domain not in (feat.DOMAIN_SPECTRAL, feat.DOMAIN_TEMPORAL, feat.DOMAIN_MIXED):
-        raise InvalidSpecError(f"unknown domain {domain!r}")
-    return data[domain]
 
 
 def _splits(runner: Runner):
@@ -367,45 +445,23 @@ def _splits(runner: Runner):
     scenario_ids = np.asarray([int(r["scenario_id"]) for r in records], dtype=np.int64)
     if len(scenario_ids) != data[feat.DOMAIN_MIXED].shape[0]:
         raise StageError("feature rows and dataset manifest are out of step")
-    test_ids = frozenset(int(s) for s in runner.cfg.section("dataset")["test_scenarios"])
+    test_ids = runner.cfg.test_scenarios
     train_ids = frozenset(scenario_ids.tolist()) - test_ids
-    X = _domain_matrix(data, runner.cfg.section("domain"))
+    X = data[runner.cfg.domain]
     return data, X, np.isin(scenario_ids, sorted(train_ids)), scenario_ids, train_ids, test_ids
-
-
-def _budget(runner: Runner) -> nn.TrainBudget:
-    tcfg = runner.cfg.section("train")
-    return nn.TrainBudget(
-        screen_epochs=int(tcfg["screen_epochs"]),
-        retrain_epochs_max=int(tcfg["retrain_epochs_max"]),
-        early_stop_patience=int(tcfg["early_stop_patience"]),
-        batch_size=int(tcfg["batch_size"]),
-        seed=runner.cfg.seed,
-        lr=float(tcfg["lr"]),
-    )
 
 
 @_cached
 def stage_search(runner: Runner) -> list:
     sdir = runner.out / "search"
-    scfg = runner.cfg.section("search")
+    cfg = runner.cfg
     sdir.mkdir(exist_ok=True)
     _, X, train_mask, _, _, _ = _splits(runner)
     X_train, _ = _normalized_train(X, train_mask)
-    budget = _budget(runner)
-    tr, val = _train_val(runner, X_train, float(runner.cfg.section("train")["val_fraction"]))
-    space = search.SearchSpace(
-        input_dim=X.shape[1],
-        widths=tuple(scfg["widths"]),
-        depths=tuple(scfg["depths"]),
-        latents=tuple(scfg["latents"]),
-    )
-    archs = search.enumerate_archs(space)
-    if scfg.get("max_archs"):
-        archs = archs[: int(scfg["max_archs"])]
-    ranked = search.screen(archs, tr, val, budget)
-    k = min(int(scfg["top_k"]), len(ranked))
-    finalists = search.retrain_topk(ranked, k, tr, val, budget)
+    tr, val = _train_val(runner, X_train)
+    archs = search.enumerate_archs(cfg.search_space)[: cfg.max_archs]
+    ranked = search.screen(archs, tr, val, cfg.budget)
+    finalists = search.retrain_topk(ranked, min(cfg.top_k, len(ranked)), tr, val, cfg.budget)
     retrained = frozenset(f.arch.descriptor() for f in finalists)
     search.write_search_report(sdir / "search_report.csv", ranked, retrained=retrained)
     best = min(finalists, key=lambda r: r.val_mse)
@@ -424,33 +480,29 @@ def _normalized_train(X, train_mask):
     return X_all[train_mask], stats
 
 
-def _train_val(runner: Runner, X_train, val_fraction):
+def _train_val(runner: Runner, X_train):
     order = signals.derived_rng(runner.cfg.seed, 0x7A1).permutation(X_train.shape[0])
-    n_val = max(1, int(len(order) * val_fraction))
+    n_val = max(1, int(len(order) * runner.cfg.val_fraction))
     return X_train[order[n_val:]], X_train[order[:n_val]]
 
 
 @_cached
 def stage_train(runner: Runner) -> list:
     tdir = runner.out / "train"
-    tcfg = runner.cfg.section("train")
     tdir.mkdir(exist_ok=True)
     _, X, train_mask, _, train_ids, _ = _splits(runner)
     X_train, stats = _normalized_train(X, train_mask)
-    tr, val = _train_val(runner, X_train, float(tcfg["val_fraction"]))
+    tr, val = _train_val(runner, X_train)
 
-    hidden = tuple(tcfg["hidden"])
-    latent = int(tcfg["latent_dim"])
+    hidden, latent = runner.cfg.hidden, runner.cfg.latent_dim
     if "search" in runner.manifest.stages:  # search ran in this run
-        with open(runner.out / "search" / "best_arch.json", "r", encoding="utf-8") as fh:
-            best = json.load(fh)
-        hidden, latent = tuple(best["hidden"]), int(best["latent_dim"])
+        hidden, latent = _best_arch(runner.out / "search" / "best_arch.json")
 
     model = nn.build_autoencoder(X.shape[1], hidden, latent, seed=runner.cfg.seed)
-    model, history = nn.train_autoencoder(model, tr, val, _budget(runner))
+    model, history = nn.train_autoencoder(model, tr, val, runner.cfg.budget)
     model.metadata = {
         "train_scenarios": sorted(int(s) for s in train_ids),
-        "domain": runner.cfg.section("domain"),
+        "domain": runner.cfg.domain,
         "norm_stats": {"min": stats.min.tolist(), "max": stats.max.tolist()},
     }
     nn.save_model(tdir / "model.aem", model)
@@ -463,14 +515,13 @@ def stage_train(runner: Runner) -> list:
 @_cached
 def stage_quantize(runner: Runner) -> list:
     qdir = runner.out / "quantize"
-    qcfg = runner.cfg.section("quant")
     qdir.mkdir(exist_ok=True)
     model = nn.load_model(runner.out / "train" / "model.aem")
     _, X, train_mask, _, _, _ = _splits(runner)
     stats = feat.NormStats.load(runner.out / "train" / "normstats.json")
     X_norm, _ = feat.apply_minmax(stats, X)
-    calib = X_norm[train_mask][: int(qcfg["calib_count"])]
-    cal = quantize.calibrate(model, calib, percentile=float(qcfg["percentile"]))
+    calib = X_norm[train_mask][: runner.cfg.calib_count]
+    cal = quantize.calibrate(model, calib, percentile=runner.cfg.percentile)
     qm = quantize.quantize_model(model, cal)
     quantize.save_quantized(qdir / "model.aeq", qm)
     report = quantize.quant_report(model, qm, X_norm[train_mask])
@@ -482,7 +533,6 @@ def stage_quantize(runner: Runner) -> list:
 @_cached
 def stage_classify(runner: Runner) -> list:
     cdir = runner.out / "classify"
-    fcfg = runner.cfg.section("forest")
     cdir.mkdir(exist_ok=True)
     model = nn.load_model(runner.out / "train" / "model.aem")
     qm = quantize.load_quantized(runner.out / "quantize" / "model.aeq")
@@ -497,13 +547,7 @@ def stage_classify(runner: Runner) -> list:
         train_scenarios=frozenset(train_ids),
         test_scenarios=frozenset(test_ids),
     )
-    cfg = forest.ForestConfig(
-        n_trees=int(fcfg["n_trees"]),
-        max_depth=fcfg.get("max_depth"),
-        min_leaf=int(fcfg["min_leaf"]),
-        seed=runner.cfg.seed,
-    )
-    report = forest.evaluate_protocol(dataset, model, qm, cfg)
+    report = forest.evaluate_protocol(dataset, model, qm, runner.cfg.forest_config)
     forest.write_metrics_json(cdir / "metrics.json", report)
     outputs = [cdir / "metrics.json"]
     for variant, tasks in report.results.items():
@@ -518,9 +562,7 @@ def stage_classify(runner: Runner) -> list:
 def stage_energy(runner: Runner) -> list:
     edir = runner.out / "energy"
     edir.mkdir(exist_ok=True)
-    pm = energy.PowerModel(**runner.cfg.section("power"))
-    tm = energy.TrafficModel(**runner.cfg.section("traffic"))
-    rep = energy.savings_report(pm, tm)
+    rep = energy.savings_report(runner.cfg.power, runner.cfg.traffic)
     with open(edir / "energy.json", "w", encoding="utf-8") as fh:
         fh.write(rep.dumps())
     with open(edir / "energy.txt", "w", encoding="utf-8") as fh:
@@ -533,14 +575,7 @@ def stage_report(runner: Runner) -> list:
     rdir = runner.out / "report"
     cdir = runner.out / "classify"
     rdir.mkdir(exist_ok=True)
-    with open(cdir / "metrics.json", "r", encoding="utf-8") as fh:
-        metrics = json.load(fh)
-    lines = ["task          variant       F2      F0.5", "-" * 44]
-    for rec in sorted(metrics, key=lambda r: (r["task"], r["model_variant"])):
-        lines.append(
-            f"{rec['task']:<13} {rec['model_variant']:<13} "
-            f"{rec['f2']:.3f}   {rec['f05']:.3f}"
-        )
+    lines = ["task          variant       F2      F0.5", "-" * 44] + _metrics_table(cdir / "metrics.json")
     summary = rdir / "summary.txt"
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -566,7 +601,7 @@ def run(config_path, until=None) -> RunManifest:
     runner = Runner(cfg)
     try:
         for i, stage in enumerate(STAGES):
-            if stage.name != "search" or cfg.section("search").get("enabled") or until == "search":
+            if stage.name != "search" or cfg.search_enabled or until == "search":
                 globals()[f"stage_{stage.name}"](runner)  # looked up per call, so a wrapper sees it
             if stage.name == until:
                 for later in STAGES[i + 1:]:

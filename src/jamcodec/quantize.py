@@ -103,17 +103,17 @@ def _inference_layers(model: nn.AeModel):
     return layers
 
 
-def _range(values, mode, percentile):
+def _range(values, percentile):
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
-    if mode == "minmax" or percentile >= 100.0:
+    if percentile >= 100.0:
         return float(v[0]), float(v[-1])
     n = len(v)
     k = min(n - 1, max(0, math.ceil(percentile / 100.0 * n) - 1))
     return float(v[max(0, n - 1 - k)]), float(v[k])
 
 
-def calibrate(model: nn.AeModel, calib_x, mode="percentile", percentile=99.9) -> CalibrationStats:
-    """Record min/max (or percentile-clipped) ranges over a calibration set.
+def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> CalibrationStats:
+    """Record percentile-clipped ranges over a calibration set; percentile 100 gives min/max.
 
     Needs at least 16 vectors. Activations are recorded at the network input
     and after every layer; weights always use their exact min/max.
@@ -124,13 +124,13 @@ def calibrate(model: nn.AeModel, calib_x, mode="percentile", percentile=99.9) ->
     if calib_x.shape[-1] != model.input_dim:
         raise ShapeError(f"calibration vectors must have {model.input_dim} dims")
 
-    activations = {"input": _range(calib_x, mode, percentile)}
+    activations = {"input": _range(calib_x, percentile)}
     weights = {}
     h = calib_x
     for i, layer in enumerate(_inference_layers(model)):
         h = layer.forward(h)
         name = f"L{i}"
-        activations[name] = _range(h, mode, percentile)
+        activations[name] = _range(h, percentile)
         if layer.params:
             weights[name] = (float(np.min(layer.params[0])), float(np.max(layer.params[0])))
     return CalibrationStats(activations=activations, weights=weights)

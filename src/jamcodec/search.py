@@ -1,4 +1,4 @@
-"""Exhaustive autoencoder architecture grids: enumerate, screen, retrain, pick.
+"""Exhaustive autoencoder architecture grids: enumerate, screen, retrain.
 
 Width sequences are non-increasing (a deeper hidden layer never has more
 neurons than a shallower one) and the latent dimension stays below the last
@@ -48,7 +48,6 @@ class SearchSpace:
     depths: tuple = (2, 3)
     latents: tuple = tuple(range(3, 11))
     conv_options: tuple = ((),)  # each entry is one conv_front alternative
-    domain: str = "spectral"
 
     def __post_init__(self):
         if not self.widths or not self.depths or not self.latents:
@@ -60,10 +59,6 @@ class CostProfile:
     n_params: int
     n_macs: int
     memory_bytes_int8: int
-
-    @property
-    def n_flops(self) -> int:
-        return 2 * self.n_macs
 
 
 def enumerate_archs(space: SearchSpace) -> list:
@@ -194,30 +189,6 @@ def retrain_topk(ranked, k, train_x, val_x, budget: nn.TrainBudget, variational=
         except nn.TrainingDivergedError:
             finalists.append(ScreenResult(res.arch, math.inf, None, diverged=True))
     return finalists
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    max_latent: int | None = None
-    min_f2_delta: float = 0.02
-
-
-def select_best(finalists, policy: SelectionPolicy = SelectionPolicy()) -> ArchSpec:
-    """Smallest latent whose downstream F2 is within min_f2_delta of the best.
-
-    ``finalists`` is a list of (ArchSpec, f2) pairs. Ties break toward fewer
-    parameters, then lexicographic architecture order.
-    """
-    scored = [(a, float(f2)) for a, f2 in finalists]
-    if policy.max_latent is not None:
-        scored = [(a, f2) for a, f2 in scored if a.latent_dim <= policy.max_latent]
-    if not scored:
-        raise EmptySearchSpaceError("no finalists to select from")
-    best_f2 = max(f2 for _, f2 in scored)
-    eligible = [(a, f2) for a, f2 in scored if f2 >= best_f2 - policy.min_f2_delta]
-    eligible.sort(key=lambda t: (t[0].latent_dim, count_params_ops(t[0]).n_params,
-                                 len(t[0].hidden), t[0].hidden))
-    return eligible[0][0]
 
 
 def write_search_report(path, results, retrained=frozenset()) -> None:

@@ -12,7 +12,7 @@ This keeps per-snapshot generation independent and stable, so datasets may be
 produced in any order (or in parallel) without changing a single sample.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 import struct
@@ -415,16 +415,6 @@ def apply_channel(x: IqBuffer, ch: ChannelSpec, seed: int) -> IqBuffer:
     return IqBuffer(y, x.spec)
 
 
-def alias_frequency(f: float, f_s: float) -> float:
-    """Frequency in [0, fs/2] indistinguishable from a sampled real tone at f."""
-    if f_s <= 0:
-        raise InvalidSpecError("sample rate must be positive")
-    r = math.fmod(abs(f), f_s)
-    if r > f_s / 2.0:
-        r = f_s - r
-    return r
-
-
 def channel_noise_floor(ch: ChannelSpec) -> float:
     """Noise power the channel adds around a unit-power waveform."""
     if ch.jsr_db is None:
@@ -513,14 +503,6 @@ def make_dataset(dspec: DatasetSpec) -> list:
                 )
             )
     return out
-
-
-def split_by_scenario(snapshots, test_scenarios) -> tuple:
-    """Disjoint train/test split on scenario_id."""
-    test_ids = set(test_scenarios)
-    train = [s for s in snapshots if s.scenario_id not in test_ids]
-    test = [s for s in snapshots if s.scenario_id in test_ids]
-    return train, test
 
 
 def write_iq(path, iq: IqBuffer) -> None:

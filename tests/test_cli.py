@@ -4,6 +4,8 @@ from pathlib import Path
 import subprocess
 import sys
 
+import pytest
+
 from jamcodec import cli, pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,6 +44,34 @@ def test_missing_config_is_a_usage_error():
     done = jamcodec("train")
     assert done.returncode == 2
     assert "--config" in done.stderr
+
+
+TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param('{"seed": 0, "output_dir": "OUT", "forest": {"n_tr', id="truncated"),
+    pytest.param({"forest": {"n_trees": "many"}}, id="n_trees_many"),
+    pytest.param(None, id="missing_file"),
+    pytest.param({"dataset": {"per_class_count": 1, "scenarios": TWO_SCENARIOS, "test_scenarios": [1]}},
+                 id="one_training_scenario_no_test_rows"),
+    pytest.param({"dataset": {"per_class_count": 2, "scenarios": TWO_SCENARIOS, "test_scenarios": [1]}},
+                 id="too_few_calibration_vectors"),
+    pytest.param({"dataset": {"test_scenarios": [7]}}, id="test_scenario_not_listed"),
+    pytest.param({"power": {"watts": 2.0}}, id="unknown_power_key"),
+])
+def test_bad_config_exits_one_before_writing(tmp_path, config):
+    out = tmp_path / "run"
+    path = tmp_path / "config.json"
+    if isinstance(config, str):
+        path.write_text(config.replace("OUT", str(out)))
+    elif config is not None:
+        path.write_text(json.dumps({"seed": 0, "output_dir": str(out), **config}))
+    done = jamcodec("run", "--config", str(path))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def python_c(code, **env_overrides):

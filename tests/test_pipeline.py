@@ -4,10 +4,11 @@ import json
 import os
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from jamcodec import cli, pipeline
-from jamcodec.errors import InvalidSpecError
+from jamcodec import cli, features, pipeline
+from jamcodec.errors import ChecksumMismatchError, InvalidSpecError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
 
@@ -169,34 +170,92 @@ def finished_run(tiny_config):
     return pipeline.run(tiny_config), tiny_config.parent / "run"
 
 
-def _quantize_output(manifest):
-    return sorted(manifest.stages["quantize"]["outputs"])[0]
-
-
-def test_audit_of_a_fresh_run_is_clean(finished_run):
-    manifest, out = finished_run
-    assert sum(len(rec["outputs"]) for rec in manifest.stages.values()) > 0
-    assert pipeline.audit(manifest, out) == []
-
-
-def test_audit_reports_a_flipped_byte(finished_run):
-    manifest, out = finished_run
-    rel = _quantize_output(manifest)
-    data = bytearray((out / rel).read_bytes())
+def _flip_byte(path):
+    data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
-    (out / rel).write_bytes(bytes(data))
-    problems = pipeline.audit(manifest, out)
-    assert f"quantize: checksum mismatch for {rel}" in problems
-    assert all(p.endswith(f"checksum mismatch for {rel}") for p in problems)
+    path.write_bytes(bytes(data))
 
 
-def test_audit_reports_a_missing_artifact(finished_run):
-    manifest, out = finished_run
-    rel = _quantize_output(manifest)
+def test_a_flipped_cached_byte_stops_the_rerun(finished_run, tiny_config, monkeypatch, capsys):
+    out = finished_run[1]
+    _flip_byte(out / "quantize" / "model.aeq")
+    manifest = (out / "manifest.json").read_bytes()
+    with pytest.raises(ChecksumMismatchError, match="quantize/model.aeq"):
+        pipeline.run(tiny_config)
+    (out / "manifest.json").write_bytes(manifest)  # the failed run saved only the stages before it
+    for var in cli.BLAS_THREAD_VARS:  # main sets these; keep them as they are
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    assert cli.main(["run", "--config", str(tiny_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "quantize/model.aeq" in err
+
+
+@pytest.mark.parametrize("rel", ["data/snap_00007.iqf", "quantize/model.aeq", "report/summary.txt"])
+def test_a_deleted_output_reruns_only_its_stage(finished_run, tiny_config, monkeypatch, rel):
+    out = finished_run[1]
+    manifest, data = (out / "manifest.json").read_bytes(), (out / rel).read_bytes()
     (out / rel).unlink()
-    problems = pipeline.audit(manifest, out)
-    assert f"quantize: missing artifact {rel}" in problems
-    assert all(p.endswith(f"missing artifact {rel}") for p in problems)
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    stage = rel.split("/")[0].replace("data", "synth")
+    assert runners[0].cache_hits == [s for s in STAGES if s != stage]
+    assert (out / rel).read_bytes() == data
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_identical_search_runs_write_identical_manifests(tiny_config):
+    update_config(tiny_config, search=TINY_SEARCH)
+    first = pipeline.run(tiny_config)
+    assert "search" in first.stages
+    update_config(tiny_config, output_dir=str(tiny_config.parent / "run2"))
+    pipeline.run(tiny_config)
+    manifests = [(tiny_config.parent / d / "manifest.json").read_bytes() for d in ("run", "run2")]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.fixture(scope="module")
+def search_run_files(tmp_path_factory):
+    """The bytes of the files each artifact reader opens, from one tiny run with search."""
+    root = tmp_path_factory.mktemp("readers")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "seed": 0, "output_dir": str(root / "run"), "dataset": {"per_class_count": 5},
+        "train": {"screen_epochs": 3, "retrain_epochs_max": 3}, "forest": {"n_trees": 4},
+        "search": TINY_SEARCH,
+    }))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("JAMCODEC_OUTPUT_DIR", raising=False)
+        pipeline.run(config)
+    return root, {rel: (root / "run" / rel).read_bytes() for rel in READERS}
+
+
+READERS = {
+    "features/features.csv": features.read_feature_csv,
+    "train/normstats.json": features.NormStats.load,
+    "search/best_arch.json": pipeline._best_arch,
+    "classify/metrics.json": pipeline._metrics_table,
+}
+
+
+@pytest.mark.parametrize("rel", sorted(READERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_readers_raise_invalid_spec_on_truncated_or_flipped_files(search_run_files, rel, data):
+    root, originals = search_run_files
+    original = originals[rel]
+    if data.draw(st.booleans(), label="truncate"):
+        broken = original[: data.draw(st.integers(0, len(original) - 1), label="length")]
+    else:
+        broken = bytearray(original)
+        broken[data.draw(st.integers(0, len(original) - 1), label="at")] ^= 1 << data.draw(
+            st.integers(0, 7), label="bit")
+    path = root / "broken" / rel  # a copy: the run's own files stay as written
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(bytes(broken))
+    try:
+        READERS[rel](path)
+    except InvalidSpecError:
+        pass
 
 
 def _sha(data):

@@ -84,7 +84,6 @@ class TestCostProfile:
         # 4 -> 3 -> 2 and mirror: 12 + 6 + 6 + 12 = 36 MACs
         cost = search.count_params_ops(search.ArchSpec(4, (3,), 2))
         assert cost.n_macs == 36
-        assert cost.n_flops == 72
 
     def test_int8_memory_near_param_count(self):
         arch = search.ArchSpec(128, (128, 128), 4)
@@ -168,51 +167,6 @@ class TestRetrain:
         ranked = search.screen([search.ArchSpec(12, (6,), 3)], X[:40], X[40:], tiny_budget())
         with pytest.raises(InvalidSpecError):
             search.retrain_topk(ranked, 2, X[:40], X[40:], tiny_budget())
-
-
-class TestSelectBest:
-    def test_paper_spectral_example(self):
-        # latent-9 best gets F2 0.688; latent-4 within 0.02 at 0.678 -> latent 4
-        a9 = search.ArchSpec(128, (32, 32), 9)
-        a4 = search.ArchSpec(128, (128, 128), 4)
-        pick = search.select_best([(a9, 0.688), (a4, 0.678)],
-                                  search.SelectionPolicy(min_f2_delta=0.02))
-        assert pick == a4
-
-    def test_single_finalist(self):
-        a = search.ArchSpec(64, (32,), 4)
-        assert search.select_best([(a, 0.5)]) == a
-
-    def test_delta_zero_is_argmax(self):
-        a = search.ArchSpec(64, (32,), 4)
-        b = search.ArchSpec(64, (32,), 6)
-        pick = search.select_best([(a, 0.60), (b, 0.61)], search.SelectionPolicy(min_f2_delta=0.0))
-        assert pick == b
-
-    def test_argmax_invariant_under_monotone_rescale(self):
-        archs = [search.ArchSpec(64, (32,), k) for k in (3, 5, 7, 9)]
-        f2s = [0.42, 0.58, 0.55, 0.61]
-        base = search.select_best(list(zip(archs, f2s)), search.SelectionPolicy(min_f2_delta=0.0))
-        for transform in (lambda v: v**3, lambda v: 10 * v - 1, lambda v: np.exp(v)):
-            scaled = [(a, float(transform(v))) for a, v in zip(archs, f2s)]
-            assert search.select_best(scaled, search.SelectionPolicy(min_f2_delta=0.0)) == base
-
-    def test_tie_breaks_toward_fewer_params(self):
-        small = search.ArchSpec(64, (32,), 4)
-        big = search.ArchSpec(64, (64, 64), 4)
-        pick = search.select_best([(big, 0.7), (small, 0.7)])
-        assert pick == small
-
-    def test_max_latent_filter(self):
-        a = search.ArchSpec(64, (32,), 4)
-        b = search.ArchSpec(64, (32,), 9)
-        pick = search.select_best([(a, 0.5), (b, 0.9)],
-                                  search.SelectionPolicy(max_latent=6, min_f2_delta=0.02))
-        assert pick == a
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySearchSpaceError):
-            search.select_best([])
 
 
 class TestReport:

@@ -235,40 +235,6 @@ class TestApplyChannel:
             signals.ChannelSpec(multipath_taps=((5, 1+0j), (2, 0.5+0j)))
 
 
-class TestAliasFrequency:
-    def test_nyquist_edge(self):
-        assert signals.alias_frequency(4000.0, 8000.0) == 4000.0
-
-    def test_paper_fs_1p5f(self):
-        # f sampled at 1.5f aliases to 0.5f
-        f = 1000.0
-        assert abs(signals.alias_frequency(f, 1.5 * f) - 0.5 * f) < 1e-9
-
-    def test_brute_force_0p9fs(self):
-        fs = 8000.0
-        f = 0.9 * fs
-        alias = signals.alias_frequency(f, fs)
-        assert abs(alias - 0.1 * fs) < 1e-9
-        k = np.arange(10_000)
-        a = np.cos(2 * np.pi * f * k / fs)
-        b = np.cos(2 * np.pi * alias * k / fs)
-        assert np.max(np.abs(a - b)) < 1e-9
-
-    def test_identity_below_nyquist(self):
-        for f in (0.0, 100.0, 3999.0):
-            assert signals.alias_frequency(f, 8000.0) == f
-
-    @given(st.floats(0, 1e6), st.floats(1e-3, 1e6))
-    @settings(max_examples=100, deadline=None)
-    def test_fold_range_property(self, f, fs):
-        r = signals.alias_frequency(f, fs)
-        assert 0.0 <= r <= fs / 2 + 1e-9
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(InvalidSpecError):
-            signals.alias_frequency(100.0, 0.0)
-
-
 class TestNyquistReconstruction:
     def test_best_fit_tone_at_twice_rate(self):
         # least-squares over a frequency grid recovers f when fs = 2f
@@ -335,16 +301,6 @@ class TestMakeDataset:
             signals.DatasetSpec(classes=(), per_class_count=1,
                                 scenarios=default_scenarios(), seed=0,
                                 sample=spec_of(64000.0, 2048))
-
-    def test_scenario_split_disjoint(self):
-        dspec = signals.DatasetSpec(
-            classes=(signals.CLEAN, signals.NOISE), per_class_count=6,
-            scenarios=default_scenarios(3), seed=4, sample=spec_of(64000.0, 2048),
-        )
-        snaps = signals.make_dataset(dspec)
-        train, test = signals.split_by_scenario(snaps, test_scenarios={2})
-        assert len(train) + len(test) == len(snaps)
-        assert {s.scenario_id for s in train}.isdisjoint({s.scenario_id for s in test})
 
 
 class TestIqFileFormat:
