@@ -270,11 +270,15 @@ class TestMixedVector:
         assert self._features()[features.DOMAIN_MIXED].shape == (177,)
         assert features.MIXED_DIM == 253 - 76  # transmitted block minus side channel
 
+    def test_roundtrip_split(self):
+        f = self._features()
+        spectral, temporal = np.split(f[features.DOMAIN_MIXED], [128])
+        assert np.array_equal(spectral, f[features.DOMAIN_SPECTRAL])
+        assert np.array_equal(temporal, f[features.DOMAIN_TEMPORAL])
+
     def test_spectral_comes_first(self):
         f = self._features()
-        mixed = f[features.DOMAIN_MIXED]
-        assert np.array_equal(mixed[:128], f[features.DOMAIN_SPECTRAL])
-        assert np.array_equal(mixed[128:], f[features.DOMAIN_TEMPORAL])
+        assert np.array_equal(f[features.DOMAIN_MIXED][:128], f[features.DOMAIN_SPECTRAL])
 
 
 class TestNormalize:

@@ -170,6 +170,13 @@ def finished_run(tiny_config):
     return pipeline.run(tiny_config), tiny_config.parent / "run"
 
 
+def test_audit_of_a_fresh_run_is_clean(finished_run):
+    manifest, out = finished_run
+    recorded = {rel: sha for rec in manifest.stages.values() for rel, sha in rec["outputs"].items()}
+    assert recorded
+    assert {rel: _sha((out / rel).read_bytes()) for rel in recorded} == recorded
+
+
 def _flip_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
