@@ -4,7 +4,9 @@ A convolutional VAE is trained with the reconstruction + KL objective plus a
 total-correlation term estimated by a discriminator that tells joint latents
 from dimension-wise permuted ones. Training alternates one VAE update and one
 discriminator update per batch, with separate Adam optimizers. The VAE is an
-nn.AeModel and runs nn's reparameterized forward and backward.
+nn.AeModel and runs nn's reparameterized forward and backward and its Adam
+update over the model's flat parameter buffer; the discriminator, whose
+layers are not a model, steps per array.
 """
 
 from dataclasses import dataclass
@@ -22,9 +24,10 @@ from .nn import (
     Reshape,
     _WeightBias,
     _act,
-    _act_grad,
+    _act_backward,
     _conv1d_geometry,
     adam_step,
+    adam_update,
     gaussian_kl,
     mse_loss,
     vae_backward,
@@ -67,12 +70,15 @@ class Conv2d(_WeightBias):
             self._cache = (flat, z, xp.shape, top, left, h, w)
         return _act(self.activation, z)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         flat, z, padded_shape, top, left, h, w = self._cache
         batch, out_h, out_w = z.shape[:3]
-        gz = (grad_out * _act_grad(self.activation, z)).reshape(batch, out_h * out_w, self.out_ch)
-        self.grads[0] = (flat.reshape(-1, flat.shape[-1]).T @ gz.reshape(-1, self.out_ch)).reshape(self.w.shape)
-        self.grads[1] = gz.reshape(-1, self.out_ch).sum(axis=0)
+        gz = _act_backward(self.activation, z, grad_out).reshape(batch, out_h * out_w, self.out_ch)
+        gz2 = gz.reshape(-1, self.out_ch)
+        np.matmul(flat.reshape(-1, flat.shape[-1]).T, gz2, out=self.grads[0].reshape(-1, self.out_ch))
+        np.sum(gz2, axis=0, out=self.grads[1])
+        if not input_grad:
+            return None
         gcols = (gz @ self.w.reshape(-1, self.out_ch).T).reshape(
             batch, out_h, out_w, self.kernel, self.kernel, self.in_ch)
         gpad = np.zeros(padded_shape)
@@ -86,15 +92,12 @@ class Upsample2x:
     """Nearest-neighbour 2x upsampling on (B, H, W, C)."""
 
     def __init__(self):
-        self.grads = []
+        self.grads = ()
         self._in_shape = None
 
     @property
     def params(self):
         return []
-
-    def set_params(self, arrays):
-        pass
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -123,9 +126,9 @@ class ResBlock2d:
     def grads(self):
         return self.conv1.grads + self.conv2.grads
 
-    def set_params(self, arrays):
-        self.conv1.set_params(arrays[:2])
-        self.conv2.set_params(arrays[2:])
+    def _bind(self, params, grads):
+        self.conv1._bind(params[:2], grads[:2])
+        self.conv2._bind(params[2:], grads[2:])
 
     def forward(self, x, train=False):
         h = self.conv2.forward(self.conv1.forward(x, train=train), train=train)
@@ -297,7 +300,7 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
     n = images.shape[0]
     model = ImageVae(images.shape[1:3], cfg.latent_dim, cfg.encoder_kind, seed=cfg.seed)
     disc = Discriminator(cfg.latent_dim, cfg.disc_width, cfg.disc_layers, seed=cfg.seed)
-    opt_vae = AdamState(model.parameters(), lr=cfg.lr_vae,
+    opt_vae = AdamState([model.flat_params], lr=cfg.lr_vae,
                         beta1=cfg.betas_vae[0], beta2=cfg.betas_vae[1])
     opt_disc = AdamState(disc.parameters(), lr=cfg.lr_disc,
                          beta1=cfg.betas_disc[0], beta2=cfg.betas_disc[1])
@@ -322,7 +325,7 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
             # batch-averaged); a per-pixel mean would let the KL term crush
             # the latent code. The logged "recon" metric stays per-pixel MSE.
             vae_backward(model, fwd, 2.0 * (fwd.recon - x) / bsz, grad_z_tc)
-            model.set_parameters(adam_step(model.parameters(), model.gradients(), opt_vae))
+            adam_update(model, opt_vae)
 
             # --- discriminator update on detached latents ---
             disc_loss = math.log(2.0)

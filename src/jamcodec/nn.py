@@ -6,6 +6,30 @@ MSE and Gaussian-KL losses, the reparameterized VAE forward/backward pair
 early stopping. In-memory state and all arithmetic are float64 so
 gradients check out against finite differences and results are reproducible
 bit-for-bit on one platform; serialized weights are little-endian float32.
+
+Parameters live in one flat float64 buffer per AeModel (``flat_params``),
+and every layer's ``w`` and ``b`` are views into it; the gradients likewise
+in ``flat_grads``. Backward passes write their gradients into those views,
+so a training step is one Adam update over the whole buffer (adam_update),
+with no gathering and no copying back. set_parameters copies into the views
+and never rebinds them. Every backward pass overwrites the gradients it
+owns, so nothing is zeroed per batch except what no pass writes: the
+logvar head's on the MSE path.
+
+The first encoder layer with parameters skips its input gradient, which
+would flow only to the data; everything else computes it (the FactorVAE's
+discriminator too, whose input gradient is the TC term's).
+
+Summation order is kept wherever a faster form would change bits. The
+ConvTranspose1d forward and weight gradient run as 2-D einsums over
+(batch x length) rows, which sum in the order of the 4-D ones they replace,
+except with one output channel: there einsum reduces the 4-D forms through
+another inner loop, so that case keeps them. The input gradient stays the
+4-D einsum over the fancy-indexed columns (whose memory order einsum's
+loop order follows), because BLAS, 7x faster there, sums in another order
+(differences up to 4e-14). The transposed conv's overlap-add and Conv1d's
+input-gradient scatter share _overlap_add, whose descending taps reproduce
+np.add.at's order.
 """
 
 import collections
@@ -34,13 +58,14 @@ def _act(name, z):
     raise InvalidSpecError(f"unknown activation {name!r}")
 
 
-def _act_grad(name, z):
+def _act_backward(name, z, grad_out):
+    """grad_out times the activation's derivative at z, bit for bit."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return grad_out * (z > 0.0)
     if name == "linear":
-        return np.ones_like(z)
+        return grad_out
     if name == "leaky_relu":
-        return np.where(z > 0.0, 1.0, _LEAKY_SLOPE)
+        return grad_out * np.where(z > 0.0, 1.0, _LEAKY_SLOPE)
     raise InvalidSpecError(f"unknown activation {name!r}")
 
 
@@ -49,13 +74,28 @@ def _kaiming_uniform(rng, fan_in, shape):
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
+def _copy_into(dsts, srcs):
+    """Copy each source array into its destination, which keeps its memory; float64 casts."""
+    if len(dsts) != len(srcs):
+        raise ShapeError(f"expected {len(dsts)} parameter arrays, got {len(srcs)}")
+    for dst, src in zip(dsts, srcs):
+        src = np.asarray(src)
+        if src.shape != dst.shape:
+            raise ShapeError(f"parameter shape {src.shape} does not match {dst.shape}")
+        dst[...] = src
+
+
 class _WeightBias:
-    """Weight/bias parameter plumbing shared by the layers with parameters."""
+    """Weight/bias parameter plumbing shared by the layers with parameters.
+
+    A new layer owns its arrays; an AeModel rebinds w, b and grads to views of
+    its flat buffers (_bind). Backward passes write grads in place, never rebind.
+    """
 
     def _init_params(self, rng, fan_in, w_shape, n_out):
         self.w = _kaiming_uniform(rng or np.random.default_rng(0), fan_in, w_shape)
         self.b = np.zeros(n_out, dtype=np.float64)
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self.grads = (np.zeros_like(self.w), np.zeros_like(self.b))
         self._cache = None
 
     @property
@@ -63,7 +103,12 @@ class _WeightBias:
         return [self.w, self.b]
 
     def set_params(self, arrays):
-        self.w, self.b = arrays[0].astype(np.float64), arrays[1].astype(np.float64)
+        _copy_into(self.params, arrays)
+
+    def _bind(self, params, grads):
+        _copy_into(params, self.params)
+        self.w, self.b = params
+        self.grads = tuple(grads)
 
 
 class Dense(_WeightBias):
@@ -86,12 +131,13 @@ class Dense(_WeightBias):
             self._cache = (x, z)
         return _act(self.activation, z)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, z = self._cache
-        gz = grad_out * _act_grad(self.activation, z)
-        self.grads[0] = x.reshape(-1, self.n_in).T @ gz.reshape(-1, self.n_out)
-        self.grads[1] = gz.reshape(-1, self.n_out).sum(axis=0)
-        return gz @ self.w.T
+        gz = _act_backward(self.activation, z, grad_out)
+        gz2 = gz.reshape(-1, self.n_out)
+        np.matmul(x.reshape(-1, self.n_in).T, gz2, out=self.grads[0])
+        np.sum(gz2, axis=0, out=self.grads[1])
+        return gz @ self.w.T if input_grad else None
 
     def spec(self):
         return {"kind": "dense", "in": self.n_in, "out": self.n_out, "activation": self.activation}
@@ -103,6 +149,26 @@ def _conv1d_geometry(length, kernel, stride):
     pad_left = total_pad // 2
     idx = np.arange(out_len)[:, None] * stride + np.arange(kernel)[None, :]
     return out_len, pad_left, total_pad, idx
+
+
+def _pad_length(x, pad_left, total_pad):
+    """Zero-pad axis 1 of (batch, length, channels) as np.pad does, without its call overhead."""
+    batch, length, channels = x.shape
+    out = np.zeros((batch, length + total_pad, channels))
+    out[:, pad_left : pad_left + length] = x
+    return out
+
+
+def _overlap_add(out, cols, stride):
+    """out[:, l * stride + t] += cols[:, l, t] for every input step l and tap t.
+
+    One strided slice-add per tap, taps in descending order, so every output
+    row sums its terms in ascending l: the order, and so the bits, of
+    np.add.at(out, (slice(None), idx), cols) with idx from _conv1d_geometry.
+    """
+    span = (cols.shape[1] - 1) * stride + 1
+    for t in range(cols.shape[2] - 1, -1, -1):
+        out[:, t : t + span : stride] += cols[:, :, t]
 
 
 class Conv1d(_WeightBias):
@@ -126,7 +192,7 @@ class Conv1d(_WeightBias):
             raise ShapeError(f"conv1d expects (B, L, {self.in_ch}), got {x.shape}")
         batch, length, _ = x.shape
         out_len, pad_left, total_pad, idx = _conv1d_geometry(length, self.kernel, self.stride)
-        xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
+        xp = _pad_length(x, pad_left, total_pad)
         cols = np.take(xp, idx, axis=1).reshape(batch, out_len, self.kernel * self.in_ch)
         wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
         z = cols @ wmat + self.b
@@ -134,19 +200,19 @@ class Conv1d(_WeightBias):
             self._cache = (cols, z, x.shape, pad_left, total_pad, idx)
         return _act(self.activation, z)
 
-    def backward(self, grad_out):
-        cols, z, x_shape, pad_left, total_pad, idx = self._cache
+    def backward(self, grad_out, input_grad=True):
+        cols, z, x_shape, pad_left, total_pad, _ = self._cache
         batch, length, _ = x_shape
-        out_len = z.shape[1]
-        gz = grad_out * _act_grad(self.activation, z)
-        wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
-        self.grads[0] = (
-            cols.reshape(-1, self.kernel * self.in_ch).T @ gz.reshape(-1, self.out_ch)
-        ).reshape(self.w.shape)
-        self.grads[1] = gz.reshape(-1, self.out_ch).sum(axis=0)
-        gcols = (gz @ wmat.T).reshape(batch, out_len, self.kernel, self.in_ch)
+        k_in = self.kernel * self.in_ch
+        gz = _act_backward(self.activation, z, grad_out)
+        gz2 = gz.reshape(-1, self.out_ch)
+        np.matmul(cols.reshape(-1, k_in).T, gz2, out=self.grads[0].reshape(k_in, self.out_ch))
+        np.sum(gz2, axis=0, out=self.grads[1])
+        if not input_grad:
+            return None
+        gcols = (gz @ self.w.reshape(k_in, self.out_ch).T).reshape(batch, z.shape[1], self.kernel, self.in_ch)
         gpad = np.zeros((batch, length + total_pad, self.in_ch), dtype=np.float64)
-        np.add.at(gpad, (slice(None), idx), gcols)
+        _overlap_add(gpad, gcols, self.stride)
         return gpad[:, pad_left : pad_left + length, :]
 
     def spec(self):
@@ -179,9 +245,13 @@ class ConvTranspose1d(_WeightBias):
         expected, pad_left, total_pad, idx = _conv1d_geometry(self.output_len, self.kernel, self.stride)
         if expected != in_len:
             raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
-        contrib = np.einsum("blc,kco->blko", x, self.w)
+        if self.out_ch == 1:  # the 2-D form would sum in another order here (module docstring)
+            contrib = np.einsum("blc,kco->blko", x, self.w)
+        else:
+            w_cm = np.ascontiguousarray(self.w.transpose(1, 0, 2)).reshape(self.in_ch, -1)
+            contrib = np.einsum("nc,cm->nm", x.reshape(-1, self.in_ch), w_cm)
         zpad = np.zeros((batch, self.output_len + total_pad, self.out_ch), dtype=np.float64)
-        np.add.at(zpad, (slice(None), idx), contrib)
+        _overlap_add(zpad, contrib.reshape(batch, in_len, self.kernel, self.out_ch), self.stride)
         z = zpad[:, pad_left : pad_left + self.output_len, :] + self.b
         if train:
             self._cache = (x, z, pad_left, total_pad, idx)
@@ -189,11 +259,15 @@ class ConvTranspose1d(_WeightBias):
 
     def backward(self, grad_out):
         x, z, pad_left, total_pad, idx = self._cache
-        gz = grad_out * _act_grad(self.activation, z)
-        gzpad = np.pad(gz, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
+        gz = _act_backward(self.activation, z, grad_out)
+        gzpad = _pad_length(gz, pad_left, total_pad)
         gcols = gzpad[:, idx, :]  # (B, in_len, kernel, out_ch)
-        self.grads[0] = np.einsum("blc,blko->kco", x, gcols)
-        self.grads[1] = gz.reshape(-1, self.out_ch).sum(axis=0)
+        if self.out_ch == 1:
+            self.grads[0][...] = np.einsum("blc,blko->kco", x, gcols)
+        else:
+            g_cm = np.einsum("nc,nm->cm", x.reshape(-1, self.in_ch), gcols.reshape(x.shape[0] * x.shape[1], -1))
+            self.grads[0][...] = g_cm.reshape(self.in_ch, self.kernel, self.out_ch).transpose(1, 0, 2)
+        np.sum(gz.reshape(-1, self.out_ch), axis=0, out=self.grads[1])
         return np.einsum("blko,kco->blc", gcols, self.w)
 
     def spec(self):
@@ -215,15 +289,12 @@ class Reshape:
 
     def __init__(self, out_shape):
         self.out_shape = tuple(int(v) for v in out_shape)
-        self.grads = []
+        self.grads = ()
         self._in_shape = None
 
     @property
     def params(self):
         return []
-
-    def set_params(self, arrays):
-        pass
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -256,6 +327,22 @@ class AeModel:
         self.input_dim = int(input_dim)
         self.arch = arch
         self.metadata = dict(metadata or {})
+        self._first_trainable = next((layer for layer in self.encoder if layer.params), None)
+        shapes = [p.shape for p in self.parameters()]
+        self.flat_params = np.empty(sum(math.prod(s) for s in shapes), dtype=np.float64)
+        self.flat_grads = np.zeros_like(self.flat_params)
+        views, grads, start = [], [], 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            views.append(self.flat_params[start:stop].reshape(shape))
+            grads.append(self.flat_grads[start:stop].reshape(shape))
+            start = stop
+        i = 0
+        for layer in self._layers():
+            k = len(layer.params)
+            if k:
+                layer._bind(views[i : i + k], grads[i : i + k])
+            i += k
 
     @property
     def variational(self):
@@ -272,15 +359,11 @@ class AeModel:
         return [g for layer in self._layers() for g in layer.grads]
 
     def set_parameters(self, arrays):
-        i = 0
-        for layer in self._layers():
-            k = len(layer.params)
-            if k:
-                layer.set_params(arrays[i : i + k])
-            i += k
+        """Copy arrays, in parameters() order, into the flat buffer's views."""
+        _copy_into(self.parameters(), arrays)
 
     def n_params(self):
-        return int(sum(p.size for p in self.parameters()))
+        return self.flat_params.size
 
     def encode(self, x, train=False):
         h = np.asarray(x, dtype=np.float64)
@@ -377,8 +460,20 @@ def vae_backward(model: AeModel, fwd: VaePass, grad_recon, grad_z=None) -> None:
     grad_logvar = grad * (0.5 * fwd.sigma * fwd.eps) - 0.5 * (1.0 - np.exp(fwd.logvar)) / batch
     grad_logvar = grad_logvar * fwd.clamp_mask
     grad_h = model.mu_head.backward(grad_mu) + model.logvar_head.backward(grad_logvar)
+    _encoder_backward(model, grad_h)
+
+
+def _encoder_backward(model: AeModel, grad) -> None:
+    """Backward through the encoder down to its first layer with parameters.
+
+    That layer computes its parameter gradients only: its input gradient
+    would flow to the data, which nothing reads.
+    """
     for layer in reversed(model.encoder):
-        grad_h = layer.backward(grad_h)
+        if layer is model._first_trainable:
+            layer.backward(grad, input_grad=False)
+            return
+        grad = layer.backward(grad)
 
 
 def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
@@ -386,12 +481,10 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
 
     loss_kind "mse" reconstructs through the deterministic latent; "vae"
     (variational models only) samples z with the seed and adds the KL term.
+    The gradients are model.gradients(), views of the model's flat gradient
+    buffer that the next backward pass overwrites.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    for layer in model._layers():
-        for i, g in enumerate(layer.grads):
-            layer.grads[i] = np.zeros_like(g)
-
     if model.variational and loss_kind == "vae":
         fwd = vae_forward(model, x, derived_rng(seed))
         loss = mse_loss(x, fwd.recon) + gaussian_kl(fwd.mu, fwd.logvar)
@@ -404,6 +497,8 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
         h = layer.forward(h, train=True)
     if model.variational:
         latent = model.mu_head.forward(h, train=True)
+        for g in model.logvar_head.grads:  # the one gradient no backward below writes
+            g.fill(0.0)
     else:
         latent = h
     recon = model.decode(latent, train=True)
@@ -413,19 +508,46 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
         grad = layer.backward(grad)
     if model.variational:
         grad = model.mu_head.backward(grad)
-    for layer in reversed(model.encoder):
-        grad = layer.backward(grad)
+    _encoder_backward(model, grad)
     return loss, model.gradients()
 
 
 class AdamState:
-    """Bias-corrected Adam moments for a fixed parameter list."""
+    """Bias-corrected Adam moments for a fixed parameter list, plus two scratch
+    arrays per parameter: fresh temporaries each step cost page faults."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = float(lr), float(beta1), float(beta2), float(eps)
         self.t = 0
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
+        self._scratch = [(np.empty(p.shape), np.empty(p.shape)) for p in params]
+
+
+def _adam_delta(state: AdamState, i, g):
+    """Advance parameter i's moments in place by gradient g; return its step.
+
+    Uses the IEEE operations of m = beta1 * m + (1 - beta1) * g,
+    v = beta2 * v + (1 - beta2) * g * g and lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    with the bias corrections of step state.t. The step is a scratch array
+    that the next call overwrites.
+    """
+    m, v, (tmp, step) = state.m[i], state.v[i], state._scratch[i]
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    np.multiply(1.0 - state.beta1, g, out=tmp)
+    m *= state.beta1
+    m += tmp
+    np.multiply(1.0 - state.beta2, g, out=tmp)
+    tmp *= g
+    v *= state.beta2
+    v += tmp
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+    denom += state.eps
+    step /= denom
+    return step
 
 
 def adam_step(params, grads, state: AdamState) -> list:
@@ -433,28 +555,20 @@ def adam_step(params, grads, state: AdamState) -> list:
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ShapeError("parameter/gradient/state lengths differ")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    out = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # in place, with the IEEE operations of
-        # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
-        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        g = np.asarray(g, dtype=np.float64)
-        tmp = np.multiply(1.0 - state.beta1, g)
-        m *= state.beta1
-        m += tmp
-        np.multiply(1.0 - state.beta2, g, out=tmp)
-        tmp *= g
-        v *= state.beta2
-        v += tmp
-        step = np.divide(m, bc1)
-        step *= state.lr
-        denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        denom += state.eps
-        step /= denom
-        out.append(np.subtract(p, step, out=step).astype(p.dtype, copy=False))
-    return out
+    return [np.subtract(p, _adam_delta(state, i, np.asarray(g, dtype=np.float64))).astype(p.dtype, copy=False)
+            for i, (p, g) in enumerate(zip(params, grads))]
+
+
+def adam_update(model: AeModel, state: AdamState) -> None:
+    """One Adam update of the model's flat buffer, in place, from its flat gradients.
+
+    Bit-equal to adam_step over the per-layer arrays; state is
+    AdamState([model.flat_params]).
+    """
+    if len(state.m) != 1 or state.m[0].shape != model.flat_params.shape:
+        raise ShapeError("Adam state does not match the model's flat buffer")
+    state.t += 1
+    model.flat_params -= _adam_delta(state, 0, model.flat_grads)
 
 
 class TrainBudget:
@@ -494,10 +608,10 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise InvalidSpecError("train and validation splits must be non-empty")
     n_epochs = int(epochs) if epochs is not None else budget.retrain_epochs_max
-    state = AdamState(model.parameters(), lr=budget.lr)
+    state = AdamState([model.flat_params], lr=budget.lr)
     history = []
     best_val = math.inf
-    best_params = model.copy_params()
+    best_params = model.flat_params.copy()
     since_best = 0
 
     for epoch in range(n_epochs):
@@ -505,9 +619,8 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
         epoch_losses = []
         for bstart in range(0, len(order), budget.batch_size):
             batch = train_x[order[bstart : bstart + budget.batch_size]]
-            loss, grads = backprop(model, batch, loss_kind=loss_kind,
-                                   seed=_mix(budget.seed, epoch, bstart))
-            model.set_parameters(adam_step(model.parameters(), grads, state))
+            loss, _ = backprop(model, batch, loss_kind=loss_kind, seed=_mix(budget.seed, epoch, bstart))
+            adam_update(model, state)
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = _epoch_loss(model, val_x, loss_kind, _mix(budget.seed, epoch, -1))
@@ -518,13 +631,13 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": float(val_loss)})
         if val_loss < best_val:
             best_val = val_loss
-            best_params = model.copy_params()
+            best_params = model.flat_params.copy()
             since_best = 0
         else:
             since_best += 1
             if early_stop and since_best > budget.early_stop_patience:
                 break
-    model.set_parameters(best_params)
+    model.flat_params[...] = best_params
     return model, history
 
 

@@ -3,9 +3,10 @@ quantize -> classify -> energy -> report, with reproducible on-disk artifacts.
 
 ``ExperimentConfig.from_json`` validates the whole config before any stage
 runs: it builds every typed spec the stages read (dataset, training budget,
-forest, power and traffic models, ...), so an unreadable file, a wrong type,
-an out-of-range value, or a dataset that leaves a split or the calibration set
-short raises InvalidSpecError and nothing is written.
+forest, power and traffic models, ...), so an unreadable file, a section or
+key that DEFAULTS lacks, a wrong type, an out-of-range value, or a dataset
+that leaves a split or the calibration set short raises InvalidSpecError and
+nothing is written.
 
 One ordered table, ``STAGES``, gives each stage's config subsections and the
 files it reads, named by the upstream stage that writes them.
@@ -128,6 +129,22 @@ def _ints(values) -> tuple:
     return tuple(int(v) for v in values)
 
 
+def _check_known_keys(sections):
+    """Reject a section or key that DEFAULTS lacks: the stages would never read it.
+
+    Scenario entries are list items and keep their optional keys; power and
+    traffic keys are checked by the models they are passed to.
+    """
+    for name, value in sections.items():
+        if name not in DEFAULTS:
+            raise InvalidSpecError(f"unknown config section {name!r}")
+        known = DEFAULTS[name]
+        if known and isinstance(known, dict) and isinstance(value, dict):
+            unknown = sorted(set(value) - set(known))
+            if unknown:
+                raise InvalidSpecError(f"config section {name!r}: unknown keys {unknown}")
+
+
 @contextlib.contextmanager
 def _section(name):
     """Report a missing key or a bad value met while reading config section ``name``."""
@@ -146,6 +163,7 @@ class ExperimentConfig:
     """
 
     def __init__(self, seed, output_dir, sections):
+        _check_known_keys(sections)
         self.sections = sections
         with _section("seed"):
             self.seed = int(seed)
@@ -181,7 +199,9 @@ class ExperimentConfig:
             self.window_len = int(sections["features"]["window_len"])
         with _section("search"):
             sc = sections["search"]
-            self.search_enabled = bool(sc.get("enabled"))
+            self.search_enabled = sc["enabled"]
+            if not isinstance(self.search_enabled, bool):
+                raise TypeError(f"enabled must be true or false, got {self.search_enabled!r}")
             self.search_space = search.SearchSpace(
                 input_dim=_DOMAIN_DIM[self.domain], widths=_ints(sc["widths"]),
                 depths=_ints(sc["depths"]), latents=_ints(sc["latents"]),

@@ -59,6 +59,9 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
                  id="too_few_calibration_vectors"),
     pytest.param({"dataset": {"test_scenarios": [7]}}, id="test_scenario_not_listed"),
     pytest.param({"power": {"watts": 2.0}}, id="unknown_power_key"),
+    pytest.param({"forest": {"ntrees": 4}}, id="misspelled_forest_key"),
+    pytest.param({"tarin": {"retrain_epochs_max": 3}}, id="misspelled_section"),
+    pytest.param({"search": {"enabled": "false"}}, id="enabled_not_a_bool"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from jamcodec import nn
+from jamcodec import factor, nn
 from jamcodec.errors import InvalidSpecError, ShapeError, TrainingDivergedError
 
 
@@ -19,11 +20,13 @@ def eval_loss(model, x, loss_kind="mse", seed=3):
     return nn.mse_loss(x, recon)
 
 
-def finite_difference_fraction(model, x, loss_kind="mse", h=1e-4, tol=1e-4, seed=3):
-    """Fraction of parameters whose backprop gradient matches central FD."""
+def finite_difference_fraction(model, x, loss_kind="mse", h=1e-4, tol=1e-4, seed=3, n_arrays=None):
+    """Fraction of parameters (of the first n_arrays arrays, default all) whose
+    backprop gradient matches central FD."""
     _, grads = nn.backprop(model, x, loss_kind=loss_kind, seed=seed)
+    grads = [g.copy() for g in grads]
     ok = total = 0
-    for pi, p in enumerate(model.parameters()):
+    for pi, p in enumerate(model.parameters()[:n_arrays]):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + h
@@ -150,6 +153,178 @@ class TestBackprop:
         model = nn.build_autoencoder(8, (6,), 3, seed=8, variational=True)
         x = np.random.default_rng(4).uniform(0, 1, (5, 8))
         assert finite_difference_fraction(model, x, loss_kind="vae") >= 0.99
+
+    @pytest.mark.parametrize("kwargs, loss_kind", [
+        (dict(input_dim=10, hidden_widths=(7, 5), latent_dim=3, seed=7), "mse"),
+        (dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)), "mse"),
+        (dict(input_dim=8, hidden_widths=(6,), latent_dim=3, seed=8, variational=True), "vae"),
+    ], ids=["dense", "conv_front", "variational_vae"])
+    def test_first_layer_weight_gradient_with_its_input_gradient_skipped(self, kwargs, loss_kind):
+        model = nn.build_autoencoder(**kwargs)
+        first = next(layer for layer in model.encoder if layer.params)
+        assert first.params[0] is model.parameters()[0]
+        calls = []
+        backward = first.backward
+
+        def spy(grad, input_grad=True):
+            calls.append(input_grad)
+            out = backward(grad, input_grad=input_grad)
+            assert (out is None) != input_grad
+            return out
+
+        first.backward = spy
+        x = np.random.default_rng(4).uniform(0, 1, (5, kwargs["input_dim"]))
+        assert finite_difference_fraction(model, x, loss_kind=loss_kind, n_arrays=2) >= 0.99
+        assert calls == [False]
+
+
+def draw(rng, *shape):
+    return rng.standard_normal(shape)
+
+
+CONV_SHAPES = dict(kernel=st.integers(1, 7), stride=st.integers(1, 2), length=st.integers(1, 40),
+                   channels=st.integers(1, 4), other=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+
+
+class TestConvKernelsKeepTheirBits:
+    """The per-tap scatter gives the bytes of np.add.at over _conv1d_geometry's index,
+    and the transposed conv's 2-D einsums those of the 4-D ones."""
+
+    @given(**CONV_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_helper(self, kernel, stride, length, channels, other, seed):
+        out_len, _, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
+        cols = draw(np.random.default_rng(seed), other, out_len, kernel, channels)
+        want = np.zeros((other, length + total_pad, channels))
+        np.add.at(want, (slice(None), idx), cols)
+        got = np.zeros_like(want)
+        nn._overlap_add(got, cols, stride)
+        assert got.tobytes() == want.tobytes()
+
+    @given(**CONV_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_conv_transpose_forward(self, kernel, stride, length, channels, other, seed):
+        rng = np.random.default_rng(seed)
+        layer = nn.ConvTranspose1d(other, channels, kernel, stride, output_len=length, activation="linear",
+                                   rng=rng)
+        layer.set_params([layer.w, draw(rng, channels)])
+        in_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
+        x = draw(rng, 3, in_len, other)
+        zpad = np.zeros((3, length + total_pad, channels))
+        np.add.at(zpad, (slice(None), idx), np.einsum("blc,kco->blko", x, layer.w))
+        want = zpad[:, pad_left : pad_left + length, :] + layer.b
+        assert layer.forward(x).tobytes() == want.tobytes()
+
+    @given(**CONV_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_conv_input_gradient(self, kernel, stride, length, channels, other, seed):
+        rng = np.random.default_rng(seed)
+        layer = nn.Conv1d(channels, other, kernel, stride=stride, activation="linear", rng=rng)
+        out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
+        layer.forward(draw(rng, 3, length, channels), train=True)
+        grad = draw(rng, 3, out_len, other)
+        gcols = (grad @ layer.w.reshape(kernel * channels, other).T).reshape(3, out_len, kernel, channels)
+        gpad = np.zeros((3, length + total_pad, channels))
+        np.add.at(gpad, (slice(None), idx), gcols)
+        assert layer.backward(grad).tobytes() == gpad[:, pad_left : pad_left + length, :].tobytes()
+
+    @given(**CONV_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_conv_transpose_weight_gradient(self, kernel, stride, length, channels, other, seed):
+        rng = np.random.default_rng(seed)
+        layer = nn.ConvTranspose1d(other, channels, kernel, stride, output_len=length, activation="linear",
+                                   rng=rng)
+        in_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
+        x = draw(rng, 3, in_len, other)
+        layer.forward(x, train=True)
+        grad = draw(rng, 3, length, channels)
+        gzpad = np.pad(grad, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
+        assert layer.backward(grad).tobytes() == np.einsum("blko,kco->blc", gzpad[:, idx, :], layer.w).tobytes()
+        assert layer.grads[0].tobytes() == np.einsum("blc,blko->kco", x, gzpad[:, idx, :]).tobytes()
+
+
+FLAT_MODELS = {
+    "dense": dict(input_dim=12, hidden_widths=(8, 6), latent_dim=3, seed=1),
+    "conv_front": dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)),
+    "variational": dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True),
+}
+
+
+def assert_views_of_flat_buffer(model, n_params):
+    layers = [layer for layer in model._layers() if layer.params]
+    assert layers and model.n_params() == n_params == model.flat_params.size
+    assert sum(p.size for p in model.parameters()) == n_params
+    for layer in layers:
+        assert np.shares_memory(layer.w, model.flat_params) and np.shares_memory(layer.b, model.flat_params)
+        assert all(np.shares_memory(g, model.flat_grads) for g in layer.grads)
+    assert b"".join(p.tobytes() for p in model.parameters()) == model.flat_params.tobytes()
+
+
+class TestFlatBuffer:
+    """Each AeModel keeps its parameters in one buffer that the layers view."""
+
+    @pytest.mark.parametrize("kind", sorted(FLAT_MODELS))
+    def test_layers_view_the_buffer_through_build_train_load_and_set(self, kind, tmp_path):
+        kwargs = FLAT_MODELS[kind]
+        loss_kind = "vae" if kwargs.get("variational") else "mse"
+        model = nn.build_autoencoder(**kwargs)
+        n_params = model.n_params()
+        assert_views_of_flat_buffer(model, n_params)
+
+        x = np.random.default_rng(11).uniform(0, 1, (48, kwargs["input_dim"]))
+        budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=3, batch_size=16, seed=3, lr=3e-3)
+        model, _ = nn.train_autoencoder(model, x[:36], x[36:], budget, loss_kind=loss_kind)
+        assert_views_of_flat_buffer(model, n_params)
+
+        nn.save_model(tmp_path / "m.aem", model)
+        loaded = nn.load_model(tmp_path / "m.aem")
+        assert_views_of_flat_buffer(loaded, n_params)
+        assert all(np.array_equal(a, b.astype(np.float32)) for a, b in zip(loaded.parameters(), model.parameters()))
+
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(p.shape).astype(np.float32) for p in model.parameters()]
+        given_bytes = [a.tobytes() for a in arrays]
+        model.set_parameters(arrays)
+        assert_views_of_flat_buffer(model, n_params)
+        assert not any(np.shares_memory(a, model.flat_params) for a in arrays)
+        assert all(np.array_equal(p, a) for p, a in zip(model.parameters(), arrays))
+        nn.train_autoencoder(model, x[:36], x[36:], budget, loss_kind=loss_kind)
+        assert [a.tobytes() for a in arrays] == given_bytes
+        assert_views_of_flat_buffer(model, n_params)
+
+    def test_image_vae_with_residual_blocks_views_the_buffer(self):
+        model = factor.ImageVae((16, 16), 4, factor.DEEP_RESIDUAL, seed=0)
+        assert all(np.shares_memory(p, model.flat_params) for p in model.parameters())
+        assert all(np.shares_memory(g, model.flat_grads) for g in model.gradients())
+        assert model.n_params() == sum(p.size for p in model.parameters())
+
+    def test_set_parameters_rejects_a_wrong_shape_or_count(self):
+        model = nn.build_autoencoder(6, (4,), 2, seed=0)
+        arrays = model.copy_params()
+        with pytest.raises(ShapeError):
+            model.set_parameters(arrays[:-1])
+        with pytest.raises(ShapeError):
+            model.set_parameters([arrays[0].T] + arrays[1:])
+
+    def test_copy_params_does_not_move_with_adam_steps(self):
+        x = np.random.default_rng(3).uniform(0, 1, (40, 6))
+        model = nn.build_autoencoder(6, (5,), 2, seed=2)
+        snapshot = model.copy_params()
+        before = [p.tobytes() for p in snapshot]
+        budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=3, batch_size=8, seed=1, lr=3e-3)
+        nn.train_autoencoder(model, x[:30], x[30:], budget)
+        assert [p.tobytes() for p in snapshot] == before
+        assert b"".join(before) != model.flat_params.tobytes()
+
+    def test_best_epoch_checkpoint_does_not_move_with_later_steps(self):
+        x = np.random.default_rng(3).uniform(0, 1, (60, 6))
+        budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=60, early_stop_patience=3,
+                                batch_size=8, seed=1, lr=0.1)
+        model, history = nn.train_autoencoder(nn.build_autoencoder(6, (5,), 2, seed=2), x[:45], x[45:], budget)
+        vals = [h["val_loss"] for h in history]
+        assert vals[-1] > min(vals)  # later epochs stepped past the best one
+        recon, _ = nn.forward(model, x[45:])
+        assert nn.mse_loss(x[45:], recon) == min(vals)
 
 
 class TestAdam:

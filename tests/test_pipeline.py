@@ -136,6 +136,25 @@ def test_non_string_domain_is_rejected(tiny_config):
         pipeline.run(tiny_config)
 
 
+@pytest.mark.parametrize("sections, message", [
+    ({"forest": {"n_trees": 4, "ntrees": 4}}, r"section 'forest': unknown keys \['ntrees'\]"),
+    ({"tarin": {"retrain_epochs_max": 3}}, "unknown config section 'tarin'"),
+    ({"search": {"enabled": "false"}}, "section 'search': enabled must be true or false"),
+    ({"search": {"enabled": 1}}, "section 'search': enabled must be true or false"),
+])
+def test_unknown_keys_and_non_bool_enabled_are_rejected(tiny_config, sections, message):
+    update_config(tiny_config, **sections)
+    with pytest.raises(InvalidSpecError, match=message):
+        pipeline.ExperimentConfig.from_json(tiny_config)
+
+
+def test_optional_scenario_keys_are_accepted(tiny_config):
+    scenarios = [{"scenario_id": 0, "multipath": [[1, 0.3, 0.0]]}, {"scenario_id": 1, "jsr_db": None}]
+    update_config(tiny_config, dataset={"per_class_count": 40, "scenarios": scenarios, "test_scenarios": [1]})
+    cfg = pipeline.ExperimentConfig.from_json(tiny_config)
+    assert cfg.dataset.scenarios[0].channel.multipath_taps == ((1, 0.3 + 0j),)
+
+
 def test_stage_key_ignores_input_order(tiny_config):
     cfg = pipeline.ExperimentConfig.from_json(tiny_config)
     runner = pipeline.Runner(cfg)
