@@ -20,13 +20,13 @@ The first encoder layer with parameters skips its input gradient, which
 would flow only to the data; everything else computes it (the FactorVAE's
 discriminator too, whose input gradient is the TC term's).
 
-Summation order is kept wherever a faster form would change bits. The
-ConvTranspose1d forward and weight gradient run as 2-D einsums over
-(batch x length) rows, which sum in the order of the 4-D ones they replace,
-except with one output channel: there einsum reduces the 4-D forms through
-another inner loop, so that case keeps them. The input gradient stays the
-4-D einsum over the fancy-indexed columns (whose memory order einsum's
-loop order follows), because BLAS, 7x faster there, sums in another order
+Summation order is kept wherever a faster form would change bits of a
+pinned model. The ConvTranspose1d forward and weight gradient run as 2-D
+einsums over (batch x length) rows, which sum in the order of the 4-D ones
+they replace (with one output channel, as behind a conv front with
+in_ch=1, they differ by a few ulp). The input gradient stays the 4-D
+einsum over the fancy-indexed columns (whose memory order einsum's loop
+order follows), because BLAS, 7x faster there, sums in another order
 (differences up to 4e-14). The transposed conv's overlap-add and Conv1d's
 input-gradient scatter share _overlap_add, whose descending taps reproduce
 np.add.at's order.
@@ -245,11 +245,8 @@ class ConvTranspose1d(_WeightBias):
         expected, pad_left, total_pad, idx = _conv1d_geometry(self.output_len, self.kernel, self.stride)
         if expected != in_len:
             raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
-        if self.out_ch == 1:  # the 2-D form would sum in another order here (module docstring)
-            contrib = np.einsum("blc,kco->blko", x, self.w)
-        else:
-            w_cm = np.ascontiguousarray(self.w.transpose(1, 0, 2)).reshape(self.in_ch, -1)
-            contrib = np.einsum("nc,cm->nm", x.reshape(-1, self.in_ch), w_cm)
+        w_cm = np.ascontiguousarray(self.w.transpose(1, 0, 2)).reshape(self.in_ch, -1)
+        contrib = np.einsum("nc,cm->nm", x.reshape(-1, self.in_ch), w_cm)
         zpad = np.zeros((batch, self.output_len + total_pad, self.out_ch), dtype=np.float64)
         _overlap_add(zpad, contrib.reshape(batch, in_len, self.kernel, self.out_ch), self.stride)
         z = zpad[:, pad_left : pad_left + self.output_len, :] + self.b
@@ -262,11 +259,8 @@ class ConvTranspose1d(_WeightBias):
         gz = _act_backward(self.activation, z, grad_out)
         gzpad = _pad_length(gz, pad_left, total_pad)
         gcols = gzpad[:, idx, :]  # (B, in_len, kernel, out_ch)
-        if self.out_ch == 1:
-            self.grads[0][...] = np.einsum("blc,blko->kco", x, gcols)
-        else:
-            g_cm = np.einsum("nc,nm->cm", x.reshape(-1, self.in_ch), gcols.reshape(x.shape[0] * x.shape[1], -1))
-            self.grads[0][...] = g_cm.reshape(self.in_ch, self.kernel, self.out_ch).transpose(1, 0, 2)
+        g_cm = np.einsum("nc,nm->cm", x.reshape(-1, self.in_ch), gcols.reshape(x.shape[0] * x.shape[1], -1))
+        self.grads[0][...] = g_cm.reshape(self.in_ch, self.kernel, self.out_ch).transpose(1, 0, 2)
         np.sum(gz.reshape(-1, self.out_ch), axis=0, out=self.grads[1])
         return np.einsum("blko,kco->blc", gcols, self.w)
 
