@@ -43,6 +43,12 @@ GOLDEN_TRAINING = {
     ),
 }
 
+# SHA-256 of the trained discriminator's parameters, same run as above.
+GOLDEN_DISC = {
+    factor.SMALL_CONV: "601b93822e2cca6445a1c2671edf06885af0e2eeff1d4615f291bf54335496f2",
+    factor.DEEP_RESIDUAL: "cc650e4e6bc5ee72dab5eb29acfbb31e0c3b0ea101b378f1ac61ee5c5b02ac84",
+}
+
 
 class TestGoldens:
     def test_training_and_interpolation_bytes(self, trained, images):
@@ -54,6 +60,10 @@ class TestGoldens:
             sha(strip.tobytes()),
         )
         assert got == GOLDEN_TRAINING[kind]
+
+    def test_discriminator_bytes(self, trained):
+        kind, _, disc, _ = trained
+        assert sha(b"".join(p.tobytes() for p in disc.parameters())) == GOLDEN_DISC[kind]
 
     def test_interpolate_cli_pgm(self, tmp_path, capsys):
         prefix = tmp_path / "strip"
