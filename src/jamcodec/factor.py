@@ -4,9 +4,9 @@ A convolutional VAE is trained with the reconstruction + KL objective plus a
 total-correlation term estimated by a discriminator that tells joint latents
 from dimension-wise permuted ones. Training alternates one VAE update and one
 discriminator update per batch, with separate Adam optimizers. The VAE is an
-nn.AeModel and runs nn's reparameterized forward and backward and its Adam
-update over the model's flat parameter buffer; the discriminator, whose
-layers are not a model, steps per array.
+nn.AeModel and runs nn's reparameterized forward and backward. Both networks
+keep their parameters and gradients in nn.flat_buffers, so each update is one
+nn.Adam step over a whole buffer.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from . import features as feat
 from . import signals
 from .errors import InvalidSpecError, ShapeError, TrainingDivergedError
 from .nn import (
-    AdamState,
+    Adam,
     AeModel,
     Dense,
     Reshape,
@@ -26,8 +26,7 @@ from .nn import (
     _act,
     _act_backward,
     _conv1d_geometry,
-    adam_step,
-    adam_update,
+    flat_buffers,
     gaussian_kl,
     mse_loss,
     vae_backward,
@@ -166,25 +165,14 @@ class FactorVaeConfig:
 
 
 class Discriminator:
-    """MLP mapping a latent batch to two logits (joint vs permuted)."""
+    """MLP mapping a latent batch to two logits (joint vs permuted), on one flat buffer."""
 
     def __init__(self, latent_dim, width=256, n_layers=4, seed=0):
         rng = derived_rng(seed, 0xD15C)
         dims = [latent_dim] + [width] * (n_layers - 1)
         self.layers = [Dense(a, b, activation="leaky_relu", rng=rng) for a, b in zip(dims, dims[1:])]
         self.layers.append(Dense(dims[-1], 2, activation="linear", rng=rng))
-
-    def parameters(self):
-        return [p for l in self.layers for p in l.params]
-
-    def gradients(self):
-        return [g for l in self.layers for g in l.grads]
-
-    def set_parameters(self, arrays):
-        i = 0
-        for l in self.layers:
-            l.set_params(arrays[i : i + 2])
-            i += 2
+        self.flat_params, self.flat_grads = flat_buffers(self.layers)
 
     def forward(self, z, train=False):
         h = np.asarray(z, dtype=np.float64)
@@ -300,10 +288,10 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
     n = images.shape[0]
     model = ImageVae(images.shape[1:3], cfg.latent_dim, cfg.encoder_kind, seed=cfg.seed)
     disc = Discriminator(cfg.latent_dim, cfg.disc_width, cfg.disc_layers, seed=cfg.seed)
-    opt_vae = AdamState([model.flat_params], lr=cfg.lr_vae,
-                        beta1=cfg.betas_vae[0], beta2=cfg.betas_vae[1])
-    opt_disc = AdamState(disc.parameters(), lr=cfg.lr_disc,
-                         beta1=cfg.betas_disc[0], beta2=cfg.betas_disc[1])
+    opt_vae = Adam(model.flat_params, model.flat_grads, lr=cfg.lr_vae,
+                   beta1=cfg.betas_vae[0], beta2=cfg.betas_vae[1])
+    opt_disc = Adam(disc.flat_params, disc.flat_grads, lr=cfg.lr_disc,
+                    beta1=cfg.betas_disc[0], beta2=cfg.betas_disc[1])
     history = []
 
     for epoch in range(cfg.epochs):
@@ -325,7 +313,7 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
             # batch-averaged); a per-pixel mean would let the KL term crush
             # the latent code. The logged "recon" metric stays per-pixel MSE.
             vae_backward(model, fwd, 2.0 * (fwd.recon - x) / bsz, grad_z_tc)
-            adam_update(model, opt_vae)
+            opt_vae.step()
 
             # --- discriminator update on detached latents ---
             disc_loss = math.log(2.0)
@@ -334,12 +322,12 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
                 logits_t = disc.forward(fwd.z, train=True)
                 loss_t, gt = softmax_cross_entropy(logits_t, np.zeros(bsz, dtype=np.int64))
                 disc.backward(0.5 * gt)
-                grads_t = [g.copy() for g in disc.gradients()]
+                grads_t = disc.flat_grads.copy()
                 logits_p = disc.forward(z_perm, train=True)
                 loss_p, gp = softmax_cross_entropy(logits_p, np.ones(bsz, dtype=np.int64))
                 disc.backward(0.5 * gp)
-                grads = [a + b for a, b in zip(grads_t, disc.gradients())]
-                disc.set_parameters(adam_step(disc.parameters(), grads, opt_disc))
+                disc.flat_grads += grads_t
+                opt_disc.step()
                 disc_loss = 0.5 * (loss_t + loss_p)
 
             sums += (recon_loss, kl, tc_raw, disc_loss)

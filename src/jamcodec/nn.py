@@ -7,14 +7,15 @@ early stopping. In-memory state and all arithmetic are float64 so
 gradients check out against finite differences and results are reproducible
 bit-for-bit on one platform; serialized weights are little-endian float32.
 
-Parameters live in one flat float64 buffer per AeModel (``flat_params``),
-and every layer's ``w`` and ``b`` are views into it; the gradients likewise
-in ``flat_grads``. Backward passes write their gradients into those views,
-so a training step is one Adam update over the whole buffer (adam_update),
-with no gathering and no copying back. set_parameters copies into the views
-and never rebinds them. Every backward pass overwrites the gradients it
-owns, so nothing is zeroed per batch except what no pass writes: the
-logvar head's on the MSE path.
+Every trained network (an AeModel, and the FactorVAE's discriminator) keeps
+its parameters in one flat float64 buffer, ``flat_params``, and its
+gradients in another, ``flat_grads``; flat_buffers makes both and turns each
+layer's ``w``, ``b`` and grads into views of them. Backward passes write
+their gradients into those views, so a training step is one Adam.step()
+over the whole buffer, with no gathering and no copying back; a model file
+holds the buffer's float32 bytes in the same order. Every backward pass
+overwrites the gradients it owns, so nothing is zeroed per batch except
+what no pass writes: the logvar head's on the MSE path.
 
 The first encoder layer with parameters skips its input gradient, which
 would flow only to the data; everything else computes it (the FactorVAE's
@@ -74,22 +75,12 @@ def _kaiming_uniform(rng, fan_in, shape):
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
-def _copy_into(dsts, srcs):
-    """Copy each source array into its destination, which keeps its memory; float64 casts."""
-    if len(dsts) != len(srcs):
-        raise ShapeError(f"expected {len(dsts)} parameter arrays, got {len(srcs)}")
-    for dst, src in zip(dsts, srcs):
-        src = np.asarray(src)
-        if src.shape != dst.shape:
-            raise ShapeError(f"parameter shape {src.shape} does not match {dst.shape}")
-        dst[...] = src
-
-
 class _WeightBias:
     """Weight/bias parameter plumbing shared by the layers with parameters.
 
-    A new layer owns its arrays; an AeModel rebinds w, b and grads to views of
-    its flat buffers (_bind). Backward passes write grads in place, never rebind.
+    A new layer owns its arrays; flat_buffers rebinds w, b and grads to views
+    of a network's flat buffers (_bind). Backward passes write grads in place,
+    never rebind.
     """
 
     def _init_params(self, rng, fan_in, w_shape, n_out):
@@ -102,13 +93,31 @@ class _WeightBias:
     def params(self):
         return [self.w, self.b]
 
-    def set_params(self, arrays):
-        _copy_into(self.params, arrays)
-
     def _bind(self, params, grads):
-        _copy_into(params, self.params)
         self.w, self.b = params
         self.grads = tuple(grads)
+
+
+def flat_buffers(layers) -> tuple:
+    """(flat_params, flat_grads) for layers, in their params order.
+
+    flat_params starts as a copy of the layers' parameters; each layer with
+    parameters is then rebound so that its parameters and gradients are
+    views of the two buffers.
+    """
+    flat_params = np.concatenate([p.ravel() for layer in layers for p in layer.params])
+    flat_grads = np.zeros_like(flat_params)
+    start = 0
+    for layer in layers:
+        params, grads = [], []
+        for p in layer.params:
+            stop = start + p.size
+            params.append(flat_params[start:stop].reshape(p.shape))
+            grads.append(flat_grads[start:stop].reshape(p.shape))
+            start = stop
+        if params:
+            layer._bind(params, grads)
+    return flat_params, flat_grads
 
 
 class Dense(_WeightBias):
@@ -322,21 +331,7 @@ class AeModel:
         self.arch = arch
         self.metadata = dict(metadata or {})
         self._first_trainable = next((layer for layer in self.encoder if layer.params), None)
-        shapes = [p.shape for p in self.parameters()]
-        self.flat_params = np.empty(sum(math.prod(s) for s in shapes), dtype=np.float64)
-        self.flat_grads = np.zeros_like(self.flat_params)
-        views, grads, start = [], [], 0
-        for shape in shapes:
-            stop = start + math.prod(shape)
-            views.append(self.flat_params[start:stop].reshape(shape))
-            grads.append(self.flat_grads[start:stop].reshape(shape))
-            start = stop
-        i = 0
-        for layer in self._layers():
-            k = len(layer.params)
-            if k:
-                layer._bind(views[i : i + k], grads[i : i + k])
-            i += k
+        self.flat_params, self.flat_grads = flat_buffers(self._layers())
 
     @property
     def variational(self):
@@ -351,10 +346,6 @@ class AeModel:
 
     def gradients(self):
         return [g for layer in self._layers() for g in layer.grads]
-
-    def set_parameters(self, arrays):
-        """Copy arrays, in parameters() order, into the flat buffer's views."""
-        _copy_into(self.parameters(), arrays)
 
     def n_params(self):
         return self.flat_params.size
@@ -374,9 +365,6 @@ class AeModel:
         for layer in self.decoder:
             h = layer.forward(h, train=train)
         return h
-
-    def copy_params(self):
-        return [p.copy() for p in self.parameters()]
 
 
 def forward(model: AeModel, x, seed=None) -> tuple:
@@ -506,63 +494,44 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
     return loss, model.gradients()
 
 
-class AdamState:
-    """Bias-corrected Adam moments for a fixed parameter list, plus two scratch
-    arrays per parameter: fresh temporaries each step cost page faults."""
+class Adam:
+    """Bias-corrected Adam over one flat parameter buffer and its gradient buffer.
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    step() advances the moments m, v and the parameters in place, with the
+    IEEE operations of m = beta1 * m + (1 - beta1) * g,
+    v = beta2 * v + (1 - beta2) * g * g and
+    params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), where bc1 and bc2 are
+    the bias corrections of step t. Two scratch arrays hold the temporaries:
+    fresh ones each step cost page faults.
+    """
+
+    def __init__(self, params, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.grads = params, grads
         self.lr, self.beta1, self.beta2, self.eps = float(lr), float(beta1), float(beta2), float(eps)
         self.t = 0
-        self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
-        self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
-        self._scratch = [(np.empty(p.shape), np.empty(p.shape)) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._tmp = np.empty_like(params)
+        self._step = np.empty_like(params)
 
-
-def _adam_delta(state: AdamState, i, g):
-    """Advance parameter i's moments in place by gradient g; return its step.
-
-    Uses the IEEE operations of m = beta1 * m + (1 - beta1) * g,
-    v = beta2 * v + (1 - beta2) * g * g and lr * (m / bc1) / (sqrt(v / bc2) + eps),
-    with the bias corrections of step state.t. The step is a scratch array
-    that the next call overwrites.
-    """
-    m, v, (tmp, step) = state.m[i], state.v[i], state._scratch[i]
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    np.multiply(1.0 - state.beta1, g, out=tmp)
-    m *= state.beta1
-    m += tmp
-    np.multiply(1.0 - state.beta2, g, out=tmp)
-    tmp *= g
-    v *= state.beta2
-    v += tmp
-    np.divide(m, bc1, out=step)
-    step *= state.lr
-    denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-    denom += state.eps
-    step /= denom
-    return step
-
-
-def adam_step(params, grads, state: AdamState) -> list:
-    """One standard Adam update; returns the new parameter arrays."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeError("parameter/gradient/state lengths differ")
-    state.t += 1
-    return [np.subtract(p, _adam_delta(state, i, np.asarray(g, dtype=np.float64))).astype(p.dtype, copy=False)
-            for i, (p, g) in enumerate(zip(params, grads))]
-
-
-def adam_update(model: AeModel, state: AdamState) -> None:
-    """One Adam update of the model's flat buffer, in place, from its flat gradients.
-
-    Bit-equal to adam_step over the per-layer arrays; state is
-    AdamState([model.flat_params]).
-    """
-    if len(state.m) != 1 or state.m[0].shape != model.flat_params.shape:
-        raise ShapeError("Adam state does not match the model's flat buffer")
-    state.t += 1
-    model.flat_params -= _adam_delta(state, 0, model.flat_grads)
+    def step(self) -> None:
+        self.t += 1
+        g, m, v, tmp, step = self.grads, self.m, self.v, self._tmp, self._step
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        np.multiply(1.0 - self.beta1, g, out=tmp)
+        m *= self.beta1
+        m += tmp
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        tmp *= g
+        v *= self.beta2
+        v += tmp
+        np.divide(m, bc1, out=step)
+        step *= self.lr
+        denom = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        denom += self.eps
+        step /= denom
+        self.params -= step
 
 
 class TrainBudget:
@@ -602,7 +571,7 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise InvalidSpecError("train and validation splits must be non-empty")
     n_epochs = int(epochs) if epochs is not None else budget.retrain_epochs_max
-    state = AdamState([model.flat_params], lr=budget.lr)
+    opt = Adam(model.flat_params, model.flat_grads, lr=budget.lr)
     history = []
     best_val = math.inf
     best_params = model.flat_params.copy()
@@ -614,7 +583,7 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
         for bstart in range(0, len(order), budget.batch_size):
             batch = train_x[order[bstart : bstart + budget.batch_size]]
             loss, _ = backprop(model, batch, loss_kind=loss_kind, seed=_mix(budget.seed, epoch, bstart))
-            adam_update(model, state)
+            opt.step()
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
         val_loss = _epoch_loss(model, val_x, loss_kind, _mix(budget.seed, epoch, -1))
@@ -708,7 +677,7 @@ def build_autoencoder(input_dim, hidden_widths, latent_dim, seed=0, variational=
 
 
 def save_model(path, model: AeModel) -> None:
-    """AEM1 binary: magic, length-prefixed JSON descriptor, f32 weight blobs."""
+    """AEM1 binary: magic, length-prefixed JSON descriptor, the flat buffer as f32."""
     if model.arch is None:
         raise InvalidSpecError("only models built by build_autoencoder can be serialized")
     descriptor = {
@@ -718,13 +687,17 @@ def save_model(path, model: AeModel) -> None:
         "metadata": model.metadata,
         "layers": [layer.spec() for layer in model._layers()],
     }
-    desc = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(desc)))
-        fh.write(desc)
-        for p in model.parameters():
-            fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+        _write_descriptor(fh, MODEL_MAGIC, descriptor)
+        fh.write(model.flat_params.astype("<f4").tobytes())
+
+
+def _write_descriptor(fh, magic, descriptor) -> None:
+    """Magic, little-endian u32 length and sorted-key JSON descriptor, as _read_descriptor reads them."""
+    desc = json.dumps(descriptor, sort_keys=True).encode("utf-8")
+    fh.write(magic)
+    fh.write(struct.pack("<I", len(desc)))
+    fh.write(desc)
 
 
 def _read_descriptor(fh, path, magic) -> dict:
@@ -758,9 +731,8 @@ def load_model(path) -> AeModel:
             hidden_activation=arch.get("hidden_activation", "relu"),
         )
         model.metadata = descriptor.get("metadata", {})
-        arrays = [np.frombuffer(_read_exact(fh, 4 * p.size, path, "weights"), dtype="<f4").reshape(p.shape)
-                  for p in model.parameters()]
+        model.flat_params[...] = np.frombuffer(_read_exact(fh, 4 * model.n_params(), path, "weights"),
+                                               dtype="<f4")
         if fh.read(1):
             raise InvalidSpecError(f"{path}: trailing bytes after the last tensor")
-        model.set_parameters(arrays)
     return model

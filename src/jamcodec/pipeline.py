@@ -22,7 +22,9 @@ output is gone, and raises ChecksumMismatchError when one changed. The run manif
 (manifest.json) lists every artifact with its checksum and contains no
 timestamps, so identical (config, seed) runs produce byte-identical
 manifests. A run through ``until`` keeps the previous manifest's records of
-the stages it did not reach; the next run checks their keys as usual.
+the stages it did not reach; the next run checks their keys as usual. An
+unreadable previous manifest is a lost cache index, not a stop: Runner
+prints a ``warning:`` line and every stage runs.
 
 The one environment override: JAMCODEC_OUTPUT_DIR replaces the configured
 output directory.
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+import sys
 
 import numpy as np
 
@@ -322,9 +325,12 @@ class Runner:
         self.out = cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
-        self.previous = (
-            RunManifest.load(self.manifest_path) if self.manifest_path.exists() else None
-        )
+        self.previous = None
+        if self.manifest_path.exists():
+            try:
+                self.previous = RunManifest.load(self.manifest_path)
+            except InvalidSpecError as exc:  # only the cache index: every stage misses
+                print(f"warning: {exc}; running every stage", file=sys.stderr)
         self.manifest = RunManifest(
             config_hash=self.cfg.section_hash(*self.cfg.sections.keys()),
             tool_version=__version__,

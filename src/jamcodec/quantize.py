@@ -21,9 +21,7 @@ working arrays cache-sized; the result is that of one pass over the batch.
 """
 
 from dataclasses import dataclass, field
-import json
 import math
-import struct
 
 import numpy as np
 
@@ -380,11 +378,8 @@ def save_quantized(path, qm: QuantizedModel) -> None:
             for l in qm.layers
         ],
     }
-    desc = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(QUANT_MAGIC)
-        fh.write(struct.pack("<I", len(desc)))
-        fh.write(desc)
+        nn._write_descriptor(fh, QUANT_MAGIC, descriptor)
         for l in qm.layers:
             fh.write(np.ascontiguousarray(l.w_q, dtype="<i1").tobytes())
             fh.write(np.ascontiguousarray(l.b_q, dtype="<i4").tobytes())

@@ -97,7 +97,7 @@ def count_params_ops(arch: ArchSpec) -> CostProfile:
     if arch.conv_front:
         length = arch.input_dim // arch.conv_front[0][0]
         for in_c, out_c, kernel, stride in arch.conv_front:
-            out_len = -(-length // stride)
+            out_len = nn._conv1d_geometry(length, kernel, stride)[0]
             params += in_c * out_c * kernel + out_c
             macs += out_len * out_c * in_c * kernel
             n_tensors += 2

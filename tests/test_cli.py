@@ -26,18 +26,33 @@ def test_energy_exits_zero():
     assert done.stdout.strip()
 
 
-def test_truncated_run_manifest_exits_one_without_traceback(tmp_path):
+def test_truncated_run_manifest_is_a_cache_miss_with_a_warning(tmp_path, monkeypatch, capsys):
+    """manifest.json is only the cache index: losing it re-runs every stage and rebuilds it."""
+    monkeypatch.delenv("JAMCODEC_OUTPUT_DIR", raising=False)
     out = tmp_path / "run"
-    out.mkdir()
-    pipeline.RunManifest("abc", "0.1.0", {}).save(out / "manifest.json")
-    data = (out / "manifest.json").read_bytes()
-    (out / "manifest.json").write_bytes(data[: len(data) // 2])
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 0, "output_dir": str(out)}))
-    done = jamcodec("train", "--config", str(config))
-    assert done.returncode == 1
-    assert done.stderr.startswith("error: ")
-    assert "Traceback" not in done.stderr
+    config.write_text(json.dumps({"seed": 0, "output_dir": str(out), "dataset": {"per_class_count": 5},
+                                  "train": {"screen_epochs": 3, "retrain_epochs_max": 3},
+                                  "forest": {"n_trees": 4}}))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    fresh = (out / "manifest.json").read_bytes()
+    (out / "manifest.json").write_bytes(fresh[: len(fresh) // 2])
+    capsys.readouterr()
+
+    runners = []
+
+    class Recording(pipeline.Runner):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            runners.append(self)
+
+    monkeypatch.setattr(pipeline, "Runner", Recording)
+    assert cli.main(["run", "--config", str(config)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert str(out / "manifest.json") in err and "Traceback" not in err
+    assert runners[0].cache_hits == []
+    assert (out / "manifest.json").read_bytes() == fresh
 
 
 def test_missing_config_is_a_usage_error():

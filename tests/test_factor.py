@@ -63,7 +63,7 @@ class TestGoldens:
 
     def test_discriminator_bytes(self, trained):
         kind, _, disc, _ = trained
-        assert sha(b"".join(p.tobytes() for p in disc.parameters())) == GOLDEN_DISC[kind]
+        assert sha(disc.flat_params.tobytes()) == GOLDEN_DISC[kind]
 
     def test_interpolate_cli_pgm(self, tmp_path, capsys):
         prefix = tmp_path / "strip"

@@ -46,7 +46,8 @@ class TestForward:
         model = nn.build_autoencoder(3, (3,), 3, seed=0)
         # single path: encoder Dense(3,3,relu), Dense(3,3,linear); decoder mirrors
         for layer in model.encoder + model.decoder:
-            layer.set_params([np.eye(3), np.zeros(3)])
+            layer.w[...] = np.eye(3)
+            layer.b[...] = 0.0
         x = np.abs(np.random.default_rng(0).standard_normal((4, 3)))
         recon, latent = nn.forward(model, x)
         assert np.allclose(recon, x, atol=1e-12)
@@ -55,7 +56,8 @@ class TestForward:
     def test_zero_weights_relu(self):
         model = nn.build_autoencoder(5, (4,), 2, seed=0)
         for layer in model.encoder + model.decoder:
-            layer.set_params([np.zeros_like(layer.params[0]), np.zeros_like(layer.params[1])])
+            layer.w[...] = 0.0
+            layer.b[...] = 0.0
         recon, latent = nn.forward(model, np.ones((2, 5)))
         assert np.all(latent == 0.0) and np.all(recon == 0.0)
 
@@ -116,7 +118,8 @@ class TestBackprop:
         rng = np.random.default_rng(4)
         W = rng.standard_normal((6, 6))
         layer = nn.Dense(6, 6, activation="linear")
-        layer.set_params([W, np.zeros(6)])
+        layer.w[...] = W
+        layer.b[...] = 0.0
         model = nn.AeModel([layer], [], latent_dim=6, input_dim=6)
         x = rng.standard_normal((5, 6))
         loss, grads = nn.backprop(model, x)
@@ -127,7 +130,8 @@ class TestBackprop:
     def test_zero_loss_zero_gradients(self):
         model = nn.build_autoencoder(3, (3,), 3, seed=0)
         for layer in model.encoder + model.decoder:
-            layer.set_params([np.eye(3), np.zeros(3)])
+            layer.w[...] = np.eye(3)
+            layer.b[...] = 0.0
         x = np.abs(np.random.default_rng(2).standard_normal((4, 3)))
         loss, grads = nn.backprop(model, x)
         assert loss == 0.0
@@ -210,7 +214,7 @@ class TestConvKernelsKeepTheirBits:
         rng = np.random.default_rng(seed)
         layer = nn.ConvTranspose1d(other, channels, kernel, stride, output_len=length, activation="linear",
                                    rng=rng)
-        layer.set_params([layer.w, rng.standard_normal(channels)])
+        layer.b[...] = rng.standard_normal(channels)
         in_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
         x = rng.standard_normal((3, in_len, other))
         zpad = np.zeros((3, length + total_pad, channels))
@@ -253,18 +257,23 @@ FLAT_MODELS = {
 }
 
 
-def assert_views_of_flat_buffer(model, n_params):
-    layers = [layer for layer in model._layers() if layer.params]
-    assert layers and model.n_params() == n_params == model.flat_params.size
-    assert sum(p.size for p in model.parameters()) == n_params
+def assert_layers_view(layers, flat_params, flat_grads):
+    """Every weight, bias and gradient is a view of the flat buffers, laid out in layer order."""
+    layers = [layer for layer in layers if layer.params]
+    assert layers and flat_params.shape == flat_grads.shape
     for layer in layers:
-        assert np.shares_memory(layer.w, model.flat_params) and np.shares_memory(layer.b, model.flat_params)
-        assert all(np.shares_memory(g, model.flat_grads) for g in layer.grads)
-    assert b"".join(p.tobytes() for p in model.parameters()) == model.flat_params.tobytes()
+        assert np.shares_memory(layer.w, flat_params) and np.shares_memory(layer.b, flat_params)
+        assert all(np.shares_memory(g, flat_grads) for g in layer.grads)
+    assert b"".join(p.tobytes() for layer in layers for p in layer.params) == flat_params.tobytes()
+
+
+def assert_views_of_flat_buffer(model, n_params):
+    assert model.n_params() == n_params == model.flat_params.size
+    assert_layers_view(model._layers(), model.flat_params, model.flat_grads)
 
 
 class TestFlatBuffer:
-    """Each AeModel keeps its parameters in one buffer that the layers view."""
+    """Each trained network keeps its parameters in one buffer that the layers view."""
 
     @pytest.mark.parametrize("kind", sorted(FLAT_MODELS))
     def test_layers_view_the_buffer_through_build_train_load_and_set(self, kind, tmp_path):
@@ -284,15 +293,11 @@ class TestFlatBuffer:
         assert_views_of_flat_buffer(loaded, n_params)
         assert all(np.array_equal(a, b.astype(np.float32)) for a, b in zip(loaded.parameters(), model.parameters()))
 
-        rng = np.random.default_rng(0)
-        arrays = [rng.standard_normal(p.shape).astype(np.float32) for p in model.parameters()]
-        given_bytes = [a.tobytes() for a in arrays]
-        model.set_parameters(arrays)
+        values = np.random.default_rng(0).standard_normal(n_params).astype(np.float32)
+        model.flat_params[...] = values
         assert_views_of_flat_buffer(model, n_params)
-        assert not any(np.shares_memory(a, model.flat_params) for a in arrays)
-        assert all(np.array_equal(p, a) for p, a in zip(model.parameters(), arrays))
+        assert np.array_equal(np.concatenate([p.ravel() for p in model.parameters()]), values)
         nn.train_autoencoder(model, x[:36], x[36:], budget, loss_kind=loss_kind)
-        assert [a.tobytes() for a in arrays] == given_bytes
         assert_views_of_flat_buffer(model, n_params)
 
     def test_image_vae_with_residual_blocks_views_the_buffer(self):
@@ -301,23 +306,13 @@ class TestFlatBuffer:
         assert all(np.shares_memory(g, model.flat_grads) for g in model.gradients())
         assert model.n_params() == sum(p.size for p in model.parameters())
 
-    def test_set_parameters_rejects_a_wrong_shape_or_count(self):
-        model = nn.build_autoencoder(6, (4,), 2, seed=0)
-        arrays = model.copy_params()
-        with pytest.raises(ShapeError):
-            model.set_parameters(arrays[:-1])
-        with pytest.raises(ShapeError):
-            model.set_parameters([arrays[0].T] + arrays[1:])
-
-    def test_copy_params_does_not_move_with_adam_steps(self):
-        x = np.random.default_rng(3).uniform(0, 1, (40, 6))
-        model = nn.build_autoencoder(6, (5,), 2, seed=2)
-        snapshot = model.copy_params()
-        before = [p.tobytes() for p in snapshot]
-        budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=3, batch_size=8, seed=1, lr=3e-3)
-        nn.train_autoencoder(model, x[:30], x[30:], budget)
-        assert [p.tobytes() for p in snapshot] == before
-        assert b"".join(before) != model.flat_params.tobytes()
+    def test_discriminator_views_its_buffers_through_a_backward_pass(self):
+        disc = factor.Discriminator(4, width=16, n_layers=3, seed=1)
+        assert_layers_view(disc.layers, disc.flat_params, disc.flat_grads)
+        assert not disc.flat_grads.any()
+        factor.tc_term(disc, np.random.default_rng(9).standard_normal((6, 4)), 6.4)
+        assert disc.flat_grads.any()
+        assert_layers_view(disc.layers, disc.flat_params, disc.flat_grads)
 
     def test_best_epoch_checkpoint_does_not_move_with_later_steps(self):
         x = np.random.default_rng(3).uniform(0, 1, (60, 6))
@@ -334,17 +329,15 @@ class TestAdam:
     def test_first_step_magnitude(self):
         p = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -0.7, 2.0])
-        state = nn.AdamState([p], lr=0.01)
-        new = nn.adam_step([p], [g], state)
-        step = p - new[0]
+        before = p.copy()
+        nn.Adam(p, g, lr=0.01).step()
         expect = 0.01 * g / (np.abs(g) + 1e-8)
-        assert np.max(np.abs(step - expect)) < 1e-12
+        assert np.max(np.abs((before - p) - expect)) < 1e-12
 
     def test_zero_gradient_no_move(self):
         p = np.array([1.0, 2.0])
-        state = nn.AdamState([p], lr=0.1)
-        new = nn.adam_step([p], [np.zeros(2)], state)
-        assert np.array_equal(new[0], p)
+        nn.Adam(p, np.zeros(2), lr=0.1).step()
+        assert np.array_equal(p, [1.0, 2.0])
 
     def test_three_step_trace_on_quadratic(self):
         # independent scalar re-implementation of bias-corrected Adam
@@ -358,40 +351,32 @@ class TestAdam:
             w_ref -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
             trace.append(w_ref)
 
-        p = np.array([1.0])
-        state = nn.AdamState([p], lr=lr)
+        p, g = np.array([1.0]), np.empty(1)
+        opt = nn.Adam(p, g, lr=lr)
         got = []
         for _ in range(3):
-            p = nn.adam_step([p], [2.0 * p], state)[0]
+            g[...] = 2.0 * p
+            opt.step()
             got.append(float(p[0]))
         assert np.max(np.abs(np.array(got) - np.array(trace))) < 1e-12
 
     def test_matches_out_of_place_expression_bit_for_bit(self):
         rng = np.random.default_rng(6)
-        params = [rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=3).astype(np.float32)]
-        state = nn.AdamState(params, lr=0.01)
-        ref_p, ref_m, ref_v = list(params), [np.zeros(p.shape) for p in params], \
-            [np.zeros(p.shape) for p in params]
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        params, grads = rng.normal(size=43), np.empty(43)
+        opt = nn.Adam(params, grads, lr=0.01)
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(43), np.zeros(43)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
         for t in range(1, 21):
-            grads = [rng.normal(size=p.shape) for p in params]
-            given = [p.copy() for p in params]
-            new = nn.adam_step(params, grads, state)
-            assert all(p.tobytes() == q.tobytes() for p, q in zip(params, given))  # not mutated
-            params = new
+            grads[...] = rng.normal(size=43)
+            given = grads.copy()
+            opt.step()
+            assert grads.tobytes() == given.tobytes()  # the gradient is only read
             bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-            for i, g in enumerate(grads):
-                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
-                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
-                step = 0.01 * (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + eps)
-                ref_p[i] = (ref_p[i].astype(np.float64) - step).astype(ref_p[i].dtype)
-            for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_state_shapes_validated(self):
-        state = nn.AdamState([np.zeros(3)])
-        with pytest.raises(ShapeError):
-            nn.adam_step([np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(2)], state)
+            ref_m = b1 * ref_m + (1.0 - b1) * given
+            ref_v = b2 * ref_v + (1.0 - b2) * given * given
+            ref_p = ref_p - 0.01 * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + eps)
+            for got, want in zip((params, opt.m, opt.v), (ref_p, ref_m, ref_v)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLosses:

@@ -20,8 +20,8 @@ def _model(name):
     """An untrained 128-128-6 AE with small random biases, so every bias path is exercised."""
     model = nn.build_autoencoder(INPUT_DIM, (128, 128), 6, seed=4, **ARCHS[name])
     rng = np.random.default_rng(17)
-    model.set_parameters([p if p.ndim > 1 else rng.normal(scale=0.5, size=p.shape)
-                          for p in model.parameters()])
+    for b in (p for p in model.parameters() if p.ndim == 1):
+        b[...] = rng.normal(scale=0.5, size=b.shape)
     return model
 
 
