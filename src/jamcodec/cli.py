@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import FORMAT_VERSIONS, __version__, energy
-from .errors import JamcodecError
+from .errors import InvalidSpecError, JamcodecError
 
 
 def _version_string() -> str:
@@ -61,14 +61,19 @@ def cmd_energy(args):
 def cmd_interpolate(args):
     import numpy as np
 
-    from . import factor, render, signals
+    from . import factor, render
 
-    classes = tuple(args.classes.split(","))
-    images, labels = factor.make_spectrogram_dataset(classes, args.per_class, seed=args.seed)
+    if args.steps < 2:
+        raise InvalidSpecError(f"--steps must be at least 2, got {args.steps}")
     cfg = factor.FactorVaeConfig(
         latent_dim=args.latent_dim, epochs=args.epochs, seed=args.seed,
         lr_vae=args.lr, lr_disc=args.lr / 10.0, tc_weight=args.tc_weight,
     )
+    classes = tuple(args.classes.split(","))
+    images, _ = factor.make_spectrogram_dataset(classes, args.per_class, seed=args.seed)
+    if not 1 <= 2 * args.strips <= len(images):
+        raise InvalidSpecError(f"--strips must lie in [1, {len(images) // 2}] for {len(images)} images, "
+                               f"got {args.strips}")
     model, _, hist = factor.train_factorvae(cfg, images)
     rng = np.random.default_rng(args.seed)
     pairs = rng.choice(len(images), size=(args.strips, 2), replace=False)

@@ -16,14 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 
+from .errors import InvalidSpecError
+
 
 def _frac(x) -> Fraction:
-    """Exact decimal reading of a number (floats go through repr)."""
+    """Exact decimal reading of a finite number (floats go through repr)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(str(x))
+    try:
+        return Fraction(str(x))
+    except ValueError:  # nan, inf or not a number
+        raise InvalidSpecError(f"not a finite number: {x!r}") from None
 
 
 SECONDS_PER_HOUR = 3600
@@ -46,7 +51,7 @@ class PowerModel:
         for name in ("tpu_watts", "batch_size", "network_mwh_per_period",
                      "cellular_usd_per_gb", "seconds_per_batch"):
             if _frac(getattr(self, name)) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidSpecError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,11 @@ class TrafficModel:
 
     def __post_init__(self):
         if self.compressed_block > self.values_per_second:
-            raise ValueError("compressed block cannot exceed the values collected per second")
+            raise InvalidSpecError("compressed block cannot exceed the values collected per second")
         if not (0 < self.latent_values < self.compressed_block):
-            raise ValueError("latent count must be positive and below the compressed block")
+            raise InvalidSpecError("latent count must be positive and below the compressed block")
         if self.bytes_per_value <= 0:
-            raise ValueError("bytes_per_value must be positive")
+            raise InvalidSpecError("bytes_per_value must be positive")
 
 
 def tpu_energy(pm: PowerModel, batches: int, seconds_per_batch=None) -> dict:
@@ -72,7 +77,7 @@ def tpu_energy(pm: PowerModel, batches: int, seconds_per_batch=None) -> dict:
     """
     duty = _frac(seconds_per_batch if seconds_per_batch is not None else pm.seconds_per_batch)
     if batches < 0 or duty <= 0:
-        raise ValueError("batches must be >= 0 and duty positive")
+        raise InvalidSpecError("batches must be >= 0 and duty positive")
     ws = _frac(pm.tpu_watts) * batches * duty
     wh = ws / SECONDS_PER_HOUR
     return {
@@ -116,7 +121,7 @@ def network_energy(pm: PowerModel, residual_fraction) -> dict:
     """
     residual = _frac(residual_fraction)
     if not (0 <= residual <= 1):
-        raise ValueError("residual fraction must lie in [0, 1]")
+        raise InvalidSpecError("residual fraction must lie in [0, 1]")
     budget = _frac(pm.network_mwh_per_period)
     new = budget * residual
     saved = budget - new
@@ -135,7 +140,7 @@ def daily_traffic_cost(rate_mb_per_s, usd_per_gb) -> dict:
     rate = _frac(rate_mb_per_s)
     price = _frac(usd_per_gb)
     if rate <= 0 or price <= 0:
-        raise ValueError("rate and price must be positive")
+        raise InvalidSpecError("rate and price must be positive")
     gb_per_day = rate * SECONDS_PER_DAY / 1000
     return {
         "gb_per_day": float(gb_per_day),

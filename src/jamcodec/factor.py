@@ -4,9 +4,10 @@ A convolutional VAE is trained with the reconstruction + KL objective plus a
 total-correlation term estimated by a discriminator that tells joint latents
 from dimension-wise permuted ones. Training alternates one VAE update and one
 discriminator update per batch, with separate Adam optimizers. The VAE is an
-nn.AeModel and runs nn's reparameterized forward and backward. Both networks
-keep their parameters and gradients in nn.flat_buffers, so each update is one
-nn.Adam step over a whole buffer.
+nn.AeModel and runs nn.vae_forward and nn.vae_backward; the discriminator
+walks its layers with nn.run_layers and nn.backward_layers. Both networks
+keep their parameters and gradients in nn.flat_buffers, so each update is
+one nn.Adam step over a whole buffer.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,11 @@ from .nn import (
     _act,
     _act_backward,
     _conv1d_geometry,
+    backward_layers,
     flat_buffers,
     gaussian_kl,
     mse_loss,
+    run_layers,
     vae_backward,
     vae_forward,
 )
@@ -90,13 +93,8 @@ class Conv2d(_WeightBias):
 class Upsample2x:
     """Nearest-neighbour 2x upsampling on (B, H, W, C)."""
 
-    def __init__(self):
-        self.grads = ()
-        self._in_shape = None
-
-    @property
-    def params(self):
-        return []
+    params = grads = ()
+    _in_shape = None
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -162,6 +160,8 @@ class FactorVaeConfig:
             raise InvalidSpecError("tc_weight must be non-negative")
         if self.encoder_kind not in (SMALL_CONV, DEEP_RESIDUAL):
             raise InvalidSpecError(f"unknown encoder kind {self.encoder_kind!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise InvalidSpecError("epochs and batch_size must be at least 1")
 
 
 class Discriminator:
@@ -175,16 +175,10 @@ class Discriminator:
         self.flat_params, self.flat_grads = flat_buffers(self.layers)
 
     def forward(self, z, train=False):
-        h = np.asarray(z, dtype=np.float64)
-        for l in self.layers:
-            h = l.forward(h, train=train)
-        return h
+        return run_layers(self.layers, z, train)
 
     def backward(self, grad_logits):
-        g = grad_logits
-        for l in reversed(self.layers):
-            g = l.backward(g)
-        return g
+        return backward_layers(self.layers, grad_logits)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -424,6 +418,8 @@ def _desk_waveform(label, spec, rng):
 def make_spectrogram_dataset(classes, per_class, seed, image_hw=(32, 32),
                              sample_rate_hz=1_000_000.0, n_avg=2) -> tuple:
     """Labeled spectrogram images of synthetic waveforms, scaled to [0, 1]."""
+    if per_class < 1:
+        raise InvalidSpecError(f"need at least 1 image per class, got {per_class}")
     n_time, n_freq = image_hw
     n_samples = n_time * n_avg * 2 * n_freq
     spec = signals.SampleSpec.from_samples(sample_rate_hz, n_samples)

@@ -1,11 +1,18 @@
 """Minimal neural-network kernel for the autoencoder compressors.
 
 Dense and 1-D convolutional layers with hand-written backpropagation, Adam,
-MSE and Gaussian-KL losses, the reparameterized VAE forward/backward pair
+MSE and Gaussian-KL losses, the sampling VAE forward/backward pair
 (which the FactorVAE in factor.py also runs), and the training loop with
 early stopping. In-memory state and all arithmetic are float64 so
 gradients check out against finite differences and results are reproducible
 bit-for-bit on one platform; serialized weights are little-endian float32.
+
+Every network walks its layers with two helpers: run_layers (forward, in
+order) and backward_layers (backward, last first, optionally ending at a
+stop layer). An AeModel records its deterministic compression path once, as
+``path`` (encoder + [mu head] + decoder): nn.forward, the MSE training loss
+and quantize's int8 freeze all walk it. z is sampled in one place,
+vae_forward, which both the VAE training step and its validation loss run.
 
 Every trained network (an AeModel, and the FactorVAE's discriminator) keeps
 its parameters in one flat float64 buffer, ``flat_params``, and its
@@ -17,9 +24,10 @@ holds the buffer's float32 bytes in the same order. Every backward pass
 overwrites the gradients it owns, so nothing is zeroed per batch except
 what no pass writes: the logvar head's on the MSE path.
 
-The first encoder layer with parameters skips its input gradient, which
-would flow only to the data; everything else computes it (the FactorVAE's
-discriminator too, whose input gradient is the TC term's).
+An AeModel's backward walks stop at its first encoder layer with
+parameters, which skips its input gradient: that would flow only to the
+data. Every other layer computes it (the FactorVAE's discriminator too,
+whose input gradient is the TC term's).
 
 Summation order is kept wherever a faster form would change bits of a
 pinned model. The ConvTranspose1d forward and weight gradient run as 2-D
@@ -289,15 +297,11 @@ class Reshape:
     """Parameter-free view change between dense and conv layers."""
 
     kind = "reshape"
+    params = grads = ()
 
     def __init__(self, out_shape):
         self.out_shape = tuple(int(v) for v in out_shape)
-        self.grads = ()
         self._in_shape = None
-
-    @property
-    def params(self):
-        return []
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -312,12 +316,37 @@ class Reshape:
         return {"kind": "reshape", "out_shape": list(self.out_shape)}
 
 
+def run_layers(layers, h, train=False):
+    """h through each layer's forward in turn."""
+    h = np.asarray(h, dtype=np.float64)
+    for layer in layers:
+        h = layer.forward(h, train=train)
+    return h
+
+
+def backward_layers(layers, grad, stop=None):
+    """grad back through layers, last first; returns the input gradient.
+
+    The stop layer computes its parameter gradients only and ends the walk
+    (its input gradient would flow to the data, which nothing reads); the
+    result is then None.
+    """
+    for layer in reversed(layers):
+        if layer is stop:
+            layer.backward(grad, input_grad=False)
+            return None
+        grad = layer.backward(grad)
+    return grad
+
+
 class AeModel:
     """Encoder/decoder stacks plus optional variational heads.
 
     For variational models the encoder ends at the last hidden layer and the
     mu/logvar heads project to the latent space; otherwise the encoder's last
-    layer is the latent projection itself.
+    layer is the latent projection itself. ``path`` is the deterministic
+    compression path, encoder + [mu head] + decoder: what nn.forward, the MSE
+    loss and the int8 freeze run.
     """
 
     def __init__(self, encoder, decoder, latent_dim, input_dim, mu_head=None, logvar_head=None,
@@ -330,6 +359,7 @@ class AeModel:
         self.input_dim = int(input_dim)
         self.arch = arch
         self.metadata = dict(metadata or {})
+        self.path = self.encoder + ([mu_head] if self.variational else []) + self.decoder
         self._first_trainable = next((layer for layer in self.encoder if layer.params), None)
         self.flat_params, self.flat_grads = flat_buffers(self._layers())
 
@@ -351,9 +381,7 @@ class AeModel:
         return self.flat_params.size
 
     def encode(self, x, train=False):
-        h = np.asarray(x, dtype=np.float64)
-        for layer in self.encoder:
-            h = layer.forward(h, train=train)
+        h = run_layers(self.encoder, x, train)
         if self.variational:
             mu = self.mu_head.forward(h, train=train)
             logvar = np.clip(self.logvar_head.forward(h, train=train), -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -361,22 +389,15 @@ class AeModel:
         return h
 
     def decode(self, z, train=False):
-        h = np.asarray(z, dtype=np.float64)
-        for layer in self.decoder:
-            h = layer.forward(h, train=train)
-        return h
+        return run_layers(self.decoder, z, train)
 
 
-def forward(model: AeModel, x, seed=None) -> tuple:
-    """Reconstruction and latent batch; deterministic unless a seed samples z."""
+def forward(model: AeModel, x) -> tuple:
+    """Reconstruction and latent batch through model.path (mu is a VAE's latent)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != model.input_dim:
         raise ShapeError(f"model expects {model.input_dim} inputs, got {x.shape[-1]}")
-    if model.variational:
-        mu, logvar = model.encode(x)
-        latent = mu if seed is None else reparameterize(mu, logvar, seed)
-    else:
-        latent = model.encode(x)
+    latent = run_layers(model.path[: len(model.path) - len(model.decoder)], x)
     return model.decode(latent), latent
 
 
@@ -398,24 +419,16 @@ def gaussian_kl(mu, logvar) -> float:
     return float(np.mean(per_sample))
 
 
-def reparameterize(mu, logvar, seed) -> np.ndarray:
-    """z = mu + exp(logvar/2) * n with n ~ N(0, 1) drawn from the seed."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.clip(np.asarray(logvar, dtype=np.float64), -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    if mu.shape != logvar.shape:
-        raise ShapeError(f"reparameterize shapes differ: {mu.shape} vs {logvar.shape}")
-    eps = derived_rng(seed).standard_normal(mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
-
-
 VaePass = collections.namedtuple("VaePass", "recon mu logvar z sigma eps clamp_mask")
 
 
 def vae_forward(model: AeModel, x, rng) -> VaePass:
-    """Training-mode forward with z = mu + exp(logvar/2) * eps, eps drawn from rng."""
-    h = x
-    for layer in model.encoder:
-        h = layer.forward(h, train=True)
+    """Training-mode forward with z = mu + exp(logvar/2) * eps, eps drawn from rng.
+
+    logvar is clamped to [-LOGVAR_CLAMP, LOGVAR_CLAMP]; clamp_mask marks the
+    entries inside it, the only ones whose gradient flows back.
+    """
+    h = run_layers(model.encoder, x, train=True)
     mu = model.mu_head.forward(h, train=True)
     logvar_raw = model.logvar_head.forward(h, train=True)
     logvar = np.clip(logvar_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
@@ -433,35 +446,20 @@ def vae_backward(model: AeModel, fwd: VaePass, grad_recon, grad_z=None) -> None:
     is an extra loss gradient with respect to z.
     """
     batch = fwd.mu.shape[0]
-    grad = grad_recon
-    for layer in reversed(model.decoder):
-        grad = layer.backward(grad)
+    grad = backward_layers(model.decoder, grad_recon)
     if grad_z is not None:
         grad = grad + grad_z
     grad_mu = grad + fwd.mu / batch
     grad_logvar = grad * (0.5 * fwd.sigma * fwd.eps) - 0.5 * (1.0 - np.exp(fwd.logvar)) / batch
     grad_logvar = grad_logvar * fwd.clamp_mask
     grad_h = model.mu_head.backward(grad_mu) + model.logvar_head.backward(grad_logvar)
-    _encoder_backward(model, grad_h)
-
-
-def _encoder_backward(model: AeModel, grad) -> None:
-    """Backward through the encoder down to its first layer with parameters.
-
-    That layer computes its parameter gradients only: its input gradient
-    would flow to the data, which nothing reads.
-    """
-    for layer in reversed(model.encoder):
-        if layer is model._first_trainable:
-            layer.backward(grad, input_grad=False)
-            return
-        grad = layer.backward(grad)
+    backward_layers(model.encoder, grad_h, stop=model._first_trainable)
 
 
 def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
     """Loss and gradients for one batch.
 
-    loss_kind "mse" reconstructs through the deterministic latent; "vae"
+    loss_kind "mse" reconstructs through model.path; "vae"
     (variational models only) samples z with the seed and adds the KL term.
     The gradients are model.gradients(), views of the model's flat gradient
     buffer that the next backward pass overwrites.
@@ -473,24 +471,12 @@ def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
         vae_backward(model, fwd, 2.0 * (fwd.recon - x) / x.size)
         return loss, model.gradients()
 
-    # plain reconstruction path (mu is the latent for variational models)
-    h = x
-    for layer in model.encoder:
-        h = layer.forward(h, train=True)
+    recon = run_layers(model.path, x, train=True)
     if model.variational:
-        latent = model.mu_head.forward(h, train=True)
         for g in model.logvar_head.grads:  # the one gradient no backward below writes
             g.fill(0.0)
-    else:
-        latent = h
-    recon = model.decode(latent, train=True)
     loss = mse_loss(x, recon)
-    grad = 2.0 * (recon - x) / x.size
-    for layer in reversed(model.decoder):
-        grad = layer.backward(grad)
-    if model.variational:
-        grad = model.mu_head.backward(grad)
-    _encoder_backward(model, grad)
+    backward_layers(model.path, 2.0 * (recon - x) / x.size, stop=model._first_trainable)
     return loss, model.gradients()
 
 
@@ -551,9 +537,8 @@ class TrainBudget:
 
 def _epoch_loss(model, x, loss_kind, seed):
     if model.variational and loss_kind == "vae":
-        mu, logvar = model.encode(x)
-        z = reparameterize(mu, logvar, seed)
-        return mse_loss(x, model.decode(z)) + gaussian_kl(mu, logvar)
+        fwd = vae_forward(model, x, derived_rng(seed))
+        return mse_loss(x, fwd.recon) + gaussian_kl(fwd.mu, fwd.logvar)
     recon, _ = forward(model, x)
     return mse_loss(x, recon)
 

@@ -153,7 +153,7 @@ def _section(name):
     """Report a missing key or a bad value met while reading config section ``name``."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidSpecError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidSpecError(f"config section {name!r}: {detail}") from None
 

@@ -92,15 +92,6 @@ class CalibrationStats:
         return self.activations[name]
 
 
-def _inference_layers(model: nn.AeModel):
-    """Deterministic compression path: encoder, mu head for VAEs, decoder."""
-    layers = list(model.encoder)
-    if model.variational:
-        layers.append(model.mu_head)
-    layers.extend(model.decoder)
-    return layers
-
-
 def _range(values, percentile):
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     if percentile >= 100.0:
@@ -114,7 +105,7 @@ def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> CalibrationStats:
     """Record percentile-clipped ranges over a calibration set; percentile 100 gives min/max.
 
     Needs at least 16 vectors. Activations are recorded at the network input
-    and after every layer; weights always use their exact min/max.
+    and after every layer of model.path; weights always use their exact min/max.
     """
     calib_x = np.atleast_2d(np.asarray(calib_x, dtype=np.float64))
     if calib_x.shape[0] < 16:
@@ -125,7 +116,7 @@ def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> CalibrationStats:
     activations = {"input": _range(calib_x, percentile)}
     weights = {}
     h = calib_x
-    for i, layer in enumerate(_inference_layers(model)):
+    for i, layer in enumerate(model.path):
         h = layer.forward(h)
         name = f"L{i}"
         activations[name] = _range(h, percentile)
@@ -198,10 +189,10 @@ class QuantizedModel:
 
 
 def quantize_model(model: nn.AeModel, stats: CalibrationStats) -> QuantizedModel:
-    """Freeze an autoencoder into int8 tensors plus requantization constants."""
+    """Freeze an autoencoder's model.path into int8 tensors plus requantization constants."""
     layers = []
     in_name = "input"
-    for i, layer in enumerate(_inference_layers(model)):
+    for i, layer in enumerate(model.path):
         name = f"L{i}"
         out_lo, out_hi = stats.activation_range(name)
         out_qp = activation_qparams(out_lo, out_hi)
@@ -333,7 +324,7 @@ def quant_report(model: nn.AeModel, qm: QuantizedModel, eval_x) -> dict:
     recon_q, info = int8_forward(qm, eval_x, return_info=True)
     per_layer = {}
     for i, (layer, ql) in enumerate(zip(
-        (l for l in _inference_layers(model) if l.params),
+        (l for l in model.path if l.params),
         (l for l in qm.layers if l.kind != "reshape"),
     )):
         w = layer.params[0].astype(np.float64)

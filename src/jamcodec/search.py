@@ -144,6 +144,19 @@ def _build(arch: ArchSpec, seed: int, variational: bool):
     )
 
 
+def _fit_and_score(arch, model, train_x, val_x, budget, variational, epochs, early_stop):
+    """Train model, then score it by validation MSE; a divergence scores inf with no model."""
+    try:
+        model, history = nn.train_autoencoder(
+            model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop,
+            loss_kind="vae" if variational else "mse",
+        )
+    except nn.TrainingDivergedError:
+        return ScreenResult(arch, math.inf, None, diverged=True)
+    recon, _ = nn.forward(model, val_x)
+    return ScreenResult(arch, nn.mse_loss(val_x, recon), model, history=history)
+
+
 def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> list:
     """Train every architecture for the screening budget; stable-sort by val MSE.
 
@@ -156,18 +169,11 @@ def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> 
     val_x = np.asarray(val_x, dtype=np.float64)
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise InvalidSpecError("screening needs non-empty train and validation data")
-    results = []
-    for arch in archs:
-        model = _build(arch, budget.seed, variational)
-        try:
-            model, history = nn.train_autoencoder(
-                model, train_x, val_x, budget, epochs=budget.screen_epochs, early_stop=False,
-                loss_kind="vae" if variational else "mse",
-            )
-            recon, _ = nn.forward(model, val_x)
-            results.append(ScreenResult(arch, nn.mse_loss(val_x, recon), model, history=history))
-        except nn.TrainingDivergedError:
-            results.append(ScreenResult(arch, math.inf, None, diverged=True))
+    results = [
+        _fit_and_score(arch, _build(arch, budget.seed, variational), train_x, val_x, budget,
+                       variational, budget.screen_epochs, early_stop=False)
+        for arch in archs
+    ]
     return sorted(results, key=lambda r: r.val_mse)
 
 
@@ -178,16 +184,8 @@ def retrain_topk(ranked, k, train_x, val_x, budget: nn.TrainBudget, variational=
     finalists = []
     for res in ranked[:k]:
         model = res.model if res.model is not None else _build(res.arch, budget.seed, variational)
-        try:
-            model, history = nn.train_autoencoder(
-                model, train_x, val_x, budget, epochs=budget.retrain_epochs_max, early_stop=True,
-                loss_kind="vae" if variational else "mse",
-            )
-            recon, _ = nn.forward(model, np.asarray(val_x, dtype=np.float64))
-            val_mse = nn.mse_loss(val_x, recon)
-            finalists.append(ScreenResult(res.arch, val_mse, model, history=history))
-        except nn.TrainingDivergedError:
-            finalists.append(ScreenResult(res.arch, math.inf, None, diverged=True))
+        finalists.append(_fit_and_score(res.arch, model, train_x, val_x, budget, variational,
+                                        budget.retrain_epochs_max, early_stop=True))
     return finalists
 
 

@@ -77,6 +77,7 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"forest": {"ntrees": 4}}, id="misspelled_forest_key"),
     pytest.param({"tarin": {"retrain_epochs_max": 3}}, id="misspelled_section"),
     pytest.param({"search": {"enabled": "false"}}, id="enabled_not_a_bool"),
+    pytest.param({"power": {"tpu_watts": 0}}, id="tpu_watts_zero"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"
@@ -90,6 +91,47 @@ def test_bad_config_exits_one_before_writing(tmp_path, config):
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--tpu-watts", "0"], id="tpu_watts_zero"),
+    pytest.param(["--tpu-watts", "nan"], id="tpu_watts_nan"),
+    pytest.param(["--latent-values", "500"], id="latent_values_above_block"),
+    pytest.param(["--rate-mb-per-s", "0"], id="rate_zero"),
+])
+def test_bad_energy_value_exits_one_without_traceback(args):
+    done = jamcodec("energy", *args)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.stdout == ""
+
+
+TINY_INTERPOLATE = ["--per-class", "2", "--epochs", "1", "--steps", "2", "--strips", "1"]
+
+
+def test_interpolate_writes_one_pgm(tmp_path):
+    prefix = tmp_path / "strip"
+    done = jamcodec("interpolate", *TINY_INTERPOLATE, "--output-prefix", str(prefix))
+    assert done.returncode == 0, done.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["strip_0.pgm"]
+    assert (tmp_path / "strip_0.pgm").read_bytes().startswith(b"P5\n")
+    assert done.stdout.splitlines()[0] == f"{prefix}_0.pgm"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "0"),
+    ("--per-class", "0"),
+    ("--strips", "7"),  # 6 classes x 2 images hold 6 disjoint pairs
+    ("--strips", "0"),
+    ("--steps", "1"),
+])
+def test_bad_interpolate_argument_exits_one_before_writing(tmp_path, flag, value):
+    args = TINY_INTERPOLATE + [flag, value]  # argparse keeps the last value of a repeated flag
+    done = jamcodec("interpolate", *args, "--output-prefix", str(tmp_path / "strip"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def python_c(code, **env_overrides):

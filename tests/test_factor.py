@@ -97,7 +97,7 @@ def layer_fd_fraction(layer, x):
     r = np.random.default_rng(5).standard_normal(layer.forward(x).shape)
     layer.forward(x, train=True)
     grads = [layer.backward(r)] + [g.copy() for g in layer.grads]
-    return fd_fraction([x] + layer.params, grads, lambda: float(np.sum(layer.forward(x) * r)))
+    return fd_fraction([x, *layer.params], grads, lambda: float(np.sum(layer.forward(x) * r)))
 
 
 class TestGradients:

@@ -111,6 +111,17 @@ class TestForward:
         r2, l2 = nn.forward(model, x)
         assert np.array_equal(r1, r2) and np.array_equal(l1, l2)
 
+    @pytest.mark.parametrize("conv_front", [(), ((2, 3, 3, 2),)])
+    def test_path_is_the_mu_compression_path(self, conv_front):
+        model = nn.build_autoencoder(12, (6,), 2, seed=4, variational=True, conv_front=conv_front)
+        assert model.path == model.encoder + [model.mu_head] + model.decoder
+        assert all(layer is not model.logvar_head for layer in model.path)
+        x = np.random.default_rng(2).uniform(0, 1, (5, 12))
+        recon, latent = nn.forward(model, x)
+        mu, _ = model.encode(x)
+        assert latent.tobytes() == mu.tobytes()
+        assert recon.tobytes() == model.decode(mu).tobytes()
+
 
 class TestBackprop:
     def test_linear_model_closed_form(self):
@@ -420,29 +431,35 @@ class TestLosses:
         x = np.random.default_rng(1).uniform(0, 1, (4, 6))
         seed = 17
         loss, _ = nn.backprop(model, x, loss_kind="vae", seed=seed)
-        mu, logvar = model.encode(x)
-        z = nn.reparameterize(mu, logvar, seed)
-        expect = nn.mse_loss(x, model.decode(z)) + nn.gaussian_kl(mu, logvar)
-        assert abs(loss - expect) < 1e-12
+        assert abs(loss - eval_loss(model, x, "vae", seed)) < 1e-12
+
+
+def vae_pass(mu, logvar, rows, rng):
+    """vae_forward on rows inputs, the heads' weights zeroed and their biases mu and logvar."""
+    model = nn.build_autoencoder(3, (4,), len(mu), seed=0, variational=True)
+    for head, bias in ((model.mu_head, mu), (model.logvar_head, logvar)):
+        head.w[...] = 0.0
+        head.b[...] = bias
+    return nn.vae_forward(model, np.zeros((rows, 3)), rng)
 
 
 class TestReparameterize:
     def test_sigma_zero_limit(self):
-        mu = np.array([[1.0, -2.0]])
-        z = nn.reparameterize(mu, np.full((1, 2), -50.0), seed=0)
-        # logvar clamps to -10, so sigma = e^-5: z stays within ~1e-2 of mu
-        assert np.max(np.abs(z - mu)) < 0.05
+        mu = np.array([1.0, -2.0])
+        fwd = vae_pass(mu, [-50.0, -50.0], 1, nn.derived_rng(0))
+        # logvar clamps to -10, so sigma = e^-5: z stays within ~1e-2 of mu, and no gradient flows to it
+        assert np.all(fwd.logvar == -nn.LOGVAR_CLAMP) and not fwd.clamp_mask.any()
+        assert np.max(np.abs(fwd.z - mu)) < 0.05
 
     def test_seed_repeatability(self):
-        mu = np.zeros((4, 3))
-        logvar = np.zeros((4, 3))
-        assert np.array_equal(nn.reparameterize(mu, logvar, 5), nn.reparameterize(mu, logvar, 5))
-        assert not np.array_equal(nn.reparameterize(mu, logvar, 5), nn.reparameterize(mu, logvar, 6))
+        def z(seed):
+            return vae_pass(np.zeros(3), np.zeros(3), 4, nn.derived_rng(seed)).z
+
+        assert np.array_equal(z(5), z(5))
+        assert not np.array_equal(z(5), z(6))
 
     def test_moments_monte_carlo(self):
-        mu = np.full((100_000, 1), 0.7)
-        logvar = np.full((100_000, 1), math.log(2.25))
-        z = nn.reparameterize(mu, logvar, seed=11)
+        z = vae_pass([0.7], [math.log(2.25)], 100_000, nn.derived_rng(11)).z
         assert abs(np.mean(z) - 0.7) < 0.01 * 0.7 + 0.01
         assert abs(np.var(z) - 2.25) < 0.01 * 2.25 + 0.01
 
