@@ -65,10 +65,8 @@ def cmd_interpolate(args):
 
     if args.steps < 2:
         raise InvalidSpecError(f"--steps must be at least 2, got {args.steps}")
-    cfg = factor.FactorVaeConfig(
-        latent_dim=args.latent_dim, epochs=args.epochs, seed=args.seed,
-        lr_vae=args.lr, lr_disc=args.lr / 10.0, tc_weight=args.tc_weight,
-    )
+    cfg = factor.FactorVaeConfig(latent_dim=args.latent_dim, tc_weight=args.tc_weight,
+                                 epochs=args.epochs, lr=args.lr, seed=args.seed)
     classes = tuple(args.classes.split(","))
     images, _ = factor.make_spectrogram_dataset(classes, args.per_class, seed=args.seed)
     if not 1 <= 2 * args.strips <= len(images):

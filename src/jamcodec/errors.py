@@ -41,10 +41,6 @@ class EmptySearchSpaceError(JamcodecError):
     """Architecture search space enumerates to nothing."""
 
 
-class MissingStatsError(JamcodecError):
-    """Quantization calibration statistics are missing for a tensor."""
-
-
 class LeakageError(JamcodecError):
     """Evaluation split overlaps with data the compressor was trained on."""
 

@@ -1,9 +1,12 @@
-"""Factorized VAE on small spectrogram images.
+"""Factorized VAE on small spectrogram images, as run by ``jamcodec interpolate``.
 
-A convolutional VAE is trained with the reconstruction + KL objective plus a
+A VAE with one encoder, three stride-2 3x3 convolutions (1 -> 8 -> 16 -> 32
+channels), is trained with the reconstruction + KL objective plus a
 total-correlation term estimated by a discriminator that tells joint latents
 from dimension-wise permuted ones. Training alternates one VAE update and one
-discriminator update per batch, with separate Adam optimizers. The VAE is an
+discriminator update per batch of ``BATCH_SIZE`` images, with separate Adam
+optimizers: the VAE's at the configured rate with ``VAE_BETAS``, the
+discriminator's at a tenth of it with ``DISC_BETAS``. The VAE is an
 nn.AeModel and runs nn.vae_forward and nn.vae_backward; the discriminator
 walks its layers with nn.run_layers and nn.backward_layers. Both networks
 keep their parameters and gradients in nn.flat_buffers, so each update is
@@ -37,8 +40,10 @@ from .nn import (
 )
 from .signals import derived_rng
 
-SMALL_CONV = "small_conv"
-DEEP_RESIDUAL = "deep_residual"
+BATCH_SIZE = 32
+VAE_BETAS = (0.9, 0.999)
+DISC_BETAS = (0.5, 0.9)
+IMAGE_SIDE = 32  # spectrogram images are IMAGE_SIDE x IMAGE_SIDE
 
 
 class Conv2d(_WeightBias):
@@ -107,61 +112,26 @@ class Upsample2x:
         return grad_out.reshape(b, h, 2, w, 2, c).sum(axis=(2, 4))
 
 
-class ResBlock2d:
-    """Two 3x3 convolutions with an identity skip; ReLU after the addition."""
-
-    def __init__(self, channels, rng=None):
-        self.conv1 = Conv2d(channels, channels, 3, 1, activation="relu", rng=rng)
-        self.conv2 = Conv2d(channels, channels, 3, 1, activation="linear", rng=rng)
-        self._cache = None
-
-    @property
-    def params(self):
-        return self.conv1.params + self.conv2.params
-
-    @property
-    def grads(self):
-        return self.conv1.grads + self.conv2.grads
-
-    def _bind(self, params, grads):
-        self.conv1._bind(params[:2], grads[:2])
-        self.conv2._bind(params[2:], grads[2:])
-
-    def forward(self, x, train=False):
-        h = self.conv2.forward(self.conv1.forward(x, train=train), train=train)
-        s = h + x
-        if train:
-            self._cache = s
-        return np.maximum(s, 0.0)
-
-    def backward(self, grad_out):
-        gs = grad_out * (self._cache > 0.0)
-        gx_branch = self.conv1.backward(self.conv2.backward(gs))
-        return gx_branch + gs
-
-
 @dataclass(frozen=True)
 class FactorVaeConfig:
+    """What ``train_factorvae`` reads; the rest is fixed by the module constants.
+
+    ``lr`` is the VAE's Adam rate; the discriminator's is ``lr / 10``.
+    """
+
     latent_dim: int = 8
     tc_weight: float = 6.4
     epochs: int = 250
-    lr_vae: float = 1e-4
-    betas_vae: tuple = (0.9, 0.999)
-    lr_disc: float = 1e-5
-    betas_disc: tuple = (0.5, 0.9)
-    encoder_kind: str = SMALL_CONV
-    batch_size: int = 32
+    lr: float = 1e-4
     seed: int = 0
-    disc_width: int = 256
-    disc_layers: int = 4
 
     def __post_init__(self):
         if self.tc_weight < 0:
             raise InvalidSpecError("tc_weight must be non-negative")
-        if self.encoder_kind not in (SMALL_CONV, DEEP_RESIDUAL):
-            raise InvalidSpecError(f"unknown encoder kind {self.encoder_kind!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise InvalidSpecError("epochs and batch_size must be at least 1")
+        if self.epochs < 1:
+            raise InvalidSpecError(f"epochs must be at least 1, got {self.epochs}")
+        if not 0.0 < self.lr < math.inf:
+            raise InvalidSpecError(f"lr must be finite and positive, got {self.lr}")
 
 
 class Discriminator:
@@ -221,27 +191,16 @@ def tc_term(disc: Discriminator, z, weight) -> tuple:
 class ImageVae(AeModel):
     """Convolutional VAE over (B, H, W) images in [0, 1]."""
 
-    def __init__(self, image_hw, latent_dim, encoder_kind=SMALL_CONV, seed=0):
+    def __init__(self, image_hw, latent_dim, seed=0):
         h, w = image_hw
         if h % 8 != 0 or w % 8 != 0:
             raise InvalidSpecError("image sides must be divisible by 8")
         rng = derived_rng(seed, 0xE4C)
-        if encoder_kind == SMALL_CONV:
-            convs = [
-                Conv2d(1, 8, 3, 2, activation="relu", rng=rng),
-                Conv2d(8, 16, 3, 2, activation="relu", rng=rng),
-                Conv2d(16, 32, 3, 2, activation="relu", rng=rng),
-            ]
-        else:
-            convs = [
-                Conv2d(1, 12, 3, 2, activation="relu", rng=rng),
-                ResBlock2d(12, rng=rng),
-                ResBlock2d(12, rng=rng),
-                Conv2d(12, 24, 3, 2, activation="relu", rng=rng),
-                ResBlock2d(24, rng=rng),
-                ResBlock2d(24, rng=rng),
-                Conv2d(24, 32, 3, 2, activation="relu", rng=rng),
-            ]
+        convs = [
+            Conv2d(1, 8, 3, 2, activation="relu", rng=rng),
+            Conv2d(8, 16, 3, 2, activation="relu", rng=rng),
+            Conv2d(16, 32, 3, 2, activation="relu", rng=rng),
+        ]
         fh, fw = h // 8, w // 8
         flat = fh * fw * 32
         mu_head = Dense(flat, latent_dim, activation="linear", rng=rng)
@@ -260,7 +219,6 @@ class ImageVae(AeModel):
         encoder = [Reshape((h, w, 1)), *convs, Reshape((flat,))]
         super().__init__(encoder, decoder, latent_dim, h * w, mu_head, logvar_head)
         self.image_hw = (h, w)
-        self.encoder_kind = encoder_kind
 
     def encode(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -280,20 +238,19 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
     if images.ndim != 3:
         raise ShapeError(f"expected (N, H, W) images, got {images.shape}")
     n = images.shape[0]
-    model = ImageVae(images.shape[1:3], cfg.latent_dim, cfg.encoder_kind, seed=cfg.seed)
-    disc = Discriminator(cfg.latent_dim, cfg.disc_width, cfg.disc_layers, seed=cfg.seed)
-    opt_vae = Adam(model.flat_params, model.flat_grads, lr=cfg.lr_vae,
-                   beta1=cfg.betas_vae[0], beta2=cfg.betas_vae[1])
-    opt_disc = Adam(disc.flat_params, disc.flat_grads, lr=cfg.lr_disc,
-                    beta1=cfg.betas_disc[0], beta2=cfg.betas_disc[1])
+    model = ImageVae(images.shape[1:3], cfg.latent_dim, seed=cfg.seed)
+    disc = Discriminator(cfg.latent_dim, seed=cfg.seed)
+    opt_vae = Adam(model.flat_params, model.flat_grads, lr=cfg.lr, beta1=VAE_BETAS[0], beta2=VAE_BETAS[1])
+    opt_disc = Adam(disc.flat_params, disc.flat_grads, lr=cfg.lr / 10.0,
+                    beta1=DISC_BETAS[0], beta2=DISC_BETAS[1])
     history = []
 
     for epoch in range(cfg.epochs):
         order = derived_rng(cfg.seed, 0xEB0C, epoch).permutation(n)
         sums = np.zeros(4)
         n_batches = 0
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            x = images[order[start : start + cfg.batch_size]]
+        for bi, start in enumerate(range(0, n, BATCH_SIZE)):
+            x = images[order[start : start + BATCH_SIZE]]
             bsz = x.shape[0]
 
             # --- VAE update (discriminator frozen) ---
@@ -348,15 +305,15 @@ def _permute_seed(seed, epoch, batch):
 
 
 def interpolate(model: ImageVae, x_a, x_b, steps: int) -> np.ndarray:
-    """Decode evenly spaced points on the segment between two latent means.
+    """Decode evenly spaced points on the segment between the latent means of two images.
 
     The first frame is the direct decoding of mu_a, bit for bit. The last
     decodes mu_a + (mu_b - mu_a), which can differ from mu_b in the last bits.
     """
     if steps < 2:
         raise InvalidSpecError("interpolation needs at least 2 steps")
-    mu_a, _ = model.encode(np.asarray(x_a)[None] if np.asarray(x_a).ndim == 2 else x_a)
-    mu_b, _ = model.encode(np.asarray(x_b)[None] if np.asarray(x_b).ndim == 2 else x_b)
+    mu_a, _ = model.encode(np.asarray(x_a)[None])
+    mu_b, _ = model.encode(np.asarray(x_b)[None])
     out = []
     for t in np.linspace(0.0, 1.0, steps):
         out.append(model.decode(mu_a + t * (mu_b - mu_a))[0])
@@ -415,21 +372,22 @@ def _desk_waveform(label, spec, rng):
     return signals.random_waveform(label, spec, rng)
 
 
-def make_spectrogram_dataset(classes, per_class, seed, image_hw=(32, 32),
-                             sample_rate_hz=1_000_000.0, n_avg=2) -> tuple:
-    """Labeled spectrogram images of synthetic waveforms, scaled to [0, 1]."""
+def make_spectrogram_dataset(classes, per_class, seed) -> tuple:
+    """Labeled IMAGE_SIDE x IMAGE_SIDE spectrogram images of synthetic waveforms, scaled to [0, 1].
+
+    Each image averages 2 periodograms per time row of a 1 MHz snapshot.
+    """
     if per_class < 1:
         raise InvalidSpecError(f"need at least 1 image per class, got {per_class}")
-    n_time, n_freq = image_hw
-    n_samples = n_time * n_avg * 2 * n_freq
-    spec = signals.SampleSpec.from_samples(sample_rate_hz, n_samples)
+    n_avg = 2
+    spec = signals.SampleSpec.from_samples(1_000_000.0, IMAGE_SIDE * n_avg * 2 * IMAGE_SIDE)
     images, labels = [], []
     for ci, label in enumerate(classes):
         for rep in range(per_class):
             rng = derived_rng(seed, ci, rep)
             w = _desk_waveform(label, spec, rng)
             iq = signals.synth_waveform(w, spec, int(rng.integers(0, 2**63)))
-            images.append(feat.spectrogram_image(iq, n_time=n_time, n_freq=n_freq, n_avg=n_avg))
+            images.append(feat.spectrogram_image(iq, n_time=IMAGE_SIDE, n_freq=IMAGE_SIDE, n_avg=n_avg))
             labels.append(label)
     images = np.asarray(images)
     lo, hi = images.min(), images.max()

@@ -527,6 +527,11 @@ class TrainBudget:
                  batch_size=32, seed=0, lr=1e-3):
         if not (retrain_epochs_max >= screen_epochs >= 1):
             raise InvalidSpecError("need retrain_epochs_max >= screen_epochs >= 1")
+        if batch_size < 1 or early_stop_patience < 0:
+            raise InvalidSpecError(f"need batch_size >= 1 and early_stop_patience >= 0, "
+                                   f"got {batch_size} and {early_stop_patience}")
+        if not 0.0 < lr < math.inf:
+            raise InvalidSpecError(f"lr must be finite and positive, got {lr}")
         self.screen_epochs = int(screen_epochs)
         self.retrain_epochs_max = int(retrain_epochs_max)
         self.early_stop_patience = int(early_stop_patience)

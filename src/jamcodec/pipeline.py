@@ -222,6 +222,8 @@ class ExperimentConfig:
                 lr=float(t["lr"]),
             )
             self.val_fraction = float(t["val_fraction"])
+            if not 0.0 <= self.val_fraction < 1.0:
+                raise InvalidSpecError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
             self.hidden, self.latent_dim = _ints(t["hidden"]), int(t["latent_dim"])
         with _section("quant"):
             self.calib_count = int(sections["quant"]["calib_count"])

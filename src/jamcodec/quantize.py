@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import nn
-from .errors import InvalidSpecError, MissingStatsError, ShapeError
+from .errors import InvalidSpecError, ShapeError
 
 QUANT_MAGIC = b"AEQ1"
 QMIN, QMAX = -128, 127
@@ -79,19 +79,6 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
     return (np.asarray(q, dtype=np.float64) - params.zero_point) * params.scale
 
 
-@dataclass
-class CalibrationStats:
-    """Observed per-tensor ranges: activations at layer boundaries, weights."""
-
-    activations: dict
-    weights: dict
-
-    def activation_range(self, name):
-        if name not in self.activations:
-            raise MissingStatsError(f"no calibration range for activation tensor {name!r}")
-        return self.activations[name]
-
-
 def _range(values, percentile):
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     if percentile >= 100.0:
@@ -101,11 +88,13 @@ def _range(values, percentile):
     return float(v[max(0, n - 1 - k)]), float(v[k])
 
 
-def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> CalibrationStats:
-    """Record percentile-clipped ranges over a calibration set; percentile 100 gives min/max.
+def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> list:
+    """Percentile-clipped (lo, hi) activation ranges over a calibration set.
 
-    Needs at least 16 vectors. Activations are recorded at the network input
-    and after every layer of model.path; weights always use their exact min/max.
+    Returns ``[input range, range after each layer of model.path]``, so
+    ``len(model.path) + 1`` pairs in path order. Percentile 100 gives min/max.
+    Needs at least 16 vectors. Weights need no calibration: quantize_model
+    takes their exact peak.
     """
     calib_x = np.atleast_2d(np.asarray(calib_x, dtype=np.float64))
     if calib_x.shape[0] < 16:
@@ -113,16 +102,12 @@ def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> CalibrationStats:
     if calib_x.shape[-1] != model.input_dim:
         raise ShapeError(f"calibration vectors must have {model.input_dim} dims")
 
-    activations = {"input": _range(calib_x, percentile)}
-    weights = {}
+    ranges = [_range(calib_x, percentile)]
     h = calib_x
-    for i, layer in enumerate(model.path):
+    for layer in model.path:
         h = layer.forward(h)
-        name = f"L{i}"
-        activations[name] = _range(h, percentile)
-        if layer.params:
-            weights[name] = (float(np.min(layer.params[0])), float(np.max(layer.params[0])))
-    return CalibrationStats(activations=activations, weights=weights)
+        ranges.append(_range(h, percentile))
+    return ranges
 
 
 def _fixed_point_multiplier(m_real: float) -> tuple:
@@ -188,21 +173,26 @@ class QuantizedModel:
         return int(blobs + meta)
 
 
-def quantize_model(model: nn.AeModel, stats: CalibrationStats) -> QuantizedModel:
-    """Freeze an autoencoder's model.path into int8 tensors plus requantization constants."""
+def quantize_model(model: nn.AeModel, ranges) -> QuantizedModel:
+    """Freeze an autoencoder's model.path into int8 tensors plus requantization constants.
+
+    ``ranges`` is ``calibrate``'s list for this model: the input range, then
+    each path layer's output range, which sets that layer's output parameters.
+    A list of another length raises InvalidSpecError.
+    """
+    if len(ranges) != len(model.path) + 1:
+        raise InvalidSpecError(f"calibration holds {len(ranges)} ranges; this model's path "
+                               f"needs {len(model.path) + 1}")
+    input_qp = in_qp = activation_qparams(*ranges[0])
     layers = []
-    in_name = "input"
-    for i, layer in enumerate(model.path):
-        name = f"L{i}"
-        out_lo, out_hi = stats.activation_range(name)
-        out_qp = activation_qparams(out_lo, out_hi)
-        in_qp = activation_qparams(*stats.activation_range(in_name))
+    for layer, out_range in zip(model.path, ranges[1:]):
         if layer.kind == "reshape":
+            # reshape does not change values; the next layer keeps the previous boundary's parameters
             layers.append(QuantLayer("reshape", np.zeros(0, np.int8), np.zeros(0, np.int32),
                                      in_qp, in_qp, 1.0, 0, 0, "linear",
                                      {"out_shape": list(layer.out_shape)}))
-            # reshape does not change values; keep the previous boundary name
             continue
+        out_qp = activation_qparams(*out_range)
         if layer.activation not in ("relu", "linear"):
             raise InvalidSpecError(f"int8 path supports relu/linear only, got {layer.activation}")
         w = layer.params[0].astype(np.float64)
@@ -215,8 +205,7 @@ def quantize_model(model: nn.AeModel, stats: CalibrationStats) -> QuantizedModel
         geometry = {k: v for k, v in layer.spec().items() if k not in ("kind", "activation")}
         layers.append(QuantLayer(layer.kind, w_q, b_q, in_qp, out_qp, w_qp.scale, m, shift,
                                  layer.activation, geometry))
-        in_name = name
-    input_qp = activation_qparams(*stats.activation_range("input"))
+        in_qp = out_qp
     return QuantizedModel(layers=layers, input_qp=input_qp, arch=dict(model.arch or {}),
                           latent_dim=model.latent_dim, input_dim=model.input_dim)
 

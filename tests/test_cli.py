@@ -78,6 +78,9 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"tarin": {"retrain_epochs_max": 3}}, id="misspelled_section"),
     pytest.param({"search": {"enabled": "false"}}, id="enabled_not_a_bool"),
     pytest.param({"power": {"tpu_watts": 0}}, id="tpu_watts_zero"),
+    pytest.param({"train": {"batch_size": 0}}, id="batch_size_zero"),
+    pytest.param({"train": {"lr": 0}}, id="lr_zero"),
+    pytest.param({"train": {"val_fraction": 1.5}}, id="val_fraction_above_one"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"
@@ -124,6 +127,7 @@ def test_interpolate_writes_one_pgm(tmp_path):
     ("--strips", "7"),  # 6 classes x 2 images hold 6 disjoint pairs
     ("--strips", "0"),
     ("--steps", "1"),
+    ("--lr", "-1"),
 ])
 def test_bad_interpolate_argument_exits_one_before_writing(tmp_path, flag, value):
     args = TINY_INTERPOLATE + [flag, value]  # argparse keeps the last value of a repeated flag

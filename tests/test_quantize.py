@@ -309,6 +309,28 @@ class TestFixedPointMultiplier:
         assert quantize._fixed_point_multiplier(m_real) == (0, 0)
 
 
+class TestCalibration:
+    @pytest.mark.parametrize("arch", ["dense", "conv"])
+    def test_one_range_per_path_boundary(self, arch):
+        model = _model(arch)
+        x = np.random.default_rng(6).normal(size=(32, INPUT_DIM))
+        ranges = quantize.calibrate(model, x, percentile=100.0)
+        assert len(ranges) == len(model.path) + 1
+        assert ranges[0] == (x.min(), x.max())
+        h = x
+        for layer, got in zip(model.path, ranges[1:]):
+            h = layer.forward(h)
+            assert got == (h.min(), h.max())
+
+    def test_ranges_of_another_architecture_rejected(self):
+        x = np.random.default_rng(7).normal(size=(32, INPUT_DIM))
+        dense, conv = _model("dense"), _model("conv")
+        with pytest.raises(InvalidSpecError):
+            quantize.quantize_model(dense, quantize.calibrate(conv, x))
+        with pytest.raises(InvalidSpecError):
+            quantize.quantize_model(conv, quantize.calibrate(dense, x))
+
+
 class TestSerialization:
     def test_round_trip(self, models, tmp_path):
         for arch in ARCHS:
