@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from jamcodec import cli, factor
+from jamcodec import cli, factor, nn
 from jamcodec.errors import InvalidSpecError, ShapeError
 
 CLASSES = ("chirp", "multitone", "pulsed", "hopper", "modulated", "noise")
@@ -89,6 +90,58 @@ def layer_fd_fraction(layer, x):
     layer.forward(x, train=True)
     grads = [layer.backward(r)] + [g.copy() for g in layer.grads]
     return fd_fraction([x, *layer.params], grads, lambda: float(np.sum(layer.forward(x) * r)))
+
+
+def tap_copy_conv2d(x, w, b, stride, grad):
+    """Linear Conv2d forward, weight gradient and input gradient as the layer first ran them.
+
+    One strided tap copy per kernel tap builds the columns, and the input
+    gradient scatters them back one tap at a time in ascending (ti, tj).
+    """
+    batch, h, wd, in_ch = x.shape
+    kernel, out_ch = w.shape[0], w.shape[3]
+    out_h, top, pad_h, _ = nn._conv1d_geometry(h, kernel, stride)
+    out_w, left, pad_w, _ = nn._conv1d_geometry(wd, kernel, stride)
+    xp = np.pad(x, ((0, 0), (top, pad_h - top), (left, pad_w - left), (0, 0)))
+
+    def tap(arr, ti, tj):
+        return arr[:, ti : ti + (out_h - 1) * stride + 1 : stride, tj : tj + (out_w - 1) * stride + 1 : stride]
+
+    cols = np.empty((batch, out_h, out_w, kernel, kernel, in_ch))
+    for ti in range(kernel):
+        for tj in range(kernel):
+            cols[:, :, :, ti, tj, :] = tap(xp, ti, tj)
+    flat = cols.reshape(batch, out_h * out_w, -1)
+    z = (flat @ w.reshape(-1, out_ch) + b).reshape(batch, out_h, out_w, out_ch)
+    gz = grad.reshape(batch, out_h * out_w, out_ch)
+    grad_w = (flat.reshape(-1, flat.shape[-1]).T @ gz.reshape(-1, out_ch)).reshape(w.shape)
+    gcols = (gz @ w.reshape(-1, out_ch).T).reshape(batch, out_h, out_w, kernel, kernel, in_ch)
+    gpad = np.zeros(xp.shape)
+    for ti in range(kernel):
+        for tj in range(kernel):
+            tap(gpad, ti, tj)[...] += gcols[:, :, :, ti, tj, :]
+    return z, grad_w, gpad[:, top : top + h, left : left + wd]
+
+
+class TestConv2dKeepsItsBits:
+    @given(kernel=st.integers(1, 5), stride=st.integers(1, 2), h=st.integers(1, 12), w=st.integers(1, 12),
+           in_ch=st.integers(1, 4), out_ch=st.integers(1, 4), batch=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kernel=3, stride=2, h=7, w=8, in_ch=2, out_ch=3, batch=2, seed=0)
+    @example(kernel=3, stride=1, h=8, w=7, in_ch=2, out_ch=3, batch=2, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tap_copy_oracle(self, kernel, stride, h, w, in_ch, out_ch, batch, seed):
+        rng = np.random.default_rng(seed)
+        layer = factor.Conv2d(in_ch, out_ch, kernel, stride, activation="linear", rng=rng)
+        layer.b[...] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((batch, h, w, in_ch))
+        z = layer.forward(x, train=True)
+        grad = rng.standard_normal(z.shape)
+        grad_x = layer.backward(grad)
+        want_z, want_w, want_x = tap_copy_conv2d(x, layer.w, layer.b, stride, grad)
+        assert z.tobytes() == want_z.tobytes()
+        assert layer.grads[0].tobytes() == want_w.tobytes()
+        assert grad_x.tobytes() == want_x.tobytes()
 
 
 class TestGradients:
