@@ -119,6 +119,12 @@ def _samples_of(x) -> np.ndarray:
     return np.asarray(x.samples if hasattr(x, "samples") else x, dtype=np.complex128)
 
 
+def check_window_len(window_len: int) -> None:
+    """A window_len that is not a power of two of at least 2 raises InvalidLengthError."""
+    if window_len < 2 or (window_len & (window_len - 1)) != 0:
+        raise InvalidLengthError(f"window_len must be a power of two, got {window_len}")
+
+
 def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndarray:
     """Linear band powers: Hann-windowed periodogram folded into n_bins groups.
 
@@ -128,8 +134,7 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
     (Parseval). Averaged over all full windows in the buffer.
     """
     samples = _samples_of(x)
-    if window_len < 2 or (window_len & (window_len - 1)) != 0:
-        raise InvalidLengthError(f"window_len must be a power of two, got {window_len}")
+    check_window_len(window_len)
     if n_bins < 1 or window_len % n_bins != 0:
         raise InvalidSpecError(f"n_bins {n_bins} must divide window_len {window_len}")
     n_windows = len(samples) // window_len

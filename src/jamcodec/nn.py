@@ -1,6 +1,6 @@
 """Minimal neural-network kernel for the autoencoder compressors.
 
-Dense and 1-D convolutional layers with hand-written backpropagation, Adam,
+Dense and convolutional layers with hand-written backpropagation, Adam,
 MSE and Gaussian-KL losses, the sampling VAE forward/backward pair
 (which the FactorVAE in factor.py also runs), and the training loop with
 early stopping. In-memory state and all arithmetic are float64 so
@@ -29,6 +29,15 @@ parameters, which skips its input gradient: that would flow only to the
 data. Every other layer computes it (the FactorVAE's discriminator too,
 whose input gradient is the TC term's).
 
+One convolution kernel serves any number of spatial axes: _pad zero-pads each
+axis of (batch, *spatial, channels) by its _conv1d_geometry, _im2col gathers
+the windows with one np.take over a flat index, one (batch, positions, K) @
+(K, out) product follows, and _overlap_add scatters back one strided view per
+tap. Conv1d runs it on one axis, factor.Conv2d on two, and quantize's int8
+conv1d pads and gathers with it. Each layer hands the scatter its tap order,
+which goldens pin: descending in 1-D (np.add.at's order, which the transposed
+conv's overlap-add shares) and ascending (ti, tj) in 2-D.
+
 Summation order is kept wherever a faster form would change bits of a
 pinned model. The ConvTranspose1d forward and weight gradient run as 2-D
 einsums over (batch x length) rows, which sum in the order of the 4-D ones
@@ -36,12 +45,11 @@ they replace (with one output channel, as behind a conv front with
 in_ch=1, they differ by a few ulp). The input gradient stays the 4-D
 einsum over the fancy-indexed columns (whose memory order einsum's loop
 order follows), because BLAS, 7x faster there, sums in another order
-(differences up to 4e-14). The transposed conv's overlap-add and Conv1d's
-input-gradient scatter share _overlap_add, whose descending taps reproduce
-np.add.at's order.
+(differences up to 4e-14).
 """
 
 import collections
+import itertools
 import json
 import math
 import struct
@@ -168,79 +176,110 @@ def _conv1d_geometry(length, kernel, stride):
     return out_len, pad_left, total_pad, idx
 
 
-def _pad_length(x, pad_left, total_pad):
-    """Zero-pad axis 1 of (batch, length, channels) as np.pad does, without its call overhead."""
-    batch, length, channels = x.shape
-    out = np.zeros((batch, length + total_pad, channels))
-    out[:, pad_left : pad_left + length] = x
+def _padded_shape(shape, geometry):
+    return (shape[0], *(n + g[2] for n, g in zip(shape[1:-1], geometry)), shape[-1])
+
+
+def _interior(shape, geometry):
+    """Where an unpadded (batch, *spatial, channels) array of this shape sits inside its padding."""
+    return (slice(None), *(slice(g[1], g[1] + n) for n, g in zip(shape[1:-1], geometry)))
+
+
+def _pad(x, geometry):
+    """x (batch, *spatial, channels) zero-padded on each spatial axis as its _conv1d_geometry says."""
+    out = np.zeros(_padded_shape(x.shape, geometry), dtype=x.dtype)
+    out[_interior(x.shape, geometry)] = x
     return out
 
 
-def _overlap_add(out, cols, stride):
-    """out[:, l * stride + t] += cols[:, l, t] for every input step l and tap t.
+def _im2col(xp, geometry):
+    """Windows of a padded (batch, *spatial, channels) array as (batch, positions, taps * channels).
 
-    One strided slice-add per tap, taps in descending order, so every output
-    row sums its terms in ascending l: the order, and so the bits, of
+    One np.take over the flattened spatial axes with one flat window index: in
+    1-D that is _conv1d_geometry's idx itself, in 2-D
+    ih[:, None, :, None] * padded_w + iw[None, :, None, :].
+    """
+    n = len(geometry)
+    step = 1
+    for axis in range(n - 1, -1, -1):
+        idx = geometry[axis][3]
+        shape = [1] * (2 * n)
+        shape[axis], shape[n + axis] = idx.shape
+        term = idx.reshape(shape)
+        index = term if axis == n - 1 else index + term * step
+        step *= xp.shape[1 + axis]
+    batch, channels = xp.shape[0], xp.shape[-1]
+    cols = np.take(xp.reshape(batch, -1, channels), index, axis=1)
+    return cols.reshape(batch, math.prod(index.shape[:n]), -1)
+
+
+def _overlap_add(out, cols, stride, ascending=False):
+    """out[:, p * stride + t] += cols[:, p, t] for every position p and tap t.
+
+    cols is (batch, *positions, *taps, channels), out (batch, *padded, channels).
+    One strided slice-add per tap, so every output element sums its terms in
+    tap order: descending unless ascending. In 1-D descending taps sum each
+    output row in ascending p: the order, and so the bits, of
     np.add.at(out, (slice(None), idx), cols) with idx from _conv1d_geometry.
     """
-    span = (cols.shape[1] - 1) * stride + 1
-    for t in range(cols.shape[2] - 1, -1, -1):
-        out[:, t : t + span : stride] += cols[:, :, t]
+    n = out.ndim - 2
+    spans = [(p - 1) * stride + 1 for p in cols.shape[1 : 1 + n]]
+    taps = list(itertools.product(*map(range, cols.shape[1 + n : 1 + 2 * n])))
+    for tap in taps if ascending else reversed(taps):
+        window = (slice(t, t + span, stride) for t, span in zip(tap, spans))
+        out[(slice(None), *window)] += cols[(slice(None),) * (1 + n) + tap]
 
 
 class Conv1d(_WeightBias):
-    """1-D convolution over (batch, length, channels), 'same' padding."""
+    """Convolution over (batch, *spatial, channels), 'same' padding; ndim spatial axes.
+
+    The weight is (kernel, ..., kernel, in, out), one kernel axis per spatial
+    axis. Subclasses set ndim, and ascending_taps for the input-gradient
+    scatter's tap order.
+    """
 
     kind = "conv1d"
+    ndim = 1
+    ascending_taps = False
 
     def __init__(self, in_ch, out_ch, kernel, stride=2, activation="relu", rng=None):
         if stride not in (1, 2):
             raise InvalidSpecError(f"conv stride must be 1 or 2, got {stride}")
         self.in_ch, self.out_ch, self.kernel, self.stride = int(in_ch), int(out_ch), int(kernel), int(stride)
         self.activation = activation
-        self._init_params(rng, in_ch * kernel, (kernel, in_ch, out_ch), out_ch)
-
-    def out_len(self, length):
-        return _conv1d_geometry(length, self.kernel, self.stride)[0]
+        taps = (self.kernel,) * self.ndim
+        self._init_params(rng, self.in_ch * math.prod(taps), (*taps, self.in_ch, self.out_ch), self.out_ch)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.in_ch:
-            raise ShapeError(f"conv1d expects (B, L, {self.in_ch}), got {x.shape}")
-        batch, length, _ = x.shape
-        out_len, pad_left, total_pad, idx = _conv1d_geometry(length, self.kernel, self.stride)
-        xp = _pad_length(x, pad_left, total_pad)
-        cols = np.take(xp, idx, axis=1).reshape(batch, out_len, self.kernel * self.in_ch)
-        wmat = self.w.reshape(self.kernel * self.in_ch, self.out_ch)
-        z = cols @ wmat + self.b
+        if x.ndim != self.ndim + 2 or x.shape[-1] != self.in_ch:
+            raise ShapeError(f"{self.kind} expects (B, {self.ndim} spatial axes, {self.in_ch}), got {x.shape}")
+        geometry = [_conv1d_geometry(n, self.kernel, self.stride) for n in x.shape[1:-1]]
+        xp = _pad(x, geometry)
+        cols = _im2col(xp, geometry)
+        z = (cols @ self.w.reshape(-1, self.out_ch) + self.b).reshape(
+            x.shape[0], *(g[0] for g in geometry), self.out_ch)
         if train:
-            self._cache = (cols, z, x.shape, pad_left, total_pad, idx)
+            self._cache = (cols, z, xp.shape, _interior(x.shape, geometry))
         return _act(self.activation, z)
 
     def backward(self, grad_out, input_grad=True):
-        cols, z, x_shape, pad_left, total_pad, _ = self._cache
-        batch, length, _ = x_shape
-        k_in = self.kernel * self.in_ch
-        gz = _act_backward(self.activation, z, grad_out)
+        cols, z, padded_shape, interior = self._cache
+        batch, positions, k_in = cols.shape
+        gz = _act_backward(self.activation, z, grad_out).reshape(batch, positions, self.out_ch)
         gz2 = gz.reshape(-1, self.out_ch)
         np.matmul(cols.reshape(-1, k_in).T, gz2, out=self.grads[0].reshape(k_in, self.out_ch))
         np.sum(gz2, axis=0, out=self.grads[1])
         if not input_grad:
             return None
-        gcols = (gz @ self.w.reshape(k_in, self.out_ch).T).reshape(batch, z.shape[1], self.kernel, self.in_ch)
-        gpad = np.zeros((batch, length + total_pad, self.in_ch), dtype=np.float64)
-        _overlap_add(gpad, gcols, self.stride)
-        return gpad[:, pad_left : pad_left + length, :]
+        gcols = (gz @ self.w.reshape(k_in, self.out_ch).T).reshape(*z.shape[:-1], *self.w.shape[:-1])
+        gpad = np.zeros(padded_shape)
+        _overlap_add(gpad, gcols, self.stride, self.ascending_taps)
+        return gpad[interior]
 
     def spec(self):
-        return {
-            "kind": "conv1d",
-            "in_ch": self.in_ch,
-            "out_ch": self.out_ch,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "activation": self.activation,
-        }
+        return {"kind": self.kind, "in_ch": self.in_ch, "out_ch": self.out_ch, "kernel": self.kernel,
+                "stride": self.stride, "activation": self.activation}
 
 
 class ConvTranspose1d(_WeightBias):
@@ -259,38 +298,31 @@ class ConvTranspose1d(_WeightBias):
         if x.ndim != 3 or x.shape[2] != self.in_ch:
             raise ShapeError(f"conv1d_t expects (B, L, {self.in_ch}), got {x.shape}")
         batch, in_len, _ = x.shape
-        expected, pad_left, total_pad, idx = _conv1d_geometry(self.output_len, self.kernel, self.stride)
-        if expected != in_len:
-            raise ShapeError(f"conv1d_t expects input length {expected}, got {in_len}")
+        geometry = [_conv1d_geometry(self.output_len, self.kernel, self.stride)]
+        if geometry[0][0] != in_len:
+            raise ShapeError(f"conv1d_t expects input length {geometry[0][0]}, got {in_len}")
         w_cm = np.ascontiguousarray(self.w.transpose(1, 0, 2)).reshape(self.in_ch, -1)
         contrib = np.einsum("nc,cm->nm", x.reshape(-1, self.in_ch), w_cm)
-        zpad = np.zeros((batch, self.output_len + total_pad, self.out_ch), dtype=np.float64)
+        out_shape = (batch, self.output_len, self.out_ch)
+        zpad = np.zeros(_padded_shape(out_shape, geometry))
         _overlap_add(zpad, contrib.reshape(batch, in_len, self.kernel, self.out_ch), self.stride)
-        z = zpad[:, pad_left : pad_left + self.output_len, :] + self.b
+        z = zpad[_interior(out_shape, geometry)] + self.b
         if train:
-            self._cache = (x, z, pad_left, total_pad, idx)
+            self._cache = (x, z, geometry)
         return _act(self.activation, z)
 
     def backward(self, grad_out):
-        x, z, pad_left, total_pad, idx = self._cache
+        x, z, geometry = self._cache
         gz = _act_backward(self.activation, z, grad_out)
-        gzpad = _pad_length(gz, pad_left, total_pad)
-        gcols = gzpad[:, idx, :]  # (B, in_len, kernel, out_ch)
+        gcols = _pad(gz, geometry)[:, geometry[0][3], :]  # (B, in_len, kernel, out_ch)
         g_cm = np.einsum("nc,nm->cm", x.reshape(-1, self.in_ch), gcols.reshape(x.shape[0] * x.shape[1], -1))
         self.grads[0][...] = g_cm.reshape(self.in_ch, self.kernel, self.out_ch).transpose(1, 0, 2)
         np.sum(gz.reshape(-1, self.out_ch), axis=0, out=self.grads[1])
         return np.einsum("blko,kco->blc", gcols, self.w)
 
     def spec(self):
-        return {
-            "kind": "conv1d_t",
-            "in_ch": self.in_ch,
-            "out_ch": self.out_ch,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "output_len": self.output_len,
-            "activation": self.activation,
-        }
+        return {"kind": "conv1d_t", "in_ch": self.in_ch, "out_ch": self.out_ch, "kernel": self.kernel,
+                "stride": self.stride, "output_len": self.output_len, "activation": self.activation}
 
 
 class Reshape:
@@ -623,7 +655,7 @@ def build_autoencoder(input_dim, hidden_widths, latent_dim, seed=0, variational=
         for in_c, out_c, kernel, stride in conv_front:
             layer = Conv1d(in_c, out_c, kernel, stride=stride, activation=hidden_activation, rng=rng)
             conv_shapes.append((length, in_c, out_c, kernel, stride))
-            length = layer.out_len(length)
+            length = _conv1d_geometry(length, kernel, stride)[0]
             encoder.append(layer)
         encoder.append(Reshape((length * conv_front[-1][1],)))
         dense_in = length * conv_front[-1][1]

@@ -42,7 +42,7 @@ import sys
 import numpy as np
 
 from . import __version__, energy, features as feat, forest, nn, quantize, render, search, signals
-from .errors import ChecksumMismatchError, InvalidSpecError, StageError
+from .errors import ChecksumMismatchError, InvalidLengthError, InvalidSpecError, StageError
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _section(name):
     """Report a missing key or a bad value met while reading config section ``name``."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, InvalidSpecError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidLengthError, InvalidSpecError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidSpecError(f"config section {name!r}: {detail}") from None
 
@@ -200,6 +200,7 @@ class ExperimentConfig:
             raise InvalidSpecError(f"unknown domain {self.domain!r}")
         with _section("features"):
             self.window_len = int(sections["features"]["window_len"])
+            feat.check_window_len(self.window_len)
         with _section("search"):
             sc = sections["search"]
             self.search_enabled = sc["enabled"]
@@ -211,6 +212,8 @@ class ExperimentConfig:
             )
             self.max_archs = int(sc["max_archs"]) if sc.get("max_archs") else None
             self.top_k = int(sc["top_k"])
+            if self.top_k < 1:
+                raise InvalidSpecError(f"top_k must be at least 1, got {self.top_k}")
         with _section("train"):
             t = sections["train"]
             self.budget = nn.TrainBudget(
@@ -227,7 +230,7 @@ class ExperimentConfig:
             self.hidden, self.latent_dim = _ints(t["hidden"]), int(t["latent_dim"])
         with _section("quant"):
             self.calib_count = int(sections["quant"]["calib_count"])
-            self.percentile = float(sections["quant"]["percentile"])
+            self.percentile = quantize.check_percentile(sections["quant"]["percentile"])
         with _section("forest"):
             f = sections["forest"]
             self.forest_config = forest.ForestConfig(

@@ -79,6 +79,14 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
     return (np.asarray(q, dtype=np.float64) - params.zero_point) * params.scale
 
 
+def check_percentile(percentile) -> float:
+    """percentile as a float; NaN or one outside [50, 100] (below 50 _range inverts) is rejected."""
+    p = float(percentile)
+    if not 50.0 <= p <= 100.0:
+        raise InvalidSpecError(f"percentile must lie in [50, 100], got {percentile}")
+    return p
+
+
 def _range(values, percentile):
     v = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     if percentile >= 100.0:
@@ -92,10 +100,11 @@ def calibrate(model: nn.AeModel, calib_x, percentile=99.9) -> list:
     """Percentile-clipped (lo, hi) activation ranges over a calibration set.
 
     Returns ``[input range, range after each layer of model.path]``, so
-    ``len(model.path) + 1`` pairs in path order. Percentile 100 gives min/max.
-    Needs at least 16 vectors. Weights need no calibration: quantize_model
-    takes their exact peak.
+    ``len(model.path) + 1`` pairs in path order. Percentile 100 gives min/max,
+    and one outside [50, 100] is rejected. Needs at least 16 vectors. Weights
+    need no calibration: quantize_model takes their exact peak.
     """
+    percentile = check_percentile(percentile)
     calib_x = np.atleast_2d(np.asarray(calib_x, dtype=np.float64))
     if calib_x.shape[0] < 16:
         raise InvalidSpecError(f"calibration needs >= 16 vectors, got {calib_x.shape[0]}")
@@ -241,12 +250,8 @@ def _accumulate(ql: QuantLayer, h: np.ndarray) -> np.ndarray:
     if ql.kind == "dense":
         acc = np.subtract(h, zero_point, dtype=w.dtype) @ w
     elif ql.kind == "conv1d":
-        _, length, in_ch = h.shape
-        kernel, stride = ql.geometry["kernel"], ql.geometry["stride"]
-        out_len, pad_left, total_pad, idx = nn._conv1d_geometry(length, kernel, stride)
-        xp = np.zeros((batch, length + total_pad, in_ch), w.dtype)
-        np.subtract(h, zero_point, out=xp[:, pad_left : pad_left + length], dtype=w.dtype)
-        acc = np.take(xp, idx, axis=1).reshape(batch, out_len, kernel * in_ch) @ w
+        geometry = [nn._conv1d_geometry(h.shape[1], ql.geometry["kernel"], ql.geometry["stride"])]
+        acc = nn._im2col(nn._pad(np.subtract(h, zero_point, dtype=w.dtype), geometry), geometry) @ w
     elif ql.kind == "conv1d_t":
         centered = np.subtract(h, zero_point, dtype=w.dtype)
         _, in_len, in_ch = centered.shape

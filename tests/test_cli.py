@@ -1,9 +1,11 @@
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jamcodec import cli, pipeline
@@ -81,6 +83,11 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"train": {"batch_size": 0}}, id="batch_size_zero"),
     pytest.param({"train": {"lr": 0}}, id="lr_zero"),
     pytest.param({"train": {"val_fraction": 1.5}}, id="val_fraction_above_one"),
+    pytest.param({"quant": {"percentile": 10}}, id="percentile_below_fifty"),
+    pytest.param({"quant": {"percentile": math.nan}}, id="percentile_nan"),
+    pytest.param({"quant": {"percentile": 200}}, id="percentile_above_hundred"),
+    pytest.param({"search": {"enabled": True, "top_k": 0}}, id="top_k_zero"),
+    pytest.param({"features": {"window_len": 1000}}, id="window_len_not_a_power_of_two"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"
@@ -128,6 +135,7 @@ def test_interpolate_writes_one_pgm(tmp_path):
     ("--strips", "0"),
     ("--steps", "1"),
     ("--lr", "-1"),
+    ("--tc-weight", "nan"),
 ])
 def test_bad_interpolate_argument_exits_one_before_writing(tmp_path, flag, value):
     args = TINY_INTERPOLATE + [flag, value]  # argparse keeps the last value of a repeated flag
@@ -138,11 +146,11 @@ def test_bad_interpolate_argument_exits_one_before_writing(tmp_path, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
-def python_c(code, **env_overrides):
+def python_c(code, *flags, **env_overrides):
     env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     env.update(env_overrides)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -166,3 +174,24 @@ def test_import_leaves_numpy_unloaded_and_main_pins_blas_threads():
 def test_user_blas_thread_setting_wins():
     _, values = python_c(PIN_PROBE, OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")
     assert values == ["2", "1", "3"]
+
+
+RUNTIME_IMPORTS_PROBE = """
+import importlib, json, pkgutil, sys
+import jamcodec
+for module in pkgutil.iter_modules(jamcodec.__path__):
+    importlib.import_module(f"jamcodec.{module.name}")
+jamcodec.cli.main(["energy"])
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    """Every jamcodec module, and a run of `jamcodec energy`, loads nothing beyond numpy and the
+    standard library. -S keeps site hooks (.pth files) from loading packages of their own, so
+    numpy's directory goes on the path by hand."""
+    numpy_dir = Path(np.__file__).resolve().parents[1]
+    top_level = python_c(RUNTIME_IMPORTS_PROBE, "-S", PYTHONPATH=os.pathsep.join([str(SRC), str(numpy_dir)]))
+    allowed = set(sys.stdlib_module_names) | {"__main__", "jamcodec", "numpy"}
+    assert "numpy" in top_level
+    assert [name for name in top_level if name not in allowed] == []

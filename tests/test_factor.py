@@ -205,7 +205,8 @@ class TestDocumentedClaims:
         assert images.min() == 0.0 and images.max() == 1.0
 
     @pytest.mark.parametrize("kwargs", [{"tc_weight": -1.0}, {"lr": 0.0}, {"lr": -1e-3},
-                                        {"lr": math.nan}, {"lr": math.inf}, {"epochs": 0}])
+                                        {"lr": math.nan}, {"lr": math.inf}, {"epochs": 0},
+                                        {"tc_weight": math.nan}, {"tc_weight": math.inf}])
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidSpecError):
             factor.FactorVaeConfig(**kwargs)

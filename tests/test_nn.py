@@ -100,7 +100,8 @@ class TestForward:
         layer = nn.Conv1d(3, 4, kernel, stride=stride, rng=np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((7, 59, 3))
         layer.forward(x, train=True)
-        cols, _, _, pad_left, total_pad, idx = layer._cache
+        cols = layer._cache[0]
+        _, pad_left, total_pad, idx = nn._conv1d_geometry(59, kernel, stride)
         xp = np.pad(x, ((0, 0), (pad_left, total_pad - pad_left), (0, 0)))
         assert cols.tobytes() == xp[:, idx, :].reshape(cols.shape).tobytes()
 
