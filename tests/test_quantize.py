@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -329,6 +330,12 @@ class TestCalibration:
             quantize.quantize_model(dense, quantize.calibrate(conv, x))
         with pytest.raises(InvalidSpecError):
             quantize.quantize_model(conv, quantize.calibrate(dense, x))
+
+    @pytest.mark.parametrize("percentile", [10.0, 49.9, math.nan, 100.5, math.inf])
+    def test_percentile_outside_fifty_to_hundred_rejected(self, percentile):
+        x = np.random.default_rng(8).normal(size=(32, INPUT_DIM))
+        with pytest.raises(InvalidSpecError):
+            quantize.calibrate(_model("dense"), x, percentile=percentile)
 
 
 class TestSerialization:
