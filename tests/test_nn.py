@@ -164,6 +164,29 @@ class TestBackprop:
         x = np.random.default_rng(3).uniform(0, 1, (3, 12))
         assert finite_difference_fraction(model, x) >= 0.99
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("out_ch", [1, 3])
+    def test_conv_transpose_fd(self, stride, out_ch):
+        """Input, weight and bias gradients of sum(layer(x) * r) against central differences."""
+        rng = np.random.default_rng(10 * stride + out_ch)
+        layer = nn.ConvTranspose1d(2, out_ch, 3, stride, output_len=9, activation="linear", rng=rng)
+        layer.b[...] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((3, nn._conv1d_geometry(9, 3, stride)[0], 2))
+        r = rng.standard_normal((3, 9, out_ch))
+        layer.forward(x, train=True)
+        grads = [layer.backward(r)] + [g.copy() for g in layer.grads]
+        h = 1e-6
+        for arr, grad in zip([x, *layer.params], grads):
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + h
+                lp = float(np.sum(layer.forward(x) * r))
+                arr[idx] = orig - h
+                lm = float(np.sum(layer.forward(x) * r))
+                arr[idx] = orig
+                fd = (lp - lm) / (2 * h)
+                assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-3)
+
     def test_vae_loss_fd(self):
         model = nn.build_autoencoder(8, (6,), 3, seed=8, variational=True)
         x = np.random.default_rng(4).uniform(0, 1, (5, 8))
