@@ -13,9 +13,8 @@ keep their parameters and gradients in nn.flat_buffers, so each update is
 one nn.Adam step over a whole buffer.
 
 Conv2d is nn's one convolution kernel on two spatial axes; it declares only
-its (kernel, kernel, in, out) weight and its input-gradient tap order. That
-order is ascending (ti, tj), where the 1-D layers scatter in descending
-order; test_factor.py's goldens pin it, so aligning the two moves bytes.
+its (kernel, kernel, in, out) weight and its defaults, and so runs the same
+GEMMs and the same ascending-tap scatter as the 1-D layers.
 """
 
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ class Conv2d(Conv1d):
 
     kind = "conv2d"
     ndim = 2
-    ascending_taps = True
 
     def __init__(self, in_ch, out_ch, kernel=3, stride=1, activation="relu", rng=None):
         super().__init__(in_ch, out_ch, kernel, stride, activation, rng)
@@ -259,8 +257,8 @@ def _permute_seed(seed, epoch, batch):
 def interpolate(model: ImageVae, x_a, x_b, steps: int) -> np.ndarray:
     """Decode evenly spaced points on the segment between the latent means of two images.
 
-    The first frame is the direct decoding of mu_a, bit for bit. The last
-    decodes mu_a + (mu_b - mu_a), which can differ from mu_b in the last bits.
+    Frame t decodes (1 - t) * mu_a + t * mu_b, so the first and last frames
+    are the direct decodings of mu_a and mu_b, bit for bit.
     """
     if steps < 2:
         raise InvalidSpecError("interpolation needs at least 2 steps")
@@ -268,7 +266,7 @@ def interpolate(model: ImageVae, x_a, x_b, steps: int) -> np.ndarray:
     mu_b, _ = model.encode(np.asarray(x_b)[None])
     out = []
     for t in np.linspace(0.0, 1.0, steps):
-        out.append(model.decode(mu_a + t * (mu_b - mu_a))[0])
+        out.append(model.decode((1.0 - t) * mu_a + t * mu_b)[0])
     return np.asarray(out)
 
 

@@ -45,6 +45,8 @@ class ForestConfig:
             raise InvalidSpecError("need at least one tree")
         if self.min_leaf < 1:
             raise InvalidSpecError("min_leaf must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise InvalidSpecError(f"max_depth must be >= 1 or null, got {self.max_depth}")
 
 
 class _Node:

@@ -29,27 +29,19 @@ parameters, which skips its input gradient: that would flow only to the
 data. Every other layer computes it (the FactorVAE's discriminator too,
 whose input gradient is the TC term's).
 
-One convolution kernel serves any number of spatial axes: _pad zero-pads each
-axis of (batch, *spatial, channels) by its _conv1d_geometry, _im2col gathers
-the windows with one np.take over a flat index, one (batch, positions, K) @
-(K, out) product follows, and _overlap_add scatters back one strided view per
-tap. Conv1d runs it on one axis, factor.Conv2d on two, and quantize's int8
-conv1d pads and gathers with it. Each layer hands the scatter its tap order,
-which goldens pin: descending in 1-D (np.add.at's order, which the transposed
-conv's overlap-add shares) and ascending (ti, tj) in 2-D.
-
-Summation order is kept wherever a faster form would change bits of a
-pinned model. The ConvTranspose1d forward and weight gradient run as 2-D
-einsums over (batch x length) rows, which sum in the order of the 4-D ones
-they replace (with one output channel, as behind a conv front with
-in_ch=1, they differ by a few ulp). The input gradient stays the 4-D
-einsum over the fancy-indexed columns (whose memory order einsum's loop
-order follows), because BLAS, 7x faster there, sums in another order
-(differences up to 4e-14).
+One convolution kernel serves any number of spatial axes, and every product
+in it is a GEMM. The gather side: _pad zero-pads each axis of (batch,
+*spatial, channels) by its _conv1d_geometry and _im2col takes all windows with
+one np.take over a flat index, so Conv1d's forward and weight gradient and
+ConvTranspose1d's weight and input gradients are each one (rows, K) @ (K, out)
+product. The scatter side, Conv1d's input gradient and ConvTranspose1d's
+forward, is _overlap_add: one GEMM per tap, each added into a strided view of
+a position-major buffer in ascending tap order, the one tap order for 1-D and
+2-D. Conv1d runs it on one axis, factor.Conv2d on two, and quantize's int8
+conv1d pads and gathers with it.
 """
 
 import collections
-import itertools
 import json
 import math
 import struct
@@ -213,34 +205,38 @@ def _im2col(xp, geometry):
     return cols.reshape(batch, math.prod(index.shape[:n]), -1)
 
 
-def _overlap_add(out, cols, stride, ascending=False):
-    """out[:, p * stride + t] += cols[:, p, t] for every position p and tap t.
+def _overlap_add(g, w, stride, out_shape, geometry):
+    """The sum over taps of g @ w[tap], each added at its tap's window, cropped to out_shape.
 
-    cols is (batch, *positions, *taps, channels), out (batch, *padded, channels).
-    One strided slice-add per tap, so every output element sums its terms in
-    tap order: descending unless ascending. In 1-D descending taps sum each
-    output row in ascending p: the order, and so the bits, of
-    np.add.at(out, (slice(None), idx), cols) with idx from _conv1d_geometry.
+    g is (batch, *positions, c) and w (*taps, c, out); out_shape is (batch,
+    *spatial, out), the interior of geometry's padding. g's rows are made
+    position-major once, each tap's product is one GEMM, and each is added into
+    a strided view of a zeroed (*padded, batch, out) buffer, taps ascending:
+    every output element sums its terms in that order, and with the batch
+    innermost each add runs long inner loops. One copy transposes the cropped
+    buffer back.
     """
-    n = out.ndim - 2
-    spans = [(p - 1) * stride + 1 for p in cols.shape[1 : 1 + n]]
-    taps = list(itertools.product(*map(range, cols.shape[1 + n : 1 + 2 * n])))
-    for tap in taps if ascending else reversed(taps):
-        window = (slice(t, t + span, stride) for t, span in zip(tap, spans))
-        out[(slice(None), *window)] += cols[(slice(None),) * (1 + n) + tap]
+    n = g.ndim - 2
+    positions, batch = g.shape[1:-1], g.shape[0]
+    rows = np.moveaxis(g, 0, n).reshape(-1, g.shape[-1])
+    buf = np.zeros((*_padded_shape(out_shape, geometry)[1:-1], batch, w.shape[-1]))
+    prod = np.empty((*positions, batch, w.shape[-1]))
+    spans = [(p - 1) * stride + 1 for p in positions]
+    for tap in np.ndindex(*w.shape[:n]):
+        np.matmul(rows, w[tap], out=prod.reshape(rows.shape[0], -1))
+        buf[tuple(slice(t, t + span, stride) for t, span in zip(tap, spans))] += prod
+    return np.ascontiguousarray(np.moveaxis(buf[_interior(out_shape, geometry)[1:]], n, 0))
 
 
 class Conv1d(_WeightBias):
     """Convolution over (batch, *spatial, channels), 'same' padding; ndim spatial axes.
 
     The weight is (kernel, ..., kernel, in, out), one kernel axis per spatial
-    axis. Subclasses set ndim, and ascending_taps for the input-gradient
-    scatter's tap order.
+    axis; subclasses set ndim.
     """
 
     kind = "conv1d"
     ndim = 1
-    ascending_taps = False
 
     def __init__(self, in_ch, out_ch, kernel, stride=2, activation="relu", rng=None):
         if stride not in (1, 2):
@@ -255,27 +251,23 @@ class Conv1d(_WeightBias):
         if x.ndim != self.ndim + 2 or x.shape[-1] != self.in_ch:
             raise ShapeError(f"{self.kind} expects (B, {self.ndim} spatial axes, {self.in_ch}), got {x.shape}")
         geometry = [_conv1d_geometry(n, self.kernel, self.stride) for n in x.shape[1:-1]]
-        xp = _pad(x, geometry)
-        cols = _im2col(xp, geometry)
+        cols = _im2col(_pad(x, geometry), geometry)
         z = (cols @ self.w.reshape(-1, self.out_ch) + self.b).reshape(
             x.shape[0], *(g[0] for g in geometry), self.out_ch)
         if train:
-            self._cache = (cols, z, xp.shape, _interior(x.shape, geometry))
+            self._cache = (cols, z, x.shape, geometry)
         return _act(self.activation, z)
 
     def backward(self, grad_out, input_grad=True):
-        cols, z, padded_shape, interior = self._cache
-        batch, positions, k_in = cols.shape
-        gz = _act_backward(self.activation, z, grad_out).reshape(batch, positions, self.out_ch)
+        cols, z, x_shape, geometry = self._cache
+        gz = _act_backward(self.activation, z, grad_out)
         gz2 = gz.reshape(-1, self.out_ch)
+        k_in = cols.shape[-1]
         np.matmul(cols.reshape(-1, k_in).T, gz2, out=self.grads[0].reshape(k_in, self.out_ch))
         np.sum(gz2, axis=0, out=self.grads[1])
         if not input_grad:
             return None
-        gcols = (gz @ self.w.reshape(k_in, self.out_ch).T).reshape(*z.shape[:-1], *self.w.shape[:-1])
-        gpad = np.zeros(padded_shape)
-        _overlap_add(gpad, gcols, self.stride, self.ascending_taps)
-        return gpad[interior]
+        return _overlap_add(gz, self.w.swapaxes(-1, -2), self.stride, x_shape, geometry)
 
     def spec(self):
         return {"kind": self.kind, "in_ch": self.in_ch, "out_ch": self.out_ch, "kernel": self.kernel,
@@ -297,16 +289,11 @@ class ConvTranspose1d(_WeightBias):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.in_ch:
             raise ShapeError(f"conv1d_t expects (B, L, {self.in_ch}), got {x.shape}")
-        batch, in_len, _ = x.shape
         geometry = [_conv1d_geometry(self.output_len, self.kernel, self.stride)]
-        if geometry[0][0] != in_len:
-            raise ShapeError(f"conv1d_t expects input length {geometry[0][0]}, got {in_len}")
-        w_cm = np.ascontiguousarray(self.w.transpose(1, 0, 2)).reshape(self.in_ch, -1)
-        contrib = np.einsum("nc,cm->nm", x.reshape(-1, self.in_ch), w_cm)
-        out_shape = (batch, self.output_len, self.out_ch)
-        zpad = np.zeros(_padded_shape(out_shape, geometry))
-        _overlap_add(zpad, contrib.reshape(batch, in_len, self.kernel, self.out_ch), self.stride)
-        z = zpad[_interior(out_shape, geometry)] + self.b
+        if geometry[0][0] != x.shape[1]:
+            raise ShapeError(f"conv1d_t expects input length {geometry[0][0]}, got {x.shape[1]}")
+        z = _overlap_add(x, self.w, self.stride, (x.shape[0], self.output_len, self.out_ch), geometry)
+        z += self.b
         if train:
             self._cache = (x, z, geometry)
         return _act(self.activation, z)
@@ -314,11 +301,11 @@ class ConvTranspose1d(_WeightBias):
     def backward(self, grad_out):
         x, z, geometry = self._cache
         gz = _act_backward(self.activation, z, grad_out)
-        gcols = _pad(gz, geometry)[:, geometry[0][3], :]  # (B, in_len, kernel, out_ch)
-        g_cm = np.einsum("nc,nm->cm", x.reshape(-1, self.in_ch), gcols.reshape(x.shape[0] * x.shape[1], -1))
+        gcols = _im2col(_pad(gz, geometry), geometry)  # (B, in_len, kernel * out_ch)
+        g_cm = x.reshape(-1, self.in_ch).T @ gcols.reshape(-1, gcols.shape[-1])
         self.grads[0][...] = g_cm.reshape(self.in_ch, self.kernel, self.out_ch).transpose(1, 0, 2)
         np.sum(gz.reshape(-1, self.out_ch), axis=0, out=self.grads[1])
-        return np.einsum("blko,kco->blc", gcols, self.w)
+        return gcols @ self.w.transpose(0, 2, 1).reshape(-1, self.in_ch)
 
     def spec(self):
         return {"kind": "conv1d_t", "in_ch": self.in_ch, "out_ch": self.out_ch, "kernel": self.kernel,
@@ -633,14 +620,20 @@ def _mix(*parts):
     return h
 
 
+def check_dims(input_dim, hidden_widths, latent_dim) -> None:
+    """Raise InvalidSpecError unless every dimension is positive and there is a hidden layer."""
+    if not hidden_widths or min(input_dim, latent_dim, *hidden_widths) <= 0:
+        raise InvalidSpecError(f"autoencoder needs positive dims and at least one hidden layer, got "
+                               f"input {input_dim}, hidden {list(hidden_widths)}, latent {latent_dim}")
+
+
 def build_autoencoder(input_dim, hidden_widths, latent_dim, seed=0, variational=False,
                       conv_front=(), hidden_activation="relu") -> AeModel:
     """Symmetric autoencoder: optional conv front, dense trunk, mirrored decoder."""
     input_dim = int(input_dim)
     hidden_widths = tuple(int(w) for w in hidden_widths)
     latent_dim = int(latent_dim)
-    if latent_dim <= 0 or input_dim <= 0 or not hidden_widths:
-        raise InvalidSpecError("autoencoder needs positive dims and at least one hidden layer")
+    check_dims(input_dim, hidden_widths, latent_dim)
     rng = derived_rng(seed)
     encoder, decoder = [], []
 

@@ -228,6 +228,7 @@ class ExperimentConfig:
             if not 0.0 <= self.val_fraction < 1.0:
                 raise InvalidSpecError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
             self.hidden, self.latent_dim = _ints(t["hidden"]), int(t["latent_dim"])
+            nn.check_dims(_DOMAIN_DIM[self.domain], self.hidden, self.latent_dim)
         with _section("quant"):
             self.calib_count = int(sections["quant"]["calib_count"])
             self.percentile = quantize.check_percentile(sections["quant"]["percentile"])

@@ -173,6 +173,9 @@ class ChannelSpec:
     noise_seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.attenuation_db) or not math.isfinite(self.jsr_db or 0.0):
+            raise InvalidSpecError(f"attenuation_db and jsr_db must be finite, got {self.attenuation_db} "
+                                   f"and {self.jsr_db}")
         delays = [d for d, _ in self.multipath_taps]
         if any(d < 0 for d in delays):
             raise InvalidChannelError("tap delays must be non-negative")

@@ -88,6 +88,13 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"quant": {"percentile": 200}}, id="percentile_above_hundred"),
     pytest.param({"search": {"enabled": True, "top_k": 0}}, id="top_k_zero"),
     pytest.param({"features": {"window_len": 1000}}, id="window_len_not_a_power_of_two"),
+    pytest.param({"train": {"latent_dim": 0}}, id="latent_dim_zero"),
+    pytest.param({"train": {"hidden": []}}, id="hidden_empty"),
+    pytest.param({"train": {"hidden": [-4]}}, id="hidden_negative"),
+    pytest.param({"forest": {"max_depth": 0}}, id="max_depth_zero"),
+    pytest.param({"forest": {"max_depth": -3}}, id="max_depth_negative"),
+    pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "attenuation_db": math.nan}, TWO_SCENARIOS[1]],
+                              "test_scenarios": [1]}}, id="attenuation_nan"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"

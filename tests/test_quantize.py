@@ -364,7 +364,7 @@ class TestSerialization:
     AEQ_GOLDEN = {
         "dense": "7e62d83415e63a205906af64b174f22ee7214521c66024618001377b001e6f68",
         "conv": "bef2db7527d902c3c50530ebe7874cbab9a7e5d1d63203127194872bd244b7ba",
-        "conv2": "db0493b279011ebb448e2abc1e3a8bc50d3d30fa015582f2f5ca8a085fbfb0ef",
+        "conv2": "25fd70ac9f50dbdcbe988c2983b64f6ce644fbd88a0d6e2c8ba0b86cf6fb0641",
     }
 
     @pytest.mark.parametrize("arch", sorted(ARCHS))
