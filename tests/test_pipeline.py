@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from jamcodec import cli, features, pipeline
-from jamcodec.errors import ChecksumMismatchError, InvalidSpecError
+from jamcodec.errors import ChecksumMismatchError, InvalidSpecError, LeakageError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
 
@@ -128,6 +128,22 @@ def test_each_stage_declares_every_file_it_opens(tiny_config, monkeypatch, searc
     for stage, files in opened.items():
         rec = manifest.stages[stage]
         assert files <= rec["inputs"].keys() | rec["outputs"].keys(), stage
+        assert rec["inputs"].keys() <= files, stage
+
+
+def test_an_autoencoder_trained_on_a_test_scenario_stops_classify(tiny_config, monkeypatch):
+    pipeline.run(tiny_config, until="quantize")
+    load_model = pipeline.nn.load_model
+
+    def leaky_load_model(path):
+        model = load_model(path)
+        model.metadata["train_scenarios"].append(4)
+        return model
+
+    monkeypatch.setattr(pipeline.nn, "load_model", leaky_load_model)
+    with pytest.raises(LeakageError, match=r"\[4\]"):
+        pipeline.run(tiny_config)
+    assert not (tiny_config.parent / "run" / "classify" / "metrics.json").exists()
 
 
 def test_non_string_domain_is_rejected(tiny_config):
