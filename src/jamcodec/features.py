@@ -224,27 +224,9 @@ class NormStats:
     min: np.ndarray
     max: np.ndarray
 
-    def __post_init__(self):
-        self.min = np.asarray(self.min, dtype=np.float64)
-        self.max = np.asarray(self.max, dtype=np.float64)
-        if self.min.shape != self.max.shape or self.min.ndim != 1:
-            raise InvalidSpecError("min/max must be 1-D arrays of equal length")
-        if np.any(self.min > self.max):
-            raise InvalidSpecError("min must not exceed max")
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"min": self.min.tolist(), "max": self.max.tolist()}, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "NormStats":
-        """Read save's JSON; a truncated or broken file raises InvalidSpecError."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-            return cls(np.asarray(d["min"]), np.asarray(d["max"]))
-        except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, a missing key, a wrong type
-            raise InvalidSpecError(f"{path}: unreadable norm stats: {exc!r}") from None
 
 
 def fit_minmax(X) -> NormStats:

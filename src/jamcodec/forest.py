@@ -10,6 +10,10 @@ generator in depth-first pre-order, and the Gini sums are exact integers.
 The split threshold is the largest left-group value (predicate x <= t), which
 makes tree structure and predictions invariant under any strictly monotone
 per-feature transform. Vote ties resolve to the smallest class index.
+
+``evaluate_protocol(X, labels, train, ae, qae, cfg)`` is the paper's comparison:
+forests on the raw features and on their float and int8 autoencoder
+reconstructions, trained on the ``train`` rows and scored on the rest.
 """
 
 from dataclasses import dataclass
@@ -20,13 +24,12 @@ import math
 import numpy as np
 
 from . import nn, quantize
-from .errors import InvalidSpecError, LeakageError, ShapeError
+from .errors import InvalidSpecError, ShapeError
 from .signals import derived_rng
 
 RAW = "raw"
 FLOAT_RECON = "float_recon"
 INT8_RECON = "int8_recon"
-VARIANTS = (RAW, FLOAT_RECON, INT8_RECON)
 TASK_DETECTION = "detection"
 TASK_CLASSIFICATION = "classification"
 
@@ -338,94 +341,34 @@ def fbeta(cm: ConfusionMatrix, beta: float) -> FBetaScore:
                       per_class=per_class, macro=macro)
 
 
-@dataclass
-class FeatureDataset:
-    """Feature matrix plus labels and the scenario-based split."""
-
-    X: np.ndarray
-    class_labels: np.ndarray
-    detection_labels: np.ndarray
-    scenario_ids: np.ndarray
-    train_scenarios: frozenset
-    test_scenarios: frozenset
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        if set(self.train_scenarios) & set(self.test_scenarios):
-            raise InvalidSpecError("train and test scenarios overlap")
-
-    @property
-    def train_mask(self) -> np.ndarray:
-        return np.isin(self.scenario_ids, sorted(self.train_scenarios))
-
-    @property
-    def test_mask(self) -> np.ndarray:
-        return np.isin(self.scenario_ids, sorted(self.test_scenarios))
-
-
-@dataclass
-class EvaluationReport:
-    """F2/F0.5 and confusion matrices for raw / float-recon / int8-recon."""
-
-    results: dict
-    n_train: int
-    n_test: int
-
-
-def _score_task(train_X, train_y, test_X, test_y, cfg, labels) -> dict:
-    model = train_forest(train_X, train_y, cfg)
-    pred = predict_batch(model, test_X)
-    cm = confusion_matrix(test_y, pred, labels=labels)
+def _score_task(X, y, train, cfg) -> dict:
+    """A forest trained on the ``train`` rows of (X, y), scored on the other rows."""
+    model = train_forest(X[train], y[train], cfg)
+    cm = confusion_matrix(y[~train], predict_batch(model, X[~train]), labels=tuple(sorted(set(y.tolist()))))
     f2 = fbeta(cm, 2.0)
-    f05 = fbeta(cm, 0.5)
     return {
         "f2": f2.macro,
-        "f05": f05.macro,
+        "f05": fbeta(cm, 0.5).macro,
         "confusion": cm,
         "per_class_f2": {l: float(v) for l, v in zip(cm.labels, f2.per_class)},
     }
 
 
-def evaluate_protocol(dataset: FeatureDataset, ae: nn.AeModel, qae: quantize.QuantizedModel,
-                      cfg: ForestConfig = ForestConfig()) -> EvaluationReport:
-    """Three forests (raw, float-recon, int8-recon) on detection + classification.
+def evaluate_protocol(X, labels, train, ae: nn.AeModel, qae: quantize.QuantizedModel,
+                      cfg: ForestConfig = ForestConfig()) -> dict:
+    """Score raw, float-recon and int8-recon forests on every task: {variant: {task: scores}}.
 
-    The autoencoder must carry its training scenarios in
-    ``metadata["train_scenarios"]``; any overlap with the dataset's test
-    scenarios raises LeakageError. Each forest trains and evaluates on its
-    own representation of the scenario split.
+    ``labels`` maps each task to the labels of X's rows, in the order the
+    results list them. Each forest trains on the rows the boolean mask
+    ``train`` marks and is scored on the rest; scores hold F2, F0.5, the
+    confusion matrix and the per-class F2.
     """
-    ae_scen = ae.metadata.get("train_scenarios")
-    if ae_scen is not None:
-        overlap = set(int(s) for s in ae_scen) & set(int(s) for s in dataset.test_scenarios)
-        if overlap:
-            raise LeakageError(f"AE was trained on test scenarios {sorted(overlap)}")
-
-    train_m, test_m = dataset.train_mask, dataset.test_mask
-    if not train_m.any() or not test_m.any():
+    train = np.asarray(train, dtype=bool)
+    if train.all() or not train.any():
         raise InvalidSpecError("both scenario splits must be non-empty")
-
-    reps = {RAW: dataset.X}
-    recon_f, _ = nn.forward(ae, dataset.X)
-    reps[FLOAT_RECON] = recon_f
-    reps[INT8_RECON] = quantize.int8_forward(qae, dataset.X)
-
-    class_labels = tuple(sorted(set(dataset.class_labels.tolist())))
-    det_labels = tuple(sorted(set(dataset.detection_labels.tolist())))
-    results = {}
-    for variant in VARIANTS:
-        X = reps[variant]
-        results[variant] = {
-            TASK_DETECTION: _score_task(
-                X[train_m], dataset.detection_labels[train_m],
-                X[test_m], dataset.detection_labels[test_m], cfg, det_labels,
-            ),
-            TASK_CLASSIFICATION: _score_task(
-                X[train_m], dataset.class_labels[train_m],
-                X[test_m], dataset.class_labels[test_m], cfg, class_labels,
-            ),
-        }
-    return EvaluationReport(results=results, n_train=int(train_m.sum()), n_test=int(test_m.sum()))
+    reps = {RAW: X, FLOAT_RECON: nn.forward(ae, X)[0], INT8_RECON: quantize.int8_forward(qae, X)}
+    return {variant: {task: _score_task(R, y, train, cfg) for task, y in labels.items()}
+            for variant, R in reps.items()}
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
@@ -436,10 +379,10 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
             w.writerow([label] + [int(v) for v in row])
 
 
-def write_metrics_json(path, report: EvaluationReport) -> None:
-    """Flat records: {task, model_variant, f2, f05, per_class}."""
+def write_metrics_json(path, results) -> None:
+    """evaluate_protocol's results as flat records: {task, model_variant, f2, f05, per_class}."""
     records = []
-    for variant, tasks in report.results.items():
+    for variant, tasks in results.items():
         for task, r in tasks.items():
             records.append({
                 "task": task,

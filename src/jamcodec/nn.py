@@ -475,25 +475,22 @@ def vae_backward(model: AeModel, fwd: VaePass, grad_recon, grad_z=None) -> None:
     backward_layers(model.encoder, grad_h, stop=model._first_trainable)
 
 
-def backprop(model: AeModel, x, loss_kind="mse", seed=0) -> tuple:
+def backprop(model: AeModel, x, seed=0) -> tuple:
     """Loss and gradients for one batch.
 
-    loss_kind "mse" reconstructs through model.path; "vae"
-    (variational models only) samples z with the seed and adds the KL term.
+    A plain model reconstructs through model.path under MSE; a variational
+    one samples z with the seed and adds the KL term.
     The gradients are model.gradients(), views of the model's flat gradient
     buffer that the next backward pass overwrites.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if model.variational and loss_kind == "vae":
+    if model.variational:
         fwd = vae_forward(model, x, derived_rng(seed))
         loss = mse_loss(x, fwd.recon) + gaussian_kl(fwd.mu, fwd.logvar)
         vae_backward(model, fwd, 2.0 * (fwd.recon - x) / x.size)
         return loss, model.gradients()
 
     recon = run_layers(model.path, x, train=True)
-    if model.variational:
-        for g in model.logvar_head.grads:  # the one gradient no backward below writes
-            g.fill(0.0)
     loss = mse_loss(x, recon)
     backward_layers(model.path, 2.0 * (recon - x) / x.size, stop=model._first_trainable)
     return loss, model.gradients()
@@ -559,8 +556,8 @@ class TrainBudget:
         self.lr = float(lr)
 
 
-def _epoch_loss(model, x, loss_kind, seed):
-    if model.variational and loss_kind == "vae":
+def _epoch_loss(model, x, seed):
+    if model.variational:
         fwd = vae_forward(model, x, derived_rng(seed))
         return mse_loss(x, fwd.recon) + gaussian_kl(fwd.mu, fwd.logvar)
     recon, _ = forward(model, x)
@@ -568,8 +565,8 @@ def _epoch_loss(model, x, loss_kind, seed):
 
 
 def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
-                      epochs=None, early_stop=True, loss_kind="mse") -> tuple:
-    """Minibatch Adam with early stopping on validation MSE.
+                      epochs=None, early_stop=True) -> tuple:
+    """Minibatch Adam on backprop's loss, with early stopping on its validation value.
 
     Returns the model restored to its best-validation checkpoint and the
     per-epoch history [{epoch, train_loss, val_loss}, ...]. Raises
@@ -591,11 +588,11 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
         epoch_losses = []
         for bstart in range(0, len(order), budget.batch_size):
             batch = train_x[order[bstart : bstart + budget.batch_size]]
-            loss, _ = backprop(model, batch, loss_kind=loss_kind, seed=_mix(budget.seed, epoch, bstart))
+            loss, _ = backprop(model, batch, seed=_mix(budget.seed, epoch, bstart))
             opt.step()
             epoch_losses.append(loss)
         train_loss = float(np.mean(epoch_losses))
-        val_loss = _epoch_loss(model, val_x, loss_kind, _mix(budget.seed, epoch, -1))
+        val_loss = _epoch_loss(model, val_x, _mix(budget.seed, epoch, -1))
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}", last_finite_epoch=epoch - 1

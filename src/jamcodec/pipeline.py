@@ -13,6 +13,10 @@ files it reads, named by the upstream stage that writes them.
 ``run(config, until=name)`` walks it, calling ``stage_<name>`` for each; the
 CLI's stage subcommands are ``run`` with ``until``.
 
+The model stages (search, train, quantize, classify) see the features only
+through ``_split``, which scales them by the training rows and splits them
+by scenario; train/normstats.json records that scaling and no stage reads it.
+
 A stage's cache key is the SHA-256 of (stage name, subsection JSON, a digest
 of the jamcodec sources, the checksums of its declared reads as recorded by
 their writers earlier in this run), so keys change with any source change.
@@ -30,6 +34,7 @@ The one environment override: JAMCODEC_OUTPUT_DIR replaces the configured
 output directory.
 """
 
+import collections
 import contextlib
 from dataclasses import dataclass, field
 import functools
@@ -42,7 +47,7 @@ import sys
 import numpy as np
 
 from . import __version__, energy, features as feat, forest, nn, quantize, render, search, signals
-from .errors import ChecksumMismatchError, InvalidLengthError, InvalidSpecError, StageError
+from .errors import ChecksumMismatchError, InvalidLengthError, InvalidSpecError, LeakageError, StageError
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class Stage:
 
 
 _SPLIT_READS = (("features", "features/features.csv"), ("synth", "data/manifest.jsonl"))
-_MODEL_READS = _SPLIT_READS + (("train", "train/model.aem"), ("train", "train/normstats.json"))
+_MODEL_READS = _SPLIT_READS + (("train", "train/model.aem"),)
 
 STAGES = (
     Stage("synth", ("dataset",)),
@@ -210,7 +215,9 @@ class ExperimentConfig:
                 input_dim=_DOMAIN_DIM[self.domain], widths=_ints(sc["widths"]),
                 depths=_ints(sc["depths"]), latents=_ints(sc["latents"]),
             )
-            self.max_archs = int(sc["max_archs"]) if sc.get("max_archs") else None
+            self.max_archs = sc["max_archs"]
+            if self.max_archs is not None and (type(self.max_archs) is not int or self.max_archs < 1):
+                raise InvalidSpecError(f"max_archs must be null or an integer >= 1, got {self.max_archs!r}")
             self.top_k = int(sc["top_k"])
             if self.top_k < 1:
                 raise InvalidSpecError(f"top_k must be at least 1, got {self.top_k}")
@@ -470,17 +477,32 @@ def stage_features(runner: Runner) -> list:
     return [fdir / "features.csv"]
 
 
-def _splits(runner: Runner):
-    """(data, X of the configured domain, train mask, scenario ids, train ids, test ids)."""
+Split = collections.namedtuple("Split", "X labels train fit val stats train_scenarios")
+
+
+def _split(runner: Runner) -> Split:
+    """The model stages' one view of features.csv and the dataset manifest.
+
+    ``X`` is the configured domain, min-max scaled by ``stats``, the training
+    rows' statistics; ``labels`` maps each task, detection first, to its row
+    labels; ``train`` marks the rows of the training scenarios (the test rows
+    are ``~train``); ``fit`` and ``val`` are the seeded partition of the scaled
+    training rows; ``train_scenarios`` lists the training scenario ids.
+    """
     data = feat.read_feature_csv(runner.out / "features" / "features.csv")
     records = signals.read_manifest(runner.out / "data" / "manifest.jsonl")
     scenario_ids = np.asarray([int(r["scenario_id"]) for r in records], dtype=np.int64)
     if len(scenario_ids) != data[feat.DOMAIN_MIXED].shape[0]:
         raise StageError("feature rows and dataset manifest are out of step")
-    test_ids = runner.cfg.test_scenarios
-    train_ids = frozenset(scenario_ids.tolist()) - test_ids
-    X = data[runner.cfg.domain]
-    return data, X, np.isin(scenario_ids, sorted(train_ids)), scenario_ids, train_ids, test_ids
+    train = ~np.isin(scenario_ids, sorted(runner.cfg.test_scenarios))
+    stats = feat.fit_minmax(data[runner.cfg.domain][train])
+    X, _ = feat.apply_minmax(stats, data[runner.cfg.domain])
+    order = signals.derived_rng(runner.cfg.seed, 0x7A1).permutation(int(train.sum()))
+    n_val = max(1, int(len(order) * runner.cfg.val_fraction))
+    labels = {forest.TASK_DETECTION: data["detection_labels"],
+              forest.TASK_CLASSIFICATION: data["class_labels"]}
+    return Split(X, labels, train, X[train][order[n_val:]], X[train][order[:n_val]], stats,
+                 sorted(set(scenario_ids[train].tolist())))
 
 
 @_cached
@@ -488,12 +510,10 @@ def stage_search(runner: Runner) -> list:
     sdir = runner.out / "search"
     cfg = runner.cfg
     sdir.mkdir(exist_ok=True)
-    _, X, train_mask, _, _, _ = _splits(runner)
-    X_train, _ = _normalized_train(X, train_mask)
-    tr, val = _train_val(runner, X_train)
+    split = _split(runner)
     archs = search.enumerate_archs(cfg.search_space)[: cfg.max_archs]
-    ranked = search.screen(archs, tr, val, cfg.budget)
-    finalists = search.retrain_topk(ranked, min(cfg.top_k, len(ranked)), tr, val, cfg.budget)
+    ranked = search.screen(archs, split.fit, split.val, cfg.budget)
+    finalists = search.retrain_topk(ranked, min(cfg.top_k, len(ranked)), split.fit, split.val, cfg.budget)
     retrained = frozenset(f.arch.descriptor() for f in finalists)
     search.write_search_report(sdir / "search_report.csv", ranked, retrained=retrained)
     best = min(finalists, key=lambda r: r.val_mse)
@@ -506,39 +526,24 @@ def stage_search(runner: Runner) -> list:
     return [sdir / "search_report.csv", sdir / "best_arch.json"]
 
 
-def _normalized_train(X, train_mask):
-    stats = feat.fit_minmax(X[train_mask])
-    X_all, _ = feat.apply_minmax(stats, X)
-    return X_all[train_mask], stats
-
-
-def _train_val(runner: Runner, X_train):
-    order = signals.derived_rng(runner.cfg.seed, 0x7A1).permutation(X_train.shape[0])
-    n_val = max(1, int(len(order) * runner.cfg.val_fraction))
-    return X_train[order[n_val:]], X_train[order[:n_val]]
-
-
 @_cached
 def stage_train(runner: Runner) -> list:
     tdir = runner.out / "train"
     tdir.mkdir(exist_ok=True)
-    _, X, train_mask, _, train_ids, _ = _splits(runner)
-    X_train, stats = _normalized_train(X, train_mask)
-    tr, val = _train_val(runner, X_train)
-
+    split = _split(runner)
     hidden, latent = runner.cfg.hidden, runner.cfg.latent_dim
     if "search" in runner.manifest.stages:  # search ran in this run
         hidden, latent = _best_arch(runner.out / "search" / "best_arch.json")
 
-    model = nn.build_autoencoder(X.shape[1], hidden, latent, seed=runner.cfg.seed)
-    model, history = nn.train_autoencoder(model, tr, val, runner.cfg.budget)
+    model = nn.build_autoencoder(split.X.shape[1], hidden, latent, seed=runner.cfg.seed)
+    model, history = nn.train_autoencoder(model, split.fit, split.val, runner.cfg.budget)
     model.metadata = {
-        "train_scenarios": sorted(int(s) for s in train_ids),
+        "train_scenarios": split.train_scenarios,
         "domain": runner.cfg.domain,
-        "norm_stats": {"min": stats.min.tolist(), "max": stats.max.tolist()},
+        "norm_stats": {"min": split.stats.min.tolist(), "max": split.stats.max.tolist()},
     }
     nn.save_model(tdir / "model.aem", model)
-    stats.save(tdir / "normstats.json")
+    split.stats.save(tdir / "normstats.json")
     with open(tdir / "history.json", "w", encoding="utf-8") as fh:
         json.dump(history, fh, sort_keys=True)
     return [tdir / "model.aem", tdir / "normstats.json", tdir / "history.json"]
@@ -549,14 +554,12 @@ def stage_quantize(runner: Runner) -> list:
     qdir = runner.out / "quantize"
     qdir.mkdir(exist_ok=True)
     model = nn.load_model(runner.out / "train" / "model.aem")
-    _, X, train_mask, _, _, _ = _splits(runner)
-    stats = feat.NormStats.load(runner.out / "train" / "normstats.json")
-    X_norm, _ = feat.apply_minmax(stats, X)
-    calib = X_norm[train_mask][: runner.cfg.calib_count]
-    cal = quantize.calibrate(model, calib, percentile=runner.cfg.percentile)
+    split = _split(runner)
+    X_train = split.X[split.train]
+    cal = quantize.calibrate(model, X_train[: runner.cfg.calib_count], percentile=runner.cfg.percentile)
     qm = quantize.quantize_model(model, cal)
     quantize.save_quantized(qdir / "model.aeq", qm)
-    report = quantize.quant_report(model, qm, X_norm[train_mask])
+    report = quantize.quant_report(model, qm, X_train)
     with open(qdir / "quant_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     return [qdir / "model.aeq", qdir / "quant_report.json"]
@@ -568,21 +571,15 @@ def stage_classify(runner: Runner) -> list:
     cdir.mkdir(exist_ok=True)
     model = nn.load_model(runner.out / "train" / "model.aem")
     qm = quantize.load_quantized(runner.out / "quantize" / "model.aeq")
-    data, X, _, scenario_ids, train_ids, test_ids = _splits(runner)
-    stats = feat.NormStats.load(runner.out / "train" / "normstats.json")
-    X_norm, _ = feat.apply_minmax(stats, X)
-    dataset = forest.FeatureDataset(
-        X=X_norm,
-        class_labels=data["class_labels"],
-        detection_labels=data["detection_labels"],
-        scenario_ids=scenario_ids,
-        train_scenarios=frozenset(train_ids),
-        test_scenarios=frozenset(test_ids),
-    )
-    report = forest.evaluate_protocol(dataset, model, qm, runner.cfg.forest_config)
-    forest.write_metrics_json(cdir / "metrics.json", report)
+    leaked = sorted(runner.cfg.test_scenarios.intersection(model.metadata["train_scenarios"]))
+    if leaked:
+        raise LeakageError(f"AE was trained on test scenarios {leaked}")
+    split = _split(runner)
+    results = forest.evaluate_protocol(split.X, split.labels, split.train, model, qm,
+                                       runner.cfg.forest_config)
+    forest.write_metrics_json(cdir / "metrics.json", results)
     outputs = [cdir / "metrics.json"]
-    for variant, tasks in report.results.items():
+    for variant, tasks in results.items():
         for task, r in tasks.items():
             p = cdir / f"confusion_{variant}_{task}.csv"
             forest.write_confusion_csv(p, r["confusion"])

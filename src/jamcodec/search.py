@@ -6,7 +6,7 @@ hidden width. The canonical spectral grid -- widths {32, 64, 128}, depth 2-3,
 latents 3-10 -- enumerates to exactly 128 architectures.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import csv
 import itertools
 import math
@@ -58,7 +58,6 @@ class SearchSpace:
 class CostProfile:
     n_params: int
     n_macs: int
-    memory_bytes_int8: int
 
 
 def enumerate_archs(space: SearchSpace) -> list:
@@ -90,7 +89,6 @@ def count_params_ops(arch: ArchSpec) -> CostProfile:
     """Parameters and multiply-accumulates for encoder plus mirrored decoder."""
     params = 0
     macs = 0
-    n_tensors = 0
 
     dense_in = arch.input_dim
     conv_lens = []
@@ -100,7 +98,6 @@ def count_params_ops(arch: ArchSpec) -> CostProfile:
             out_len = nn._conv1d_geometry(length, kernel, stride)[0]
             params += in_c * out_c * kernel + out_c
             macs += out_len * out_c * in_c * kernel
-            n_tensors += 2
             conv_lens.append((length, out_len, in_c, out_c, kernel))
             length = out_len
         dense_in = length * arch.conv_front[-1][1]
@@ -110,22 +107,18 @@ def count_params_ops(arch: ArchSpec) -> CostProfile:
         p, m = dense_cost(a, b)
         params += p
         macs += m
-        n_tensors += 2
     for a, b in zip(dims[::-1], dims[::-1][1:]):
         p, m = dense_cost(a, b)
         params += p
         macs += m
-        n_tensors += 2
 
     if arch.conv_front:
         # transposed mirror: same weight shapes, MACs counted at the larger output extent
         for in_len, out_len, in_c, out_c, kernel in reversed(conv_lens):
             params += in_c * out_c * kernel + in_c
             macs += out_len * out_c * in_c * kernel
-            n_tensors += 2
 
-    memory = params + 5 * n_tensors  # int8 weights plus per-tensor scale (f32) and zero point (i8)
-    return CostProfile(n_params=params, n_macs=macs, memory_bytes_int8=memory)
+    return CostProfile(n_params=params, n_macs=macs)
 
 
 @dataclass
@@ -134,7 +127,6 @@ class ScreenResult:
     val_mse: float
     model: object = None
     diverged: bool = False
-    history: list = field(default_factory=list)
 
 
 def _build(arch: ArchSpec, seed: int, variational: bool):
@@ -144,17 +136,14 @@ def _build(arch: ArchSpec, seed: int, variational: bool):
     )
 
 
-def _fit_and_score(arch, model, train_x, val_x, budget, variational, epochs, early_stop):
+def _fit_and_score(arch, model, train_x, val_x, budget, epochs, early_stop):
     """Train model, then score it by validation MSE; a divergence scores inf with no model."""
     try:
-        model, history = nn.train_autoencoder(
-            model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop,
-            loss_kind="vae" if variational else "mse",
-        )
+        model, _ = nn.train_autoencoder(model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop)
     except nn.TrainingDivergedError:
         return ScreenResult(arch, math.inf, None, diverged=True)
     recon, _ = nn.forward(model, val_x)
-    return ScreenResult(arch, nn.mse_loss(val_x, recon), model, history=history)
+    return ScreenResult(arch, nn.mse_loss(val_x, recon), model)
 
 
 def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> list:
@@ -171,7 +160,7 @@ def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> 
         raise InvalidSpecError("screening needs non-empty train and validation data")
     results = [
         _fit_and_score(arch, _build(arch, budget.seed, variational), train_x, val_x, budget,
-                       variational, budget.screen_epochs, early_stop=False)
+                       budget.screen_epochs, early_stop=False)
         for arch in archs
     ]
     return sorted(results, key=lambda r: r.val_mse)
@@ -184,7 +173,7 @@ def retrain_topk(ranked, k, train_x, val_x, budget: nn.TrainBudget, variational=
     finalists = []
     for res in ranked[:k]:
         model = res.model if res.model is not None else _build(res.arch, budget.seed, variational)
-        finalists.append(_fit_and_score(res.arch, model, train_x, val_x, budget, variational,
+        finalists.append(_fit_and_score(res.arch, model, train_x, val_x, budget,
                                         budget.retrain_epochs_max, early_stop=True))
     return finalists
 

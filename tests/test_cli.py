@@ -87,6 +87,10 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"quant": {"percentile": math.nan}}, id="percentile_nan"),
     pytest.param({"quant": {"percentile": 200}}, id="percentile_above_hundred"),
     pytest.param({"search": {"enabled": True, "top_k": 0}}, id="top_k_zero"),
+    pytest.param({"search": {"max_archs": -1}}, id="max_archs_negative"),
+    pytest.param({"search": {"max_archs": 0}}, id="max_archs_zero"),
+    pytest.param({"search": {"max_archs": 2.7}}, id="max_archs_fraction"),
+    pytest.param({"search": {"max_archs": True}}, id="max_archs_bool"),
     pytest.param({"features": {"window_len": 1000}}, id="window_len_not_a_power_of_two"),
     pytest.param({"train": {"latent_dim": 0}}, id="latent_dim_zero"),
     pytest.param({"train": {"hidden": []}}, id="hidden_empty"),

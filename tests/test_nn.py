@@ -10,8 +10,8 @@ from jamcodec import factor, nn
 from jamcodec.errors import InvalidSpecError, ShapeError, TrainingDivergedError
 
 
-def eval_loss(model, x, loss_kind="mse", seed=3):
-    if loss_kind == "vae":
+def eval_loss(model, x, seed=3):
+    if model.variational:
         mu, logvar = model.encode(x)
         eps = nn.derived_rng(seed).standard_normal(mu.shape)
         z = mu + np.exp(0.5 * np.clip(logvar, -10, 10)) * eps
@@ -20,18 +20,18 @@ def eval_loss(model, x, loss_kind="mse", seed=3):
     return nn.mse_loss(x, recon)
 
 
-def finite_difference_fraction(model, x, loss_kind="mse", h=1e-4, tol=1e-4, seed=3, n_arrays=None):
+def finite_difference_fraction(model, x, h=1e-4, tol=1e-4, seed=3, n_arrays=None):
     """Fraction of parameters (of the first n_arrays arrays, default all) whose
     backprop gradient matches central FD."""
-    _, grads = nn.backprop(model, x, loss_kind=loss_kind, seed=seed)
+    _, grads = nn.backprop(model, x, seed=seed)
     ok = total = 0
     for pi, p in enumerate(model.parameters()[:n_arrays]):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + h
-            lp = eval_loss(model, x, loss_kind, seed)
+            lp = eval_loss(model, x, seed)
             p[idx] = orig - h
-            lm = eval_loss(model, x, loss_kind, seed)
+            lm = eval_loss(model, x, seed)
             p[idx] = orig
             fd = (lp - lm) / (2 * h)
             g = grads[pi][idx]
@@ -190,14 +190,14 @@ class TestBackprop:
     def test_vae_loss_fd(self):
         model = nn.build_autoencoder(8, (6,), 3, seed=8, variational=True)
         x = np.random.default_rng(4).uniform(0, 1, (5, 8))
-        assert finite_difference_fraction(model, x, loss_kind="vae") >= 0.99
+        assert finite_difference_fraction(model, x) >= 0.99
 
-    @pytest.mark.parametrize("kwargs, loss_kind", [
-        (dict(input_dim=10, hidden_widths=(7, 5), latent_dim=3, seed=7), "mse"),
-        (dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)), "mse"),
-        (dict(input_dim=8, hidden_widths=(6,), latent_dim=3, seed=8, variational=True), "vae"),
+    @pytest.mark.parametrize("kwargs", [
+        dict(input_dim=10, hidden_widths=(7, 5), latent_dim=3, seed=7),
+        dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)),
+        dict(input_dim=8, hidden_widths=(6,), latent_dim=3, seed=8, variational=True),
     ], ids=["dense", "conv_front", "variational_vae"])
-    def test_first_layer_weight_gradient_with_its_input_gradient_skipped(self, kwargs, loss_kind):
+    def test_first_layer_weight_gradient_with_its_input_gradient_skipped(self, kwargs):
         model = nn.build_autoencoder(**kwargs)
         first = next(layer for layer in model.encoder if layer.params)
         assert first.params[0] is model.parameters()[0]
@@ -212,7 +212,7 @@ class TestBackprop:
 
         first.backward = spy
         x = np.random.default_rng(4).uniform(0, 1, (5, kwargs["input_dim"]))
-        assert finite_difference_fraction(model, x, loss_kind=loss_kind, n_arrays=2) >= 0.99
+        assert finite_difference_fraction(model, x, n_arrays=2) >= 0.99
         assert calls == [False]
 
 
@@ -314,14 +314,13 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("kind", sorted(FLAT_MODELS))
     def test_layers_view_the_buffer_through_build_train_load_and_set(self, kind, tmp_path):
         kwargs = FLAT_MODELS[kind]
-        loss_kind = "vae" if kwargs.get("variational") else "mse"
         model = nn.build_autoencoder(**kwargs)
         n_params = model.n_params()
         assert_views_of_flat_buffer(model, n_params)
 
         x = np.random.default_rng(11).uniform(0, 1, (48, kwargs["input_dim"]))
         budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=3, batch_size=16, seed=3, lr=3e-3)
-        model, _ = nn.train_autoencoder(model, x[:36], x[36:], budget, loss_kind=loss_kind)
+        model, _ = nn.train_autoencoder(model, x[:36], x[36:], budget)
         assert_views_of_flat_buffer(model, n_params)
 
         nn.save_model(tmp_path / "m.aem", model)
@@ -333,7 +332,7 @@ class TestFlatBuffer:
         model.flat_params[...] = values
         assert_views_of_flat_buffer(model, n_params)
         assert np.array_equal(np.concatenate([p.ravel() for p in model.parameters()]), values)
-        nn.train_autoencoder(model, x[:36], x[36:], budget, loss_kind=loss_kind)
+        nn.train_autoencoder(model, x[:36], x[36:], budget)
         assert_views_of_flat_buffer(model, n_params)
 
     def test_image_vae_views_the_buffer(self):
@@ -455,8 +454,8 @@ class TestLosses:
         model = nn.build_autoencoder(6, (5,), 2, seed=3, variational=True)
         x = np.random.default_rng(1).uniform(0, 1, (4, 6))
         seed = 17
-        loss, _ = nn.backprop(model, x, loss_kind="vae", seed=seed)
-        assert abs(loss - eval_loss(model, x, "vae", seed)) < 1e-12
+        loss, _ = nn.backprop(model, x, seed=seed)
+        assert abs(loss - eval_loss(model, x, seed)) < 1e-12
 
 
 def vae_pass(mu, logvar, rows, rng):
@@ -586,22 +585,17 @@ class TestTrainAutoencoder:
 # SHA-256 of (trained parameters, history JSON) after 6 epochs on 36 uniform rows
 GOLDEN_TRAINING = {
     "dense_mse": (
-        dict(input_dim=12, hidden_widths=(8, 6), latent_dim=3, seed=1), "mse",
+        dict(input_dim=12, hidden_widths=(8, 6), latent_dim=3, seed=1),
         "9e2ab8d5942f2a14ebdb30e8bd6243833b2c221b9316a3c0d28dc67856ab0c3f",
         "9c8bdb93181678c08476fec1c14acebd8daae989a742841b479ef2fa73e1e503",
     ),
     "variational_vae": (
-        dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True), "vae",
+        dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True),
         "5c99faf45239d000fb06aae5f2b07e0b2ae6bc9709775603efc35134ec674a91",
         "40b87571da8f7df71f83a321f30eee3957d29e30da342319e85557da452b0fbb",
     ),
-    "variational_mse": (
-        dict(input_dim=12, hidden_widths=(8,), latent_dim=3, seed=2, variational=True), "mse",
-        "11ee238d22ba7785c8b1cc40676c228e553c0cf010ee689db756f8b3a97728d4",
-        "dc80eb2e996fd2142c1578beafb9292e21349795aef9929b75479afec0e8744f",
-    ),
     "conv_front": (
-        dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)), "mse",
+        dict(input_dim=16, hidden_widths=(6,), latent_dim=3, seed=5, conv_front=((2, 4, 3, 2),)),
         "267e2b657162c803d386af1cec3a700af505f5d35fa51b0212526a2493ad7844",
         "fa0d57a3410604b8b1426b505ab4912ea897b02f0fcf8b9b737409acac08383a",
     ),
@@ -610,12 +604,11 @@ GOLDEN_TRAINING = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAINING))
 def test_training_golden_bytes(name):
-    kwargs, loss_kind, params_sha, history_sha = GOLDEN_TRAINING[name]
+    kwargs, params_sha, history_sha = GOLDEN_TRAINING[name]
     x = np.random.default_rng(11).uniform(0, 1, (48, kwargs["input_dim"]))
     budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=6, early_stop_patience=2,
                             batch_size=16, seed=3, lr=3e-3)
-    model, history = nn.train_autoencoder(nn.build_autoencoder(**kwargs), x[:36], x[36:],
-                                          budget, loss_kind=loss_kind)
+    model, history = nn.train_autoencoder(nn.build_autoencoder(**kwargs), x[:36], x[36:], budget)
     assert hashlib.sha256(b"".join(p.tobytes() for p in model.parameters())).hexdigest() == params_sha
     assert hashlib.sha256(json.dumps(history, sort_keys=True).encode()).hexdigest() == history_sha
 

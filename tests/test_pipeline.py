@@ -273,7 +273,6 @@ def search_run_files(tmp_path_factory):
 
 READERS = {
     "features/features.csv": features.read_feature_csv,
-    "train/normstats.json": features.NormStats.load,
     "search/best_arch.json": pipeline._best_arch,
     "classify/metrics.json": pipeline._metrics_table,
 }
