@@ -21,8 +21,7 @@ layer's ``w``, ``b`` and grads into views of them. Backward passes write
 their gradients into those views, so a training step is one Adam.step()
 over the whole buffer, with no gathering and no copying back; a model file
 holds the buffer's float32 bytes in the same order. Every backward pass
-overwrites the gradients it owns, so nothing is zeroed per batch except
-what no pass writes: the logvar head's on the MSE path.
+overwrites the gradients it owns, so nothing is zeroed per batch.
 
 An AeModel's backward walks stop at its first encoder layer with
 parameters, which skips its input gradient: that would flow only to the

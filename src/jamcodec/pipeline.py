@@ -22,13 +22,14 @@ of the jamcodec sources, the checksums of its declared reads as recorded by
 their writers earlier in this run), so keys change with any source change.
 ``Runner.run_stage`` is the one artifact check: a rerun with an unchanged key
 is skipped when every recorded output is intact, re-runs its stage when an
-output is gone, and raises ChecksumMismatchError when one changed. The run manifest
-(manifest.json) lists every artifact with its checksum and contains no
-timestamps, so identical (config, seed) runs produce byte-identical
-manifests. A run through ``until`` keeps the previous manifest's records of
-the stages it did not reach; the next run checks their keys as usual. An
-unreadable previous manifest is a lost cache index, not a stop: Runner
-prints a ``warning:`` line and every stage runs.
+output is gone, and raises ChecksumMismatchError when one changed or cannot be
+read. The run manifest (manifest.json) lists every artifact with its checksum
+and contains no timestamps, so identical (config, seed) runs produce
+byte-identical manifests; ``run`` does not rewrite an unchanged one, so a
+rerun that hits every stage only reads. A run through ``until`` keeps the
+previous manifest's records of the stages it did not reach; the next run
+checks their keys as usual. An unreadable previous manifest is a lost cache
+index, not a stop: Runner prints a ``warning:`` line and every stage runs.
 
 The one environment override: JAMCODEC_OUTPUT_DIR replaces the configured
 output directory.
@@ -158,7 +159,8 @@ def _section(name):
     """Report a missing key or a bad value met while reading config section ``name``."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, InvalidLengthError, InvalidSpecError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, InvalidLengthError,
+            InvalidSpecError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidSpecError(f"config section {name!r}: {detail}") from None
 
@@ -313,7 +315,7 @@ class RunManifest:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(vars(self), fh, sort_keys=True, indent=2)
+            fh.write(json.dumps(vars(self), sort_keys=True, indent=2))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -372,19 +374,24 @@ class Runner:
         """Run one stage unless its cache key matches the previous run and its outputs are intact.
 
         ``func()`` does the stage's work and returns the paths it wrote. A
+        hit reads and hashes every recorded output and writes nothing. A
         recorded output that is gone re-runs the stage; one whose bytes
-        changed raises ChecksumMismatchError.
+        changed, or that cannot be read, raises ChecksumMismatchError.
         """
         stage = _STAGE[name]
         inputs = self._inputs(stage)
         key = self._stage_key(name, stage.sections, inputs)
         prev = (self.previous.stages.get(name) if self.previous else None) or {}
         if prev.get("key") == key:
+            out = os.fspath(self.out)
             for rel, sha in prev.get("outputs", {}).items():
                 try:
-                    digest = _sha_file(self.out / rel)
+                    digest = _sha_file(os.path.join(out, rel))
                 except FileNotFoundError:
                     break
+                except OSError as exc:  # a directory in its place, no permission, ...
+                    raise ChecksumMismatchError(
+                        f"stage {name}: cached artifact {rel} is unreadable: {exc}") from None
                 if digest != sha:
                     raise ChecksumMismatchError(f"stage {name}: cached artifact {rel} is corrupt")
             else:
@@ -624,7 +631,9 @@ def stage_report(runner: Runner) -> list:
 def run(config_path, until=None) -> RunManifest:
     """Walk STAGES for a config file, through stage ``until`` if given; returns the manifest.
 
-    Search runs when the config enables it or when it is ``until``.
+    Search runs when the config enables it or when it is ``until``. The
+    manifest is saved, also after a failed stage, unless it equals the
+    previous one: a rerun that hits every stage writes nothing.
     """
     cfg = ExperimentConfig.from_json(config_path)
     runner = Runner(cfg)
@@ -638,5 +647,6 @@ def run(config_path, until=None) -> RunManifest:
                         runner.manifest.stages[later.name] = runner.previous.stages[later.name]
                 break
     finally:
-        runner.manifest.save(runner.manifest_path)
+        if runner.previous is None or vars(runner.manifest) != vars(runner.previous):
+            runner.manifest.save(runner.manifest_path)
     return runner.manifest

@@ -49,6 +49,11 @@ def derived_rng(*parts):
     return np.random.default_rng(np.random.SeedSequence([int(p) & _U64 for p in parts]))
 
 
+def _check_rate(sample_rate_hz):
+    if not 0 < sample_rate_hz < math.inf:
+        raise InvalidSpecError(f"sample rate must be positive and finite, got {sample_rate_hz}")
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Uniform sampling grid: rate in Hz and capture duration in seconds."""
@@ -57,8 +62,7 @@ class SampleSpec:
     duration_s: float
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise InvalidSpecError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_rate(self.sample_rate_hz)
         if self.duration_s <= 0:
             raise InvalidSpecError(f"duration must be positive, got {self.duration_s}")
         if self.n_samples < 2:
@@ -70,6 +74,7 @@ class SampleSpec:
 
     @classmethod
     def from_samples(cls, sample_rate_hz: float, n_samples: int) -> "SampleSpec":
+        _check_rate(sample_rate_hz)
         return cls(sample_rate_hz, n_samples / sample_rate_hz)
 
 

@@ -54,6 +54,42 @@ def test_rerun_hits_every_stage_and_keeps_manifest(tiny_config, monkeypatch):
     assert manifest.read_bytes() == first
 
 
+def test_an_all_hit_rerun_leaves_the_manifest_unwritten(tiny_config, monkeypatch):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    manifest = tiny_config.parent / "run" / "manifest.json"
+    first = manifest.read_bytes()
+    past = 1_000_000_000_000_000_000  # a rewrite would stamp the present instead
+    os.utime(manifest, ns=(past, past))
+    pipeline.run(tiny_config)
+    assert runners[1].cache_hits == STAGES
+    assert manifest.read_bytes() == first
+    assert manifest.stat().st_mtime_ns == past
+
+
+def test_a_forest_change_rewrites_the_manifest_and_misses_only_classify_and_report(tiny_config, monkeypatch):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    manifest = tiny_config.parent / "run" / "manifest.json"
+    first = manifest.read_bytes()
+    update_config(tiny_config, forest={"n_trees": 5})
+    second = pipeline.run(tiny_config)
+    assert runners[1].cache_hits == [s for s in STAGES if s not in ("classify", "report")]
+    assert manifest.read_bytes() != first
+    assert pipeline.RunManifest.load(manifest) == second
+
+
+def test_a_corrupt_previous_manifest_is_replaced_by_a_valid_one(tiny_config, capsys):
+    first = pipeline.run(tiny_config)
+    manifest = tiny_config.parent / "run" / "manifest.json"
+    fresh = manifest.read_bytes()
+    manifest.write_bytes(b"\xff\xfe")  # not UTF-8; the CLI tests cover a truncated one
+    assert pipeline.run(tiny_config) == first
+    assert "warning: " in capsys.readouterr().err
+    assert pipeline.RunManifest.load(manifest) == first
+    assert manifest.read_bytes() == fresh
+
+
 def cli_command(*argv):
     args = cli.build_parser().parse_args(list(argv))
     return args.handler(args)
@@ -185,6 +221,14 @@ def test_manifest_roundtrip(tmp_path):
     assert pipeline.RunManifest.load(tmp_path / "manifest.json") == m
 
 
+def test_manifest_save_writes_the_bytes_of_an_indented_sorted_json_dump(finished_run, tmp_path):
+    manifest = finished_run[0]
+    manifest.save(tmp_path / "saved.json")
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(vars(manifest), fh, sort_keys=True, indent=2)
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
 @pytest.mark.parametrize("content", [
     b'{"config_hash": "abc", "tool_ver',
     b"\xff\xfe",
@@ -230,6 +274,21 @@ def test_a_flipped_cached_byte_stops_the_rerun(finished_run, tiny_config, monkey
     assert cli.main(["run", "--config", str(tiny_config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "quantize/model.aeq" in err
+
+
+def test_an_unreadable_cached_output_stops_the_rerun(finished_run, tiny_config, monkeypatch, capsys):
+    out = finished_run[1]
+    (out / "report" / "summary.txt").unlink()
+    (out / "report" / "summary.txt").mkdir()
+    manifest = (out / "manifest.json").read_bytes()
+    with pytest.raises(ChecksumMismatchError, match="report/summary.txt"):
+        pipeline.run(tiny_config)
+    (out / "manifest.json").write_bytes(manifest)  # the failed run saved only the stages before it
+    for var in cli.BLAS_THREAD_VARS:  # main sets these; keep them as they are
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    assert cli.main(["run", "--config", str(tiny_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "report/summary.txt" in err
 
 
 @pytest.mark.parametrize("rel", ["data/snap_00007.iqf", "quantize/model.aeq", "report/summary.txt"])
