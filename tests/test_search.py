@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -175,3 +177,66 @@ class TestReport:
         assert lines[0] == "arch,val_mse,n_params,n_macs,latent_dim,screened,retrained"
         assert len(lines) == 3
         assert lines[1].endswith(",1,1")  # best arch marked retrained
+
+
+def slice_data(seed=0):
+    """Rows of 24 values: a dense arch reads them flat, a conv front as 8 steps x 3 channels."""
+    X = low_rank_data(96, d=24, rank=3, seed=seed)
+    return X[:72], X[72:]
+
+
+# one screened slice per family, each with more than one candidate
+SLICE = {
+    "dense": ([search.ArchSpec(24, (12,), 3), search.ArchSpec(24, (16, 8), 4),
+               search.ArchSpec(24, (8,), 3)], False),
+    "conv": ([search.ArchSpec(24, (12,), 3, conv_front=((3, 4, 3, 2),)),
+              search.ArchSpec(24, (12,), 4, conv_front=((3, 2, 3, 1),))], False),
+    "vae": ([search.ArchSpec(24, (12,), 3), search.ArchSpec(24, (8,), 4)], True),
+}
+
+
+def run_slice(family, seed=0, k=2):
+    """Digests of the screened ranking, of the ranking after retrain_topk and of its finalists."""
+    archs, variational = SLICE[family]
+    train_x, val_x = slice_data(seed)
+    budget = tiny_budget(seed, screen=6)
+    ranked = search.screen(archs, train_x, val_x, budget, variational=variational)
+    screened = slice_digest(ranked)
+    finalists = search.retrain_topk(ranked, k, train_x, val_x, budget, variational=variational)
+    return screened, slice_digest(ranked), slice_digest(finalists)
+
+
+def slice_digest(results):
+    """SHA-256 of each result's descriptor, validation MSE and trained parameters, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.arch.descriptor().encode())
+        h.update(struct.pack("<d", r.val_mse))
+        h.update(b"diverged" if r.model is None else r.model.flat_params.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of each family's slice at seed 0: screened, ranked after retraining the best two (which
+# continues the screened models in place), finalists
+GOLDEN_SLICE = {
+    "dense": (
+        "7c4eda6ac0056b8c0481910597baecded4008d769bfffc833b1de5f3d3954016",
+        "498a2150e7bd054e2d277ccbbf1ff40bfdbff8b33983ecf61a27a04117e7db16",
+        "776e23c7acc11ccff8d7a7745364adf06fab91813ea20b1367031d2c6fbe3212",
+    ),
+    "conv": (
+        "55fa4a49dcd710b26d71bf37d06b887b4095c8a1a38c9095497481cdebde0e6b",
+        "f5580ce8a718b887933ef42e5eae380de526dceb1bbc0c05b56150e925668aa4",
+        "f6c1259c429ba5aa0c872485bde58676db2b82d1ee26e1961f8c649376102956",
+    ),
+    "vae": (
+        "6f5a10f6f07b915438e56ed757293387e88b7b1576140c5f225c82e04b82708d",
+        "65ed919cfa2f70da82fa87d91e834361e4e12cd6057a421467815269e4dc7bfc",
+        "315e7e5bd32290b6c58ae0fde710637bd32a38e4f6072caa7f9786e75a0c505b",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SLICE))
+def test_slice_golden_bytes(family):
+    assert run_slice(family) == GOLDEN_SLICE[family]
