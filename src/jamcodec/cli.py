@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 stage failure, 2 usage error (argparse default).
+Exit codes: 0 success, 1 stage failure or a file that cannot be read or
+written (one ``error:`` line), 2 usage error (argparse default).
 
 ``run`` runs every pipeline stage with caching. Each stage subcommand
 (``synth`` ... ``classify``, and ``report``, which renders the metrics
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except JamcodecError as exc:
+    except (JamcodecError, OSError) as exc:  # OSError: a file a stage reads or writes
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

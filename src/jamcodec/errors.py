@@ -36,6 +36,9 @@ class TrainingDivergedError(JamcodecError):
         super().__init__(message)
         self.last_finite_epoch = last_finite_epoch
 
+    def __reduce__(self):  # pickle (a worker process's error) with both arguments
+        return type(self), (*self.args, self.last_finite_epoch)
+
 
 class EmptySearchSpaceError(JamcodecError):
     """Architecture search space enumerates to nothing."""

@@ -319,15 +319,19 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        """Read a saved manifest; bad JSON or a missing key raises InvalidSpecError."""
+        """Read a saved manifest; bad JSON, a missing key or a stage record without object
+        outputs raises InvalidSpecError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 d = json.load(fh)
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise InvalidSpecError(f"{path}: unreadable run manifest: {exc}") from None
         if (not isinstance(d, dict) or not {"config_hash", "tool_version"} <= d.keys()
-                or not isinstance(d.get("stages", {}), dict)):
-            raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version, object stages")
+                or not isinstance(d.get("stages", {}), dict)
+                or not all(isinstance(rec, dict) and isinstance(rec.get("outputs"), dict)
+                           for rec in d.get("stages", {}).values())):
+            raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version, "
+                                   f"object stages, each with object outputs")
         return cls(config_hash=d["config_hash"], tool_version=d["tool_version"],
                    stages=d.get("stages", {}))
 

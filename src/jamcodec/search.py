@@ -4,12 +4,21 @@ Width sequences are non-increasing (a deeper hidden layer never has more
 neurons than a shallower one) and the latent dimension stays below the last
 hidden width. The canonical spectral grid -- widths {32, 64, 128}, depth 2-3,
 latents 3-10 -- enumerates to exactly 128 architectures.
+
+screen and retrain_topk train their candidates in forked worker processes,
+min(candidates, usable CPUs) of them, where the usable CPUs are
+os.sched_getaffinity's (os.cpu_count's where that is unavailable); with one
+worker the candidates train in this process. Every candidate trains by the
+same code from the same seed either way, and results come back in candidate
+order, so the validation MSEs, the ranking and every parameter are the serial
+loop's byte for byte. Retraining continues each screened model in place.
 """
 
 from dataclasses import dataclass
 import csv
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -146,11 +155,89 @@ def _fit_and_score(arch, model, train_x, val_x, budget, epochs, early_stop):
     return ScreenResult(arch, nn.mse_loss(val_x, recon), model)
 
 
+def _fit_job(shared, job):
+    """One candidate: job (arch, flat_params to start from or None for _build's), shared the
+    (train_x, val_x, budget, variational, epochs, early_stop) of every job.
+
+    Returns (val_mse, trained flat_params or None, diverged).
+    """
+    train_x, val_x, budget, variational, epochs, early_stop = shared
+    arch, params = job
+    model = _build(arch, budget.seed, variational)
+    if params is not None:
+        model.flat_params[...] = params
+    res = _fit_and_score(arch, model, train_x, val_x, budget, epochs, early_stop)
+    return res.val_mse, None if res.model is None else res.model.flat_params, res.diverged
+
+
+_worker_shared = None  # a pool worker's shared job arguments, set by _init_worker
+
+
+def _init_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_job(job):
+    return _fit_job(_worker_shared, job)
+
+
+def _n_workers(n_jobs):
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_jobs, cpus)
+
+
+def _run_jobs(jobs, shared):
+    """_fit_job over jobs, in forked workers when more than one is worth starting; results in job order.
+
+    The shared arguments reach the workers through fork, never pickled per job.
+    """
+    n = _n_workers(len(jobs))
+    if n < 2:
+        return [_fit_job(shared, job) for job in jobs]
+    import multiprocessing  # here: importing it at the top would load it into every run
+
+    pool = multiprocessing.get_context("fork").Pool(n, _init_worker, (shared,))
+    try:
+        results = pool.map(_worker_job, jobs, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        pool.join()
+        raise
+    pool.close()  # close then join: no worker or handler thread outlives the call
+    pool.join()
+    return results
+
+
+def _train(candidates, train_x, val_x, budget, variational, epochs, early_stop):
+    """ScreenResults of training each (arch, model or None) candidate, in candidate order.
+
+    A candidate without a model starts from _build's parameters. Trained
+    parameters are copied into the candidate's model (built here if it had
+    none); a diverged candidate leaves its model as it was and scores inf
+    with no model.
+    """
+    jobs = [(arch, None if model is None else model.flat_params) for arch, model in candidates]
+    scores = _run_jobs(jobs, (train_x, val_x, budget, variational, epochs, early_stop))
+    results = []
+    for (arch, model), (val_mse, params, diverged) in zip(candidates, scores):
+        if params is not None:
+            model = model if model is not None else _build(arch, budget.seed, variational)
+            model.flat_params[...] = params
+        results.append(ScreenResult(arch, val_mse, None if diverged else model, diverged))
+    return results
+
+
 def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> list:
     """Train every architecture for the screening budget; stable-sort by val MSE.
 
     A diverging architecture is recorded (val_mse = inf) and ranked last; the
-    search continues. One shared seed drives every screening run.
+    search continues. One shared seed drives every screening run. The
+    candidates train in min(len(archs), usable CPUs) forked workers (see the
+    module docstring), with the serial loop's results byte for byte.
     """
     if not archs:
         raise EmptySearchSpaceError("no architectures to screen")
@@ -158,24 +245,25 @@ def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> 
     val_x = np.asarray(val_x, dtype=np.float64)
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise InvalidSpecError("screening needs non-empty train and validation data")
-    results = [
-        _fit_and_score(arch, _build(arch, budget.seed, variational), train_x, val_x, budget,
-                       budget.screen_epochs, early_stop=False)
-        for arch in archs
-    ]
+    results = _train([(arch, None) for arch in archs], train_x, val_x, budget, variational,
+                     budget.screen_epochs, early_stop=False)
     return sorted(results, key=lambda r: r.val_mse)
 
 
 def retrain_topk(ranked, k, train_x, val_x, budget: nn.TrainBudget, variational=False) -> list:
-    """Continue training the k best screened models with early stopping."""
+    """Continue training the k best screened models with early stopping.
+
+    Each finalist's model is its screened model, trained on in place
+    (``finalists[i].model is ranked[i].model``); one screened as diverged
+    starts afresh. A retrain that diverges leaves the screened model's
+    parameters as they were screened, and nothing reads them. The finalists
+    train in min(k, usable CPUs) forked workers, with the serial loop's
+    results byte for byte.
+    """
     if k > len(ranked):
         raise InvalidSpecError(f"k={k} exceeds the {len(ranked)} ranked architectures")
-    finalists = []
-    for res in ranked[:k]:
-        model = res.model if res.model is not None else _build(res.arch, budget.seed, variational)
-        finalists.append(_fit_and_score(res.arch, model, train_x, val_x, budget,
-                                        budget.retrain_epochs_max, early_stop=True))
-    return finalists
+    return _train([(res.arch, res.model) for res in ranked[:k]], train_x, val_x, budget, variational,
+                  budget.retrain_epochs_max, early_stop=True)
 
 
 def write_search_report(path, results, retrained=frozenset()) -> None:

@@ -57,6 +57,42 @@ def test_truncated_run_manifest_is_a_cache_miss_with_a_warning(tmp_path, monkeyp
     assert (out / "manifest.json").read_bytes() == fresh
 
 
+def tiny_run_config(tmp_path):
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "output_dir": str(out), "dataset": {"per_class_count": 5},
+                                  "train": {"screen_epochs": 3, "retrain_epochs_max": 3},
+                                  "forest": {"n_trees": 4}}))
+    return config, out
+
+
+def test_a_stage_record_that_is_not_an_object_is_a_cache_miss_with_a_warning(tmp_path):
+    config, out = tiny_run_config(tmp_path)
+    assert jamcodec("run", "--config", str(config)).returncode == 0
+    fresh = (out / "manifest.json").read_bytes()
+    manifest = json.loads(fresh)
+    manifest["stages"]["synth"] = 5
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    done = jamcodec("run", "--config", str(config))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("warning: ") and done.stderr.count("\n") == 1
+    assert (out / "manifest.json").read_bytes() == fresh
+
+
+def test_a_directory_at_a_recorded_output_ends_every_rerun_with_an_error_line(tmp_path):
+    """The first rerun finds the output unreadable; the second, which re-runs its stage because the
+    first saved no record of it, cannot write it."""
+    config, out = tiny_run_config(tmp_path)
+    assert jamcodec("run", "--config", str(config)).returncode == 0
+    (out / "report" / "summary.txt").unlink()
+    (out / "report" / "summary.txt").mkdir()
+    for _ in range(2):
+        done = jamcodec("run", "--config", str(config))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "report/summary.txt" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_missing_config_is_a_usage_error():
     done = jamcodec("train")
     assert done.returncode == 2

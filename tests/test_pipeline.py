@@ -234,6 +234,8 @@ def test_manifest_save_writes_the_bytes_of_an_indented_sorted_json_dump(finished
     b'{"config_hash": "abc", "stages": {}}',
     b'{"config_hash": "abc", "tool_version": "0.1.0", "stages": []}',
     b"[]",
+    b'{"config_hash": "abc", "tool_version": "0.1.0", "stages": {"synth": 5}}',
+    b'{"config_hash": "abc", "tool_version": "0.1.0", "stages": {"synth": {"key": "k", "outputs": []}}}',
 ])
 def test_bad_manifest_rejected(tmp_path, content):
     path = tmp_path / "manifest.json"

@@ -1,12 +1,15 @@
 import hashlib
 import itertools
+import math
+import multiprocessing
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from jamcodec import nn, search
-from jamcodec.errors import EmptySearchSpaceError, InvalidSpecError
+from jamcodec.errors import EmptySearchSpaceError, InvalidSpecError, ShapeError
 
 SPECTRAL_SPACE = search.SearchSpace(input_dim=128)
 
@@ -240,3 +243,77 @@ GOLDEN_SLICE = {
 @pytest.mark.parametrize("family", sorted(GOLDEN_SLICE))
 def test_slice_golden_bytes(family):
     assert run_slice(family) == GOLDEN_SLICE[family]
+
+
+# os.sched_getaffinity stand-ins: one CPU trains in-process, four fork a worker per candidate
+CPUS = {"in_process": {0}, "pool": {0, 1, 2, 3}}
+
+
+@pytest.fixture(params=sorted(CPUS))
+def cpus(request, monkeypatch):
+    """Runs a test once in-process and once through forked workers, then checks that no worker
+    process or pool thread is left."""
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: CPUS[request.param])
+    contexts = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
+    threads = threading.active_count()
+    yield request.param
+    assert set(contexts) == (set() if request.param == "in_process" else {"fork"})
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SLICE))
+def test_both_paths_give_the_golden_bytes(cpus, family):
+    assert run_slice(family) == GOLDEN_SLICE[family]
+
+
+def test_finalists_continue_the_screened_models(cpus):
+    train_x, val_x = slice_data()
+    ranked = search.screen(SLICE["dense"][0], train_x, val_x, tiny_budget())
+    screened = [r.model for r in ranked]
+    finalists = search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
+    assert [r.model for r in ranked] == screened
+    assert all(f.model is r.model for f, r in zip(finalists, ranked))
+
+
+def test_a_diverged_retrain_leaves_the_screened_parameters(cpus):
+    train_x, val_x = slice_data()
+    ranked = search.screen(SLICE["dense"][0], train_x, val_x, tiny_budget())
+    screened = [r.model.flat_params.copy() for r in ranked]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finalists = search.retrain_topk(ranked, 2, train_x * 1e160, val_x * 1e160, tiny_budget())
+    assert [(f.val_mse, f.model, f.diverged) for f in finalists] == [(math.inf, None, True)] * 2
+    assert all(np.array_equal(r.model.flat_params, p) for r, p in zip(ranked, screened))
+
+
+def test_diverged_candidates_rank_last_and_retrain_afresh(cpus):
+    train_x, val_x = slice_data()
+    archs = SLICE["dense"][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranked = search.screen(archs, train_x * 1e160, val_x * 1e160, tiny_budget())
+    assert [(r.arch, r.val_mse, r.model, r.diverged) for r in ranked] == [(a, math.inf, None, True) for a in archs]
+    finalists = search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
+    assert all(f.model is not None and not f.diverged for f in finalists)
+    assert [r.model for r in ranked] == [None] * 3
+
+
+def test_a_mismatched_input_dim_raises_shape_error_in_the_caller(cpus):
+    train_x, val_x = slice_data()
+    archs = [search.ArchSpec(24, (8,), 3), search.ArchSpec(20, (8,), 3)]
+    with pytest.raises(ShapeError, match="expects 20 inputs"):
+        search.screen(archs, train_x, val_x, tiny_budget())
+    ranked = [search.ScreenResult(arch, 1.0) for arch in archs]
+    with pytest.raises(ShapeError, match="expects 20 inputs"):
+        search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
+
+
+def test_workers_are_the_candidates_or_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [search._n_workers(n) for n in (0, 1, 2, 3, 5)] == [0, 1, 2, 3, 3]
+    monkeypatch.delattr(search.os, "sched_getaffinity")
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert search._n_workers(5) == 2
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search._n_workers(5) == 1
