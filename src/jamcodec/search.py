@@ -170,7 +170,7 @@ def _fit_job(shared, job):
     return res.val_mse, None if res.model is None else res.model.flat_params, res.diverged
 
 
-_worker_shared = None  # a pool worker's shared job arguments, set by _init_worker
+_worker_shared = None  # the shared job arguments, set by _init_worker in pool workers only
 
 
 def _init_worker(shared):
@@ -200,6 +200,8 @@ def _run_jobs(jobs, shared):
         return [_fit_job(shared, job) for job in jobs]
     import multiprocessing  # here: importing it at the top would load it into every run
 
+    # fork, not spawn: the workers inherit the rows and the imported modules rather than
+    # unpickling and re-importing them per pool; jamcodec starts no threads of its own
     pool = multiprocessing.get_context("fork").Pool(n, _init_worker, (shared,))
     try:
         results = pool.map(_worker_job, jobs, chunksize=1)
