@@ -80,6 +80,11 @@ class TestFft:
         assert np.array_equal(x, before)
 
 
+def golden_buffer():
+    rng = np.random.default_rng(7)
+    return rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+
+
 def tone_buffer(freq_frac, fs=8192.0, n=8192, amp=1.0):
     spec = signals.SampleSpec.from_samples(fs, n)
     return signals.synth_tone(signals.ToneSpec.from_polar(freq_frac * fs, amp, 0.0), spec)
@@ -135,6 +140,10 @@ class TestPowerSpectrumBins:
     def test_finite_on_zero_input(self):
         frame = features.power_spectrum_bins(np.zeros(1024, dtype=complex))
         assert np.all(np.isfinite(frame.bins))
+
+    def test_band_power_golden_bytes(self):
+        digest = hashlib.sha256(features.band_power(golden_buffer(), window_len=1024, n_bins=128).tobytes())
+        assert digest.hexdigest() == "b116f785fb40c62014c2e969c860b0bddd7b5a4f6a6e912bacff71fff2d052df"
 
 
 class TestTemporalStats:
@@ -366,3 +375,11 @@ class TestSpectrogram:
     def test_too_short(self):
         with pytest.raises(InsufficientSamplesError):
             features.spectrogram_image(np.zeros(100, dtype=complex))
+
+    @pytest.mark.parametrize("n_avg, golden", [
+        (1, "2f5f833f2af657acb130c7b76b09188bea30a63f7c2c210253080287a2154301"),
+        (2, "37514e33ee9b5b63265ace412349c607de258d3de1b3f621078f91c5620c746b"),
+    ])
+    def test_golden_bytes(self, n_avg, golden):
+        img = features.spectrogram_image(golden_buffer(), n_time=32, n_freq=32, n_avg=n_avg)
+        assert hashlib.sha256(img.tobytes()).hexdigest() == golden
