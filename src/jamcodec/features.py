@@ -18,7 +18,6 @@ applies ``np.histogram``'s uniform-bin rule, so the counts are the same too.
 from dataclasses import dataclass
 import csv
 import functools
-import json
 
 import numpy as np
 
@@ -131,21 +130,23 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
     Per window: p[m] = |FFT(hann * x)[m]|^2 / window_len^2. Each output bin is
     the sum of p over its group of window_len/n_bins consecutive DFT bins, so
     the bins total the windowed time-domain energy divided by window_len
-    (Parseval). Averaged over all full windows in the buffer.
+    (Parseval). Averaged over all full windows along the last axis; leading
+    batch axes pass through, so a (T, N) buffer gives T rows of n_bins, each
+    the bytes of band_power on its row alone.
     """
     samples = _samples_of(x)
     check_window_len(window_len)
     if n_bins < 1 or window_len % n_bins != 0:
         raise InvalidSpecError(f"n_bins {n_bins} must divide window_len {window_len}")
-    n_windows = len(samples) // window_len
+    n_windows = samples.shape[-1] // window_len
     if n_windows < 1:
         raise InsufficientSamplesError(
-            f"buffer of {len(samples)} samples is shorter than one window ({window_len})"
+            f"buffer of {samples.shape[-1]} samples is shorter than one window ({window_len})"
         )
-    frames = samples[: n_windows * window_len].reshape(n_windows, window_len)
+    frames = samples[..., : n_windows * window_len].reshape(*samples.shape[:-1], n_windows, window_len)
     spectra = fft(frames * _hann(window_len))
-    p = np.mean(np.abs(spectra) ** 2, axis=0) / float(window_len) ** 2
-    return p.reshape(n_bins, window_len // n_bins).sum(axis=1)
+    p = np.mean(np.abs(spectra) ** 2, axis=-2) / float(window_len) ** 2
+    return p.reshape(*p.shape[:-1], n_bins, window_len // n_bins).sum(axis=-1)
 
 
 def power_spectrum_bins(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> SpectralFrame:
@@ -223,10 +224,6 @@ class NormStats:
 
     min: np.ndarray
     max: np.ndarray
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"min": self.min.tolist(), "max": self.max.tolist()}, fh, sort_keys=True)
 
 
 def fit_minmax(X) -> NormStats:
@@ -325,15 +322,9 @@ def spectrogram_image(x, n_time: int = 32, n_freq: int = 32, n_avg: int = 1) -> 
     samples, so the buffer must hold n_time * n_avg * 2 * n_freq samples.
     """
     samples = _samples_of(x)
-    window = 2 * n_freq
-    if window < 2 or (window & (window - 1)) != 0:
-        raise InvalidLengthError("spectrogram needs a power-of-two window (2 * n_freq)")
-    if len(samples) < n_time * n_avg * window:
-        raise InsufficientSamplesError(
-            f"need {n_time * n_avg * window} samples for a {n_time}x{n_freq} spectrogram"
-        )
-    frames = samples[: n_time * n_avg * window].reshape(n_time, n_avg, window)
-    spectra = fft(frames * _hann(window))
-    p = np.mean(np.abs(spectra) ** 2, axis=1) / float(window) ** 2
-    p = p.reshape(n_time, n_freq, 2).sum(axis=2)
-    return 10.0 * np.log10(p + LOG_EPS)
+    check_window_len(2 * n_freq)
+    need = n_time * n_avg * 2 * n_freq
+    if len(samples) < need:
+        raise InsufficientSamplesError(f"need {need} samples for a {n_time}x{n_freq} spectrogram")
+    rows = samples[:need].reshape(n_time, n_avg * 2 * n_freq)
+    return 10.0 * np.log10(band_power(rows, 2 * n_freq, n_freq) + LOG_EPS)

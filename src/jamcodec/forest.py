@@ -293,10 +293,6 @@ class ConfusionMatrix:
         if np.any(self.counts < 0):
             raise InvalidSpecError("confusion counts must be non-negative")
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion_matrix(y_true, y_pred, labels=None) -> ConfusionMatrix:
     y_true = np.asarray(y_true)

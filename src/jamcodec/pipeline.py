@@ -15,7 +15,7 @@ CLI's stage subcommands are ``run`` with ``until``.
 
 The model stages (search, train, quantize, classify) see the features only
 through ``_split``, which scales them by the training rows and splits them
-by scenario; train/normstats.json records that scaling and no stage reads it.
+by scenario; the trained model's metadata records that scaling.
 
 A stage's cache key is the SHA-256 of (stage name, subsection JSON, a digest
 of the jamcodec sources, the checksums of its declared reads as recorded by
@@ -554,10 +554,9 @@ def stage_train(runner: Runner) -> list:
         "norm_stats": {"min": split.stats.min.tolist(), "max": split.stats.max.tolist()},
     }
     nn.save_model(tdir / "model.aem", model)
-    split.stats.save(tdir / "normstats.json")
     with open(tdir / "history.json", "w", encoding="utf-8") as fh:
         json.dump(history, fh, sort_keys=True)
-    return [tdir / "model.aem", tdir / "normstats.json", tdir / "history.json"]
+    return [tdir / "model.aem", tdir / "history.json"]
 
 
 @_cached

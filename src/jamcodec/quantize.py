@@ -173,9 +173,6 @@ class QuantizedModel:
     latent_dim: int
     input_dim: int
 
-    def n_params(self) -> int:
-        return int(sum(l.w_q.size + l.b_q.size for l in self.layers if l.kind != "reshape"))
-
     def memory_bytes(self) -> int:
         blobs = sum(l.w_q.size + 4 * l.b_q.size for l in self.layers if l.kind != "reshape")
         meta = 5 * sum(2 for l in self.layers if l.kind != "reshape")

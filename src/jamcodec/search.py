@@ -5,13 +5,13 @@ neurons than a shallower one) and the latent dimension stays below the last
 hidden width. The canonical spectral grid -- widths {32, 64, 128}, depth 2-3,
 latents 3-10 -- enumerates to exactly 128 architectures.
 
-screen and retrain_topk train their candidates in forked worker processes,
-min(candidates, usable CPUs) of them, where the usable CPUs are
-os.sched_getaffinity's (os.cpu_count's where that is unavailable); with one
-worker the candidates train in this process. Every candidate trains by the
-same code from the same seed either way, and results come back in candidate
-order, so the validation MSEs, the ranking and every parameter are the serial
-loop's byte for byte. Retraining continues each screened model in place.
+screen and retrain_topk train every candidate through one job function on one
+shared state: in min(candidates, usable CPUs) forked worker processes, where
+the usable CPUs are os.sched_getaffinity's (os.cpu_count's where that is
+unavailable), or in this process when that is one. Every candidate trains from
+the same seed either way, and results come back in candidate order, so the
+validation MSEs, the ranking and every parameter are the serial loop's byte
+for byte. Retraining continues each screened model in place.
 """
 
 from dataclasses import dataclass
@@ -145,41 +145,27 @@ def _build(arch: ArchSpec, seed: int, variational: bool):
     )
 
 
-def _fit_and_score(arch, model, train_x, val_x, budget, epochs, early_stop):
-    """Train model, then score it by validation MSE; a divergence scores inf with no model."""
-    try:
-        model, _ = nn.train_autoencoder(model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop)
-    except nn.TrainingDivergedError:
-        return ScreenResult(arch, math.inf, None, diverged=True)
-    recon, _ = nn.forward(model, val_x)
-    return ScreenResult(arch, nn.mse_loss(val_x, recon), model)
+# (train_x, val_x, budget, variational, epochs, early_stop) of every job: set and cleared by _train,
+# so one _train runs at a time in a process
+_shared = None
 
 
-def _fit_job(shared, job):
-    """One candidate: job (arch, flat_params to start from or None for _build's), shared the
-    (train_x, val_x, budget, variational, epochs, early_stop) of every job.
+def _fit(job):
+    """Train one (arch, flat_params to start from or None for _build's) job on _shared.
 
-    Returns (val_mse, trained flat_params or None, diverged).
+    Returns (validation MSE, trained flat_params), or (inf, None) if training diverged.
     """
-    train_x, val_x, budget, variational, epochs, early_stop = shared
+    train_x, val_x, budget, variational, epochs, early_stop = _shared
     arch, params = job
     model = _build(arch, budget.seed, variational)
     if params is not None:
         model.flat_params[...] = params
-    res = _fit_and_score(arch, model, train_x, val_x, budget, epochs, early_stop)
-    return res.val_mse, None if res.model is None else res.model.flat_params, res.diverged
-
-
-_worker_shared = None  # the shared job arguments, set by _init_worker in pool workers only
-
-
-def _init_worker(shared):
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _worker_job(job):
-    return _fit_job(_worker_shared, job)
+    try:
+        model, _ = nn.train_autoencoder(model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop)
+    except nn.TrainingDivergedError:
+        return math.inf, None
+    recon, _ = nn.forward(model, val_x)
+    return nn.mse_loss(val_x, recon), model.flat_params
 
 
 def _n_workers(n_jobs):
@@ -190,46 +176,46 @@ def _n_workers(n_jobs):
     return min(n_jobs, cpus)
 
 
-def _run_jobs(jobs, shared):
-    """_fit_job over jobs, in forked workers when more than one is worth starting; results in job order.
-
-    The shared arguments reach the workers through fork, never pickled per job.
-    """
-    n = _n_workers(len(jobs))
-    if n < 2:
-        return [_fit_job(shared, job) for job in jobs]
-    import multiprocessing  # here: importing it at the top would load it into every run
-
-    # fork, not spawn: the workers inherit the rows and the imported modules rather than
-    # unpickling and re-importing them per pool; jamcodec starts no threads of its own
-    pool = multiprocessing.get_context("fork").Pool(n, _init_worker, (shared,))
-    try:
-        results = pool.map(_worker_job, jobs, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    pool.close()  # close then join: no worker or handler thread outlives the call
-    pool.join()
-    return results
-
-
 def _train(candidates, train_x, val_x, budget, variational, epochs, early_stop):
     """ScreenResults of training each (arch, model or None) candidate, in candidate order.
 
+    Every candidate runs through _fit, in this process or in forked workers,
+    and both read _shared: set here before the pool forks and cleared after,
+    so the rows reach the workers through fork and are never pickled.
     A candidate without a model starts from _build's parameters. Trained
     parameters are copied into the candidate's model (built here if it had
     none); a diverged candidate leaves its model as it was and scores inf
     with no model.
     """
+    global _shared
     jobs = [(arch, None if model is None else model.flat_params) for arch, model in candidates]
-    scores = _run_jobs(jobs, (train_x, val_x, budget, variational, epochs, early_stop))
+    n = _n_workers(len(jobs))
+    _shared = (train_x, val_x, budget, variational, epochs, early_stop)
+    try:
+        if n < 2:
+            scores = [_fit(job) for job in jobs]
+        else:
+            import multiprocessing  # here: importing it at the top would load it into every run
+
+            # fork, not spawn: the workers inherit the rows and the imported modules rather than
+            # unpickling and re-importing them per pool; jamcodec starts no threads of its own
+            pool = multiprocessing.get_context("fork").Pool(n)
+            try:
+                scores = pool.map(_fit, jobs, chunksize=1)
+            except BaseException:
+                pool.terminate()
+                pool.join()
+                raise
+            pool.close()  # close then join: no worker or handler thread outlives the call
+            pool.join()
+    finally:
+        _shared = None
     results = []
-    for (arch, model), (val_mse, params, diverged) in zip(candidates, scores):
+    for (arch, model), (val_mse, params) in zip(candidates, scores):
         if params is not None:
             model = model if model is not None else _build(arch, budget.seed, variational)
             model.flat_params[...] = params
-        results.append(ScreenResult(arch, val_mse, None if diverged else model, diverged))
+        results.append(ScreenResult(arch, val_mse, None if params is None else model, params is None))
     return results
 
 

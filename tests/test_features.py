@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 from types import SimpleNamespace
 
@@ -140,6 +139,14 @@ class TestPowerSpectrumBins:
     def test_finite_on_zero_input(self):
         frame = features.power_spectrum_bins(np.zeros(1024, dtype=complex))
         assert np.all(np.isfinite(frame.bins))
+
+    def test_a_batch_gives_each_row_s_bytes(self):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((3, 2560)) + 1j * rng.standard_normal((3, 2560))  # 2.5 windows a row
+        batch = features.band_power(rows, window_len=1024, n_bins=128)
+        assert batch.shape == (3, 128)
+        for row, powers in zip(rows, batch):
+            assert powers.tobytes() == features.band_power(row, window_len=1024, n_bins=128).tobytes()
 
     def test_band_power_golden_bytes(self):
         digest = hashlib.sha256(features.band_power(golden_buffer(), window_len=1024, n_bins=128).tobytes())
@@ -321,12 +328,6 @@ class TestNormalize:
         with pytest.raises(InvalidSpecError):
             features.fit_minmax(np.array([[1.0, 2.0]]))
 
-    def test_stats_json_roundtrip(self, tmp_path):
-        stats = features.fit_minmax(np.array([[0.0, -2.0], [4.0, 6.0]]))
-        path = tmp_path / "norm.json"
-        stats.save(path)
-        assert json.loads(path.read_text()) == {"min": [0.0, -2.0], "max": [4.0, 6.0]}
-
     @given(st.integers(2, 30), st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
     def test_unit_interval_property(self, n, d):
@@ -375,6 +376,10 @@ class TestSpectrogram:
     def test_too_short(self):
         with pytest.raises(InsufficientSamplesError):
             features.spectrogram_image(np.zeros(100, dtype=complex))
+
+    def test_window_not_a_power_of_two(self):
+        with pytest.raises(InvalidLengthError):
+            features.spectrogram_image(np.zeros(4096, dtype=complex), n_time=8, n_freq=24)
 
     @pytest.mark.parametrize("n_avg, golden", [
         (1, "2f5f833f2af657acb130c7b76b09188bea30a63f7c2c210253080287a2154301"),

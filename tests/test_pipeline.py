@@ -419,8 +419,6 @@ TINY_GOLDEN = {
         "9511df728f91c023e40f48542e30106d71748ce6c3d13afbf5d07957e7b3ffad",
     "train/model.aem":
         "bd64cf9c10ea624c51b69f7c51b0e3d33d2a344d498bae3a7bf10f22556f7d79",
-    "train/normstats.json":
-        "ff35ddd98f29b9153b3b235f89dd82393d7d6e1ff19ee269ce7b9520646d6f13",
 }
 
 

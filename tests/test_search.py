@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import struct
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ def test_a_mismatched_input_dim_raises_shape_error_in_the_caller(cpus):
     ranked = [search.ScreenResult(arch, 1.0) for arch in archs]
     with pytest.raises(ShapeError, match="expects 20 inputs"):
         search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
+
+
+def test_the_rows_die_with_the_caller_s_reference(cpus):
+    train_x, val_x = slice_data()
+    rows = weakref.ref(train_x)
+    ranked = search.screen(SLICE["dense"][0], train_x, val_x, tiny_budget())
+    search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
+    del train_x
+    assert rows() is None
 
 
 def test_workers_are_the_candidates_or_the_usable_cpus(monkeypatch):
