@@ -11,6 +11,7 @@ quantize  post-training int8 quantization and integer-only inference
 forest    random-forest evaluation protocol and F-beta scoring
 energy    transmission/energy/cost arithmetic
 pipeline  config-driven orchestration with content-addressed caching
+parallel  fork_map: independent jobs in forked worker processes
 """
 
 __version__ = "0.1.0"

@@ -13,6 +13,10 @@ one scratch buffer. These are the same floating-point operations on the same
 operands as computing them per call, so outputs are bit-identical. The
 entropy histograms of all sub-windows come from one ``np.bincount`` that
 applies ``np.histogram``'s uniform-bin rule, so the counts are the same too.
+
+``dataset_features`` is the one call here that fans out: it extracts
+contiguous chunks of its snapshots in forked workers (see ``parallel``).
+``snapshot_features``, the stream's per-snapshot path, never forks.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ import functools
 
 import numpy as np
 
+from . import parallel
 from .errors import InsufficientSamplesError, InvalidLengthError, InvalidSpecError
 
 SPECTRAL_DIM = 128
@@ -258,14 +263,22 @@ def snapshot_features(snapshot, window_len: int = 1024) -> dict:
 
 
 def dataset_features(snapshots, window_len: int = 1024) -> dict:
-    """Feature matrices plus label arrays for a snapshot list."""
-    spectral, temporal = [], []
-    for snap in snapshots:
-        f = snapshot_features(snap, window_len=window_len)
-        spectral.append(f[DOMAIN_SPECTRAL])
-        temporal.append(f[DOMAIN_TEMPORAL])
-    spectral = np.asarray(spectral)
-    temporal = np.asarray(temporal)
+    """Feature matrices plus label arrays for a snapshot list.
+
+    The snapshots split into one contiguous chunk per parallel.fork_map
+    worker; each row is snapshot_features' bytes, in snapshot order.
+    """
+    n = parallel.n_workers(len(snapshots))
+    bounds = [len(snapshots) * i // n for i in range(n + 1)]
+
+    def chunk(i):
+        rows = [snapshot_features(snap, window_len=window_len) for snap in snapshots[bounds[i]:bounds[i + 1]]]
+        return (np.asarray([f[DOMAIN_SPECTRAL] for f in rows]),
+                np.asarray([f[DOMAIN_TEMPORAL] for f in rows]))
+
+    chunks = parallel.fork_map(chunk, n)
+    spectral = np.concatenate([c[0] for c in chunks])
+    temporal = np.concatenate([c[1] for c in chunks])
     return {
         DOMAIN_SPECTRAL: spectral,
         DOMAIN_TEMPORAL: temporal,

@@ -13,7 +13,9 @@ per-feature transform. Vote ties resolve to the smallest class index.
 
 ``evaluate_protocol(X, labels, train, ae, qae, cfg)`` is the paper's comparison:
 forests on the raw features and on their float and int8 autoencoder
-reconstructions, trained on the ``train`` rows and scored on the rest.
+reconstructions, trained on the ``train`` rows and scored on the rest. It is
+the one call here that fans out: its six forests train in forked workers (see
+``parallel``), while ``train_forest`` and ``predict`` run in their caller.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from . import nn, quantize
+from . import nn, parallel, quantize
 from .errors import InvalidSpecError, ShapeError
 from .signals import derived_rng
 
@@ -357,14 +359,16 @@ def evaluate_protocol(X, labels, train, ae: nn.AeModel, qae: quantize.QuantizedM
     ``labels`` maps each task to the labels of X's rows, in the order the
     results list them. Each forest trains on the rows the boolean mask
     ``train`` marks and is scored on the rest; scores hold F2, F0.5, the
-    confusion matrix and the per-class F2.
+    confusion matrix and the per-class F2. Each (variant, task) forest is one
+    parallel.fork_map job that returns only its scores, never its trees.
     """
     train = np.asarray(train, dtype=bool)
     if train.all() or not train.any():
         raise InvalidSpecError("both scenario splits must be non-empty")
     reps = {RAW: X, FLOAT_RECON: nn.forward(ae, X)[0], INT8_RECON: quantize.int8_forward(qae, X)}
-    return {variant: {task: _score_task(R, y, train, cfg) for task, y in labels.items()}
-            for variant, R in reps.items()}
+    jobs = [(reps[variant], labels[task]) for variant in reps for task in labels]
+    scores = iter(parallel.fork_map(lambda i: _score_task(*jobs[i], train, cfg), len(jobs)))
+    return {variant: {task: next(scores) for task in labels} for variant in reps}
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:

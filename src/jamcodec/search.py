@@ -5,24 +5,21 @@ neurons than a shallower one) and the latent dimension stays below the last
 hidden width. The canonical spectral grid -- widths {32, 64, 128}, depth 2-3,
 latents 3-10 -- enumerates to exactly 128 architectures.
 
-screen and retrain_topk train every candidate through one job function on one
-shared state: in min(candidates, usable CPUs) forked worker processes, where
-the usable CPUs are os.sched_getaffinity's (os.cpu_count's where that is
-unavailable), or in this process when that is one. Every candidate trains from
-the same seed either way, and results come back in candidate order, so the
-validation MSEs, the ranking and every parameter are the serial loop's byte
-for byte. Retraining continues each screened model in place.
+screen and retrain_topk train each candidate as one parallel.fork_map job: in
+forked worker processes, or in this process on one usable CPU. Every candidate
+trains from the same seed either way, so the validation MSEs, the ranking and
+every parameter are the serial loop's byte for byte. Retraining continues each
+screened model in place.
 """
 
 from dataclasses import dataclass
 import csv
 import itertools
 import math
-import os
 
 import numpy as np
 
-from . import nn
+from . import nn, parallel
 from .errors import EmptySearchSpaceError, InvalidSpecError
 
 
@@ -145,73 +142,30 @@ def _build(arch: ArchSpec, seed: int, variational: bool):
     )
 
 
-# (train_x, val_x, budget, variational, epochs, early_stop) of every job: set and cleared by _train,
-# so one _train runs at a time in a process
-_shared = None
-
-
-def _fit(job):
-    """Train one (arch, flat_params to start from or None for _build's) job on _shared.
-
-    Returns (validation MSE, trained flat_params), or (inf, None) if training diverged.
-    """
-    train_x, val_x, budget, variational, epochs, early_stop = _shared
-    arch, params = job
-    model = _build(arch, budget.seed, variational)
-    if params is not None:
-        model.flat_params[...] = params
-    try:
-        model, _ = nn.train_autoencoder(model, train_x, val_x, budget, epochs=epochs, early_stop=early_stop)
-    except nn.TrainingDivergedError:
-        return math.inf, None
-    recon, _ = nn.forward(model, val_x)
-    return nn.mse_loss(val_x, recon), model.flat_params
-
-
-def _n_workers(n_jobs):
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_jobs, cpus)
-
-
 def _train(candidates, train_x, val_x, budget, variational, epochs, early_stop):
     """ScreenResults of training each (arch, model or None) candidate, in candidate order.
 
-    Every candidate runs through _fit, in this process or in forked workers,
-    and both read _shared: set here before the pool forks and cleared after,
-    so the rows reach the workers through fork and are never pickled.
-    A candidate without a model starts from _build's parameters. Trained
-    parameters are copied into the candidate's model (built here if it had
-    none); a diverged candidate leaves its model as it was and scores inf
-    with no model.
+    Each candidate is one fork_map job, which returns (validation MSE, trained
+    flat_params), or (inf, None) if training diverged. A candidate without a
+    model starts from _build's parameters. Trained parameters are copied into
+    the candidate's model (built here if it had none); a diverged candidate
+    leaves its model as it was and scores inf with no model.
     """
-    global _shared
-    jobs = [(arch, None if model is None else model.flat_params) for arch, model in candidates]
-    n = _n_workers(len(jobs))
-    _shared = (train_x, val_x, budget, variational, epochs, early_stop)
-    try:
-        if n < 2:
-            scores = [_fit(job) for job in jobs]
-        else:
-            import multiprocessing  # here: importing it at the top would load it into every run
+    def fit(i):
+        arch, model = candidates[i]
+        trained = _build(arch, budget.seed, variational)
+        if model is not None:
+            trained.flat_params[...] = model.flat_params
+        try:
+            trained, _ = nn.train_autoencoder(trained, train_x, val_x, budget, epochs=epochs,
+                                              early_stop=early_stop)
+        except nn.TrainingDivergedError:
+            return math.inf, None
+        recon, _ = nn.forward(trained, val_x)
+        return nn.mse_loss(val_x, recon), trained.flat_params
 
-            # fork, not spawn: the workers inherit the rows and the imported modules rather than
-            # unpickling and re-importing them per pool; jamcodec starts no threads of its own
-            pool = multiprocessing.get_context("fork").Pool(n)
-            try:
-                scores = pool.map(_fit, jobs, chunksize=1)
-            except BaseException:
-                pool.terminate()
-                pool.join()
-                raise
-            pool.close()  # close then join: no worker or handler thread outlives the call
-            pool.join()
-    finally:
-        _shared = None
     results = []
-    for (arch, model), (val_mse, params) in zip(candidates, scores):
+    for (arch, model), (val_mse, params) in zip(candidates, parallel.fork_map(fit, len(candidates))):
         if params is not None:
             model = model if model is not None else _build(arch, budget.seed, variational)
             model.flat_params[...] = params
@@ -224,8 +178,8 @@ def screen(archs, train_x, val_x, budget: nn.TrainBudget, variational=False) -> 
 
     A diverging architecture is recorded (val_mse = inf) and ranked last; the
     search continues. One shared seed drives every screening run. The
-    candidates train in min(len(archs), usable CPUs) forked workers (see the
-    module docstring), with the serial loop's results byte for byte.
+    candidates train through fork_map (see the module docstring), with the
+    serial loop's results byte for byte.
     """
     if not archs:
         raise EmptySearchSpaceError("no architectures to screen")
@@ -245,8 +199,7 @@ def retrain_topk(ranked, k, train_x, val_x, budget: nn.TrainBudget, variational=
     (``finalists[i].model is ranked[i].model``); one screened as diverged
     starts afresh. A retrain that diverges leaves the screened model's
     parameters as they were screened, and nothing reads them. The finalists
-    train in min(k, usable CPUs) forked workers, with the serial loop's
-    results byte for byte.
+    train through fork_map, with the serial loop's results byte for byte.
     """
     if k > len(ranked):
         raise InvalidSpecError(f"k={k} exceeds the {len(ranked)} ranked architectures")

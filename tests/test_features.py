@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jamcodec import features, signals
+from jamcodec import features, parallel, signals
 from jamcodec.errors import InsufficientSamplesError, InvalidLengthError, InvalidSpecError
 
 
@@ -267,6 +267,25 @@ class TestDatasetFeatures:
         mixed = data[features.DOMAIN_MIXED]
         assert mixed.shape == (5 * len(signals.WAVEFORM_CLASSES), features.MIXED_DIM)
         assert hashlib.sha256(mixed.tobytes()).hexdigest() == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_both_paths_give_the_golden_bytes(self, cpus, seed):
+        self.test_golden_bytes(seed)
+
+    def test_a_call_inside_a_fork_map_job_runs_in_process(self, cpus):
+        snaps = baseline_snapshots(0)
+
+        def job(i):
+            mixed = features.dataset_features(snaps)[features.DOMAIN_MIXED]
+            return parallel.n_workers(len(snaps)), hashlib.sha256(mixed.tobytes()).hexdigest()
+
+        assert parallel.fork_map(job, 2) == [(1, self.GOLDEN[0])] * 2
+
+    def test_a_non_finite_snapshot_raises_invalid_spec_in_the_caller(self, cpus):
+        snaps = baseline_snapshots(0, per_class=1)
+        snaps[-1].iq.samples[7] = np.nan
+        with pytest.raises(InvalidSpecError, match="non-finite"):
+            features.dataset_features(snaps)
 
     def test_rows_equal_snapshot_features(self):
         snaps = baseline_snapshots(1, per_class=1)

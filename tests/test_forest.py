@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jamcodec import forest
+from jamcodec import forest, nn, quantize
 from jamcodec.errors import InvalidSpecError, ShapeError
 
 
@@ -214,6 +215,42 @@ class TestBatchedSearch:
             X, y = tied_data(0)
             X_test, _ = tied_data(1, n=60)
             assert fingerprint(forest.train_forest(X, y, cfg), X_test) == expect
+
+
+def protocol_data(seed=0, n=72, d=12):
+    """evaluate_protocol's arguments: rows with two tasks' labels, a train mask, an untrained AE and its int8 model."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    score = X[:, :3] @ rng.normal(size=3)
+    cls = np.digitize(score, np.quantile(score, [1 / 3, 2 / 3]))
+    labels = {"detection": np.where(cls > 0, "jam", "clean"),
+              "classification": np.asarray(["a", "b", "c"])[cls]}
+    ae = nn.build_autoencoder(d, (8,), 3, seed=seed)
+    return X, labels, np.arange(n) % 3 != 0, ae, quantize.quantize_model(ae, quantize.calibrate(ae, X))
+
+
+def protocol_digest(results):
+    """SHA-256 of every (variant, task) score in result order; floats as exact hex."""
+    flat = [[variant, task, r["f2"].hex(), r["f05"].hex(), list(r["confusion"].labels),
+             r["confusion"].counts.tolist(), {l: v.hex() for l, v in r["per_class_f2"].items()}]
+            for variant, tasks in results.items() for task, r in tasks.items()]
+    return hashlib.sha256(json.dumps(flat).encode()).hexdigest()
+
+
+class TestEvaluateProtocol:
+    GOLDEN = "6492d82f6d0e1dd93d1ba548bd9d6666fe10762b8fe28caffc431b9071d84f48"  # the serial loop's scores
+
+    def test_both_paths_give_the_golden_scores(self, cpus):
+        results = forest.evaluate_protocol(*protocol_data(), forest.ForestConfig(n_trees=8, seed=1))
+        assert [(v, list(t)) for v, t in results.items()] == [
+            (v, ["detection", "classification"]) for v in (forest.RAW, forest.FLOAT_RECON, forest.INT8_RECON)]
+        assert protocol_digest(results) == self.GOLDEN
+
+    def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self, cpus):
+        X, labels, train, ae, qae = protocol_data()
+        X[1, 2] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidSpecError, match="finite"):
+            forest.evaluate_protocol(X, labels, train, ae, qae, forest.ForestConfig(n_trees=2))
 
 
 class TestPredict:

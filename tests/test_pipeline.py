@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -424,6 +425,25 @@ TINY_GOLDEN = {
 
 def test_tiny_run_artifacts_are_pinned(finished_run):
     assert artifact_digests(finished_run[1]) == TINY_GOLDEN
+
+
+def test_both_paths_give_the_pinned_tiny_run(cpus, tiny_config):
+    pipeline.run(tiny_config)
+    assert artifact_digests(tiny_config.parent / "run") == TINY_GOLDEN
+
+
+def test_a_cached_rerun_forks_nothing(tiny_config, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    contexts = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    assert contexts  # a fresh run forks
+    contexts.clear()
+    pipeline.run(tiny_config)
+    assert runners[1].cache_hits == STAGES
+    assert contexts == []
 
 
 def test_replaced_stage_functions_and_run_stage_see_every_call(tiny_config, monkeypatch):

@@ -1,9 +1,7 @@
 import hashlib
 import itertools
 import math
-import multiprocessing
 import struct
-import threading
 import weakref
 
 import numpy as np
@@ -246,25 +244,6 @@ def test_slice_golden_bytes(family):
     assert run_slice(family) == GOLDEN_SLICE[family]
 
 
-# os.sched_getaffinity stand-ins: one CPU trains in-process, four fork a worker per candidate
-CPUS = {"in_process": {0}, "pool": {0, 1, 2, 3}}
-
-
-@pytest.fixture(params=sorted(CPUS))
-def cpus(request, monkeypatch):
-    """Runs a test once in-process and once through forked workers, then checks that no worker
-    process or pool thread is left."""
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: CPUS[request.param])
-    contexts = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
-    threads = threading.active_count()
-    yield request.param
-    assert set(contexts) == (set() if request.param == "in_process" else {"fork"})
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
-
-
 @pytest.mark.parametrize("family", sorted(GOLDEN_SLICE))
 def test_both_paths_give_the_golden_bytes(cpus, family):
     assert run_slice(family) == GOLDEN_SLICE[family]
@@ -317,13 +296,3 @@ def test_the_rows_die_with_the_caller_s_reference(cpus):
     search.retrain_topk(ranked, 2, train_x, val_x, tiny_budget())
     del train_x
     assert rows() is None
-
-
-def test_workers_are_the_candidates_or_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert [search._n_workers(n) for n in (0, 1, 2, 3, 5)] == [0, 1, 2, 3, 3]
-    monkeypatch.delattr(search.os, "sched_getaffinity")
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    assert search._n_workers(5) == 2
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert search._n_workers(5) == 1
