@@ -12,7 +12,7 @@ The published downstream figures (264 mWh remaining, 130 mWh saved, the
 ~29,000x ratio) follow the whole-budget reading at a rounded 67% reduction.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 import json
 
@@ -154,22 +154,14 @@ class EnergyReport:
 
     tpu: dict
     traffic: dict
-    network_exact: dict
-    network_rounded: dict
+    network_exact_residual: dict
+    network_rounded_residual: dict
     daily_cost: dict
     one_percent_saving_mwh: float
     one_percent_over_tpu_ratio: float
 
     def to_json(self) -> dict:
-        return {
-            "tpu": self.tpu,
-            "traffic": self.traffic,
-            "network_exact_residual": self.network_exact,
-            "network_rounded_residual": self.network_rounded,
-            "daily_cost": self.daily_cost,
-            "one_percent_saving_mwh": self.one_percent_saving_mwh,
-            "one_percent_over_tpu_ratio": self.one_percent_over_tpu_ratio,
-        }
+        return asdict(self)  # a deep copy: callers may change it
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
@@ -191,8 +183,8 @@ def savings_report(pm: PowerModel = PowerModel(), tm: TrafficModel = TrafficMode
     return EnergyReport(
         tpu=tpu,
         traffic=traffic,
-        network_exact=network_energy(pm, traffic["residual_fraction"]),
-        network_rounded=network_energy(pm, rounded_residual),
+        network_exact_residual=network_energy(pm, traffic["residual_fraction"]),
+        network_rounded_residual=network_energy(pm, rounded_residual),
         daily_cost=daily_traffic_cost(rate_mb_per_s, pm.cellular_usd_per_gb),
         one_percent_saving_mwh=float(one_percent),
         one_percent_over_tpu_ratio=float(one_percent * 1000 / _frac(tpu["uwh"])),
@@ -213,11 +205,11 @@ def format_table(report: EnergyReport) -> str:
         f"({t['reduction_percent']:.1f}% lower transmission)",
         f"End-to-end compression:      {t['compression_factor_end_to_end']:.3g}x "
         f"({t['compression_rate_percent_end_to_end']:.1f}%)",
-        f"Network budget (exact):      {report.network_exact['new_mwh']:.1f} mWh, "
-        f"saves {report.network_exact['saved_mwh']:.1f} mWh",
-        f"Network budget (rounded):    {report.network_rounded['new_mwh']:.1f} mWh, "
-        f"saves {report.network_rounded['saved_mwh']:.1f} mWh "
-        f"({report.network_rounded['saved_over_tpu_ratio']:,.0f}x TPU energy)",
+        f"Network budget (exact):      {report.network_exact_residual['new_mwh']:.1f} mWh, "
+        f"saves {report.network_exact_residual['saved_mwh']:.1f} mWh",
+        f"Network budget (rounded):    {report.network_rounded_residual['new_mwh']:.1f} mWh, "
+        f"saves {report.network_rounded_residual['saved_mwh']:.1f} mWh "
+        f"({report.network_rounded_residual['saved_over_tpu_ratio']:,.0f}x TPU energy)",
         f"1% of network budget:        {report.one_percent_saving_mwh:.3g} mWh "
         f"(~{report.one_percent_over_tpu_ratio:,.0f}x TPU energy per 1000 batches)",
         f"Uncompressed daily traffic:  {report.daily_cost['gb_per_day']:.1f} GB/day "

@@ -365,6 +365,8 @@ def evaluate_protocol(X, labels, train, ae: nn.AeModel, qae: quantize.QuantizedM
     train = np.asarray(train, dtype=bool)
     if train.all() or not train.any():
         raise InvalidSpecError("both scenario splits must be non-empty")
+    if not np.isfinite(X).all():  # before the int8 cast, which would warn on NaN
+        raise InvalidSpecError("X must be finite")
     reps = {RAW: X, FLOAT_RECON: nn.forward(ae, X)[0], INT8_RECON: quantize.int8_forward(qae, X)}
     jobs = [(reps[variant], labels[task]) for variant in reps for task in labels]
     scores = iter(parallel.fork_map(lambda i: _score_task(*jobs[i], train, cfg), len(jobs)))

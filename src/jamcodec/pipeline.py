@@ -2,11 +2,13 @@
 quantize -> classify -> energy -> report, with reproducible on-disk artifacts.
 
 ``ExperimentConfig.from_json`` validates the whole config before any stage
-runs: it builds every typed spec the stages read (dataset, training budget,
-forest, power and traffic models, ...), so an unreadable file, a section or
-key that DEFAULTS lacks, a wrong type, an out-of-range value, or a dataset
-that leaves a split or the calibration set short raises InvalidSpecError and
-nothing is written.
+runs, so an unreadable file, a section or key that DEFAULTS lacks, a wrong
+type, an out-of-range value, or a dataset that a stage would refuse raises
+InvalidSpecError and nothing is written. One reader per JSON type reads each
+leaf: ``_int`` an int, not a bool (>= ``low`` if given); ``_real`` a finite
+int or float, as a float; ``_bool`` true or false; ``_array`` a JSON array,
+each item through its type's reader (DatasetSpec checks class names). The
+specs built from the leaves (dataset, forest, ...) own the range checks.
 
 One ordered table, ``STAGES``, gives each stage's config subsections and the
 files it reads, named by the upstream stage that writes them.
@@ -37,10 +39,11 @@ output directory.
 
 import collections
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import functools
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 import sys
@@ -48,7 +51,7 @@ import sys
 import numpy as np
 
 from . import __version__, energy, features as feat, forest, nn, quantize, render, search, signals
-from .errors import ChecksumMismatchError, InvalidLengthError, InvalidSpecError, LeakageError, StageError
+from .errors import ChecksumMismatchError, InvalidSpecError, JamcodecError, LeakageError, StageError
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,6 @@ _DOMAIN_DIM = {feat.DOMAIN_SPECTRAL: feat.SPECTRAL_DIM, feat.DOMAIN_TEMPORAL: fe
                feat.DOMAIN_MIXED: feat.MIXED_DIM}
 
 
-def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
-
-
 def _check_known_keys(sections):
     """Reject a section or key that DEFAULTS lacks: the stages would never read it.
 
@@ -159,10 +158,53 @@ def _section(name):
     """Report a missing key or a bad value met while reading config section ``name``."""
     try:
         yield
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, InvalidLengthError,
-            InvalidSpecError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, JamcodecError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidSpecError(f"config section {name!r}: {detail}") from None
+
+
+def _int(value, name, low=None) -> int:
+    if type(value) is not int or low is not None and value < low:
+        raise InvalidSpecError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return value
+
+
+def _real(value, name) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _bool(value, name) -> bool:
+    if type(value) is not bool:
+        raise InvalidSpecError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _array(value, name, read=None) -> tuple:
+    if type(value) is not list:
+        raise InvalidSpecError(f"{name} must be an array, got {value!r}")
+    return tuple(value if read is None else (read(v, f"{name}[{i}]") for i, v in enumerate(value)))
+
+
+def _tap(t, name) -> tuple:
+    if type(t) is not list or len(t) != 3:
+        raise InvalidSpecError(f"{name} must be an array [delay, real, imag], got {t!r}")
+    return _int(t[0], f"{name}[0]"), complex(_real(t[1], f"{name}[1]"), _real(t[2], f"{name}[2]"))
+
+
+def _scenario(s, name) -> signals.Scenario:
+    channel = signals.ChannelSpec(_real(s.get("attenuation_db", 0.0), f"{name}.attenuation_db"),
+                                  None if s.get("jsr_db") is None else _real(s["jsr_db"], f"{name}.jsr_db"),
+                                  _array(s.get("multipath", []), f"{name}.multipath", _tap),
+                                  _int(s.get("noise_seed", 0), f"{name}.noise_seed"))
+    return signals.Scenario(_int(s["scenario_id"], f"{name}.scenario_id"), channel)
+
+
+def _model(sections, name, cls):
+    with _section(name):
+        read = {f.name: _int if f.type is int else _real for f in fields(cls)}  # cls rejects an unknown key
+        return cls(**{k: read[k](v, k) if k in read else v for k, v in sections[name].items()})
 
 
 class ExperimentConfig:
@@ -175,88 +217,72 @@ class ExperimentConfig:
     def __init__(self, seed, output_dir, sections):
         _check_known_keys(sections)
         self.sections = sections
-        with _section("seed"):
-            self.seed = int(seed)
-        with _section("output_dir"):
-            self.output_dir = Path(output_dir)
+        self.seed = _int(seed, "seed")
+        self.output_dir = Path(output_dir)
         with _section("dataset"):
             d = sections["dataset"]
             self.dataset = signals.DatasetSpec(
-                classes=tuple(d["classes"]),
-                per_class_count=int(d["per_class_count"]),
-                scenarios=tuple(
-                    signals.Scenario(
-                        scenario_id=int(s["scenario_id"]),
-                        channel=signals.ChannelSpec(
-                            attenuation_db=float(s.get("attenuation_db", 0.0)),
-                            jsr_db=None if s.get("jsr_db") is None else float(s["jsr_db"]),
-                            multipath_taps=tuple(
-                                (int(t[0]), complex(t[1], t[2])) for t in s.get("multipath", [])
-                            ),
-                            noise_seed=int(s.get("noise_seed", 0)),
-                        ),
-                    )
-                    for s in d["scenarios"]
-                ),
+                classes=_array(d["classes"], "classes"),
+                per_class_count=_int(d["per_class_count"], "per_class_count"),
+                scenarios=_array(d["scenarios"], "scenarios", _scenario),
                 seed=self.seed,
-                sample=signals.SampleSpec.from_samples(float(d["sample_rate_hz"]), int(d["n_samples"])),
+                sample=signals.SampleSpec.from_samples(_real(d["sample_rate_hz"], "sample_rate_hz"),
+                                                       _int(d["n_samples"], "n_samples")),
             )
-            self.test_scenarios = frozenset(_ints(d["test_scenarios"]))
+            self.test_scenarios = frozenset(_array(d["test_scenarios"], "test_scenarios", _int))
         self.domain = sections["domain"]
         if not isinstance(self.domain, str) or self.domain not in _DOMAIN_DIM:
             raise InvalidSpecError(f"unknown domain {self.domain!r}")
         with _section("features"):
-            self.window_len = int(sections["features"]["window_len"])
+            self.window_len = _int(sections["features"]["window_len"], "window_len")
             feat.check_window_len(self.window_len)
         with _section("search"):
             sc = sections["search"]
-            self.search_enabled = sc["enabled"]
-            if not isinstance(self.search_enabled, bool):
-                raise TypeError(f"enabled must be true or false, got {self.search_enabled!r}")
+            self.search_enabled = _bool(sc["enabled"], "enabled")
             self.search_space = search.SearchSpace(
-                input_dim=_DOMAIN_DIM[self.domain], widths=_ints(sc["widths"]),
-                depths=_ints(sc["depths"]), latents=_ints(sc["latents"]),
+                input_dim=_DOMAIN_DIM[self.domain], widths=_array(sc["widths"], "widths", _int),
+                depths=_array(sc["depths"], "depths", _int), latents=_array(sc["latents"], "latents", _int),
             )
-            self.max_archs = sc["max_archs"]
-            if self.max_archs is not None and (type(self.max_archs) is not int or self.max_archs < 1):
-                raise InvalidSpecError(f"max_archs must be null or an integer >= 1, got {self.max_archs!r}")
-            self.top_k = int(sc["top_k"])
-            if self.top_k < 1:
-                raise InvalidSpecError(f"top_k must be at least 1, got {self.top_k}")
+            self.max_archs = None if sc["max_archs"] is None else _int(sc["max_archs"], "max_archs", 1)
+            self.top_k = _int(sc["top_k"], "top_k", 1)
         with _section("train"):
             t = sections["train"]
             self.budget = nn.TrainBudget(
-                screen_epochs=int(t["screen_epochs"]),
-                retrain_epochs_max=int(t["retrain_epochs_max"]),
-                early_stop_patience=int(t["early_stop_patience"]),
-                batch_size=int(t["batch_size"]),
+                screen_epochs=_int(t["screen_epochs"], "screen_epochs"),
+                retrain_epochs_max=_int(t["retrain_epochs_max"], "retrain_epochs_max"),
+                early_stop_patience=_int(t["early_stop_patience"], "early_stop_patience"),
+                batch_size=_int(t["batch_size"], "batch_size"),
                 seed=self.seed,
-                lr=float(t["lr"]),
+                lr=_real(t["lr"], "lr"),
             )
-            self.val_fraction = float(t["val_fraction"])
+            self.val_fraction = _real(t["val_fraction"], "val_fraction")
             if not 0.0 <= self.val_fraction < 1.0:
                 raise InvalidSpecError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-            self.hidden, self.latent_dim = _ints(t["hidden"]), int(t["latent_dim"])
+            self.hidden = _array(t["hidden"], "hidden", _int)
+            self.latent_dim = _int(t["latent_dim"], "latent_dim")
             nn.check_dims(_DOMAIN_DIM[self.domain], self.hidden, self.latent_dim)
         with _section("quant"):
-            self.calib_count = int(sections["quant"]["calib_count"])
-            self.percentile = quantize.check_percentile(sections["quant"]["percentile"])
+            self.calib_count = _int(sections["quant"]["calib_count"], "calib_count")
+            self.percentile = quantize.check_percentile(_real(sections["quant"]["percentile"], "percentile"))
         with _section("forest"):
             f = sections["forest"]
             self.forest_config = forest.ForestConfig(
-                n_trees=int(f["n_trees"]),
-                max_depth=None if f.get("max_depth") is None else int(f["max_depth"]),
-                min_leaf=int(f["min_leaf"]),
+                n_trees=_int(f["n_trees"], "n_trees"),
+                max_depth=None if f["max_depth"] is None else _int(f["max_depth"], "max_depth"),
+                min_leaf=_int(f["min_leaf"], "min_leaf"),
                 seed=self.seed,
             )
-        with _section("power"):
-            self.power = energy.PowerModel(**sections["power"])
-        with _section("traffic"):
-            self.traffic = energy.TrafficModel(**sections["traffic"])
-        self._check_split_sizes()
+        self.power = _model(sections, "power", energy.PowerModel)
+        self.traffic = _model(sections, "traffic", energy.TrafficModel)
+        self._check_dataset()
 
-    def _check_split_sizes(self):
-        """Reject a dataset whose splits a later stage would refuse."""
+    def _check_dataset(self):
+        """Reject a dataset that synth or features would refuse, or whose splits a later stage would."""
+        w, n = self.window_len, self.dataset.sample.n_samples
+        if w % feat.SPECTRAL_DIM or w > n:  # band_power's bins and windows
+            raise InvalidSpecError(f"window_len {w} must be a multiple of {feat.SPECTRAL_DIM} <= n_samples {n}")
+        if any(d >= n for s in self.dataset.scenarios for d, _ in s.channel.multipath_taps):
+            raise InvalidSpecError(f"multipath delays must be below n_samples {n}, as apply_channel requires")
         ids = [s.scenario_id for s in self.dataset.scenarios]
         if not self.test_scenarios <= set(ids):
             raise InvalidSpecError(f"test scenarios {sorted(self.test_scenarios - set(ids))} are not listed")
@@ -279,8 +305,8 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or "seed" not in raw:
             raise InvalidSpecError("experiment config must be an object that sets a seed")
         out_dir = os.environ.get("JAMCODEC_OUTPUT_DIR") or raw.get("output_dir")
-        if not out_dir:
-            raise InvalidSpecError("experiment config must set output_dir")
+        if not out_dir or type(out_dir) is not str:
+            raise InvalidSpecError(f"experiment config must set output_dir to a path, got {out_dir!r}")
         sections = _merge(DEFAULTS, {k: v for k, v in raw.items() if k not in ("seed", "output_dir")})
         return cls(raw["seed"], out_dir, sections)
 
@@ -426,13 +452,14 @@ def _read_json(path, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, a missing key, a wrong type
+    except (ValueError, KeyError, TypeError, InvalidSpecError) as exc:  # bad JSON, a missing key, a bad leaf
         raise InvalidSpecError(f"{path}: unreadable artifact: {exc!r}") from None
 
 
 def _best_arch(path) -> tuple:
     """(hidden widths, latent dim) from search's best_arch.json."""
-    return _read_json(path, lambda best: (_ints(best["hidden"]), int(best["latent_dim"])))
+    return _read_json(path, lambda best: (_array(best["hidden"], "hidden", _int),
+                                          _int(best["latent_dim"], "latent_dim")))
 
 
 def _metrics_table(path) -> list:

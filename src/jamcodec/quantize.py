@@ -79,12 +79,11 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
     return (np.asarray(q, dtype=np.float64) - params.zero_point) * params.scale
 
 
-def check_percentile(percentile) -> float:
-    """percentile as a float; NaN or one outside [50, 100] (below 50 _range inverts) is rejected."""
-    p = float(percentile)
-    if not 50.0 <= p <= 100.0:
+def check_percentile(percentile: float) -> float:
+    """percentile, unchanged; NaN or one outside [50, 100] (below 50 _range inverts) is rejected."""
+    if not 50.0 <= percentile <= 100.0:
         raise InvalidSpecError(f"percentile must lie in [50, 100], got {percentile}")
-    return p
+    return percentile
 
 
 def _range(values, percentile):
@@ -381,8 +380,7 @@ def load_quantized(path) -> QuantizedModel:
                                 dtype="<i4").reshape(spec["b_shape"])
             layers.append(QuantLayer(
                 spec["kind"], w_q.astype(np.int8), b_q.astype(np.int32),
-                QuantParams(*spec["in_qp"]) if spec["in_qp"][0] > 0 else QuantParams(1.0, 0),
-                QuantParams(*spec["out_qp"]) if spec["out_qp"][0] > 0 else QuantParams(1.0, 0),
+                QuantParams(*spec["in_qp"]), QuantParams(*spec["out_qp"]),
                 spec["w_scale"], spec["multiplier"], spec["shift"], spec["activation"],
                 spec["geometry"],
             ))

@@ -111,13 +111,11 @@ class WaveformSpec:
     """One interference waveform plus its class-specific parameters.
 
     Only the fields for ``class_label`` are read; the rest keep their
-    defaults. All frequencies must stay strictly below half the sample rate
-    unless ``allow_alias`` is set (test hook).
+    defaults. All frequencies must stay strictly below half the sample rate.
     """
 
     class_label: str
     power: float = 1.0
-    allow_alias: bool = False
     # chirp
     f_start_hz: float = 0.0
     f_stop_hz: float = 0.0
@@ -178,9 +176,6 @@ class ChannelSpec:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.attenuation_db) or not math.isfinite(self.jsr_db or 0.0):
-            raise InvalidSpecError(f"attenuation_db and jsr_db must be finite, got {self.attenuation_db} "
-                                   f"and {self.jsr_db}")
         delays = [d for d, _ in self.multipath_taps]
         if any(d < 0 for d in delays):
             raise InvalidChannelError("tap delays must be non-negative")
@@ -277,8 +272,6 @@ def synth_tone(tone: ToneSpec, spec: SampleSpec) -> IqBuffer:
 
 
 def _check_nyquist(w: WaveformSpec, spec: SampleSpec):
-    if w.allow_alias:
-        return
     limit = spec.sample_rate_hz / 2.0
     for f in w.peak_freqs():
         if abs(f) >= limit:

@@ -138,6 +138,21 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"forest": {"n_trees": math.inf}}, id="n_trees_infinity"),
     pytest.param({"train": {"batch_size": math.inf}}, id="batch_size_infinity"),
     pytest.param({"dataset": {"sample_rate_hz": 0}}, id="sample_rate_zero"),
+    pytest.param({"features": {"window_len": 64}}, id="window_len_not_a_multiple_of_128"),
+    pytest.param({"dataset": {"n_samples": 512}}, id="n_samples_below_window_len"),
+    pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "multipath": [[4096, 0.3, 0.0]]}, TWO_SCENARIOS[1]],
+                              "test_scenarios": [1]}}, id="multipath_delay_at_n_samples"),
+    pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "multipath": "32"}, TWO_SCENARIOS[1]],
+                              "test_scenarios": [1]}}, id="multipath_string"),
+    pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "multipath": [[1]]}, TWO_SCENARIOS[1]],
+                              "test_scenarios": [1]}}, id="multipath_short_tap"),
+    pytest.param({"dataset": {"classes": "x"}}, id="classes_string"),
+    pytest.param({"search": {"top_k": 2.7}}, id="top_k_fraction"),
+    pytest.param({"train": {"batch_size": "32"}}, id="batch_size_string"),
+    pytest.param({"forest": {"n_trees": True}}, id="n_trees_true"),
+    pytest.param({"power": {"tpu_watts": "1.6"}}, id="tpu_watts_string"),
+    pytest.param({"traffic": {"values_per_second": math.nan}}, id="values_per_second_nan"),
+    pytest.param({"output_dir": 5}, id="output_dir_number"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
     out = tmp_path / "run"
@@ -148,7 +163,7 @@ def test_bad_config_exits_one_before_writing(tmp_path, config):
         path.write_text(json.dumps({"seed": 0, "output_dir": str(out), **config}))
     done = jamcodec("run", "--config", str(path))
     assert done.returncode == 1
-    assert done.stderr.startswith("error: ")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
     assert not out.exists()
 

@@ -246,10 +246,11 @@ class TestEvaluateProtocol:
             (v, ["detection", "classification"]) for v in (forest.RAW, forest.FLOAT_RECON, forest.INT8_RECON)]
         assert protocol_digest(results) == self.GOLDEN
 
-    def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self, cpus):
+    def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self):
+        """The check runs before the float and int8 reconstructions and before any worker forks."""
         X, labels, train, ae, qae = protocol_data()
         X[1, 2] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(InvalidSpecError, match="finite"):
+        with pytest.raises(InvalidSpecError, match="finite"):
             forest.evaluate_protocol(X, labels, train, ae, qae, forest.ForestConfig(n_trees=2))
 
 

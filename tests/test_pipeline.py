@@ -1,6 +1,9 @@
 import builtins
+import copy
+import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from jamcodec import cli, features, pipeline
+from jamcodec import cli, energy, features, pipeline
 from jamcodec.errors import ChecksumMismatchError, InvalidSpecError, LeakageError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
@@ -198,6 +201,65 @@ def test_unknown_keys_and_non_bool_enabled_are_rejected(tiny_config, sections, m
     update_config(tiny_config, **sections)
     with pytest.raises(InvalidSpecError, match=message):
         pipeline.ExperimentConfig.from_json(tiny_config)
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"train": {"batch_size": "32"}}, "section 'train': batch_size must be an integer, got '32'"),
+    ({"search": {"top_k": 2.7}}, "section 'search': top_k must be an integer >= 1, got 2.7"),
+    ({"search": {"widths": [32, True]}}, r"widths\[1\] must be an integer, got True"),
+    ({"dataset": {"scenarios": [{"scenario_id": 0, "multipath": [[1]]}]}}, r"scenarios\[0\]\.multipath\[0\] must be"),
+    ({"dataset": {"classes": "x"}}, "section 'dataset': classes must be an array, got 'x'"),
+    ({"traffic": {"values_per_second": math.nan}}, "section 'traffic': values_per_second must be an integer"),
+    ({"power": {"tpu_watts": "1.6"}}, "section 'power': tpu_watts must be a finite number, got '1.6'"),
+])
+def test_a_reader_error_names_the_leaf(tiny_config, sections, message):
+    update_config(tiny_config, **sections)
+    with pytest.raises(InvalidSpecError, match=message):
+        pipeline.ExperimentConfig.from_json(tiny_config)
+
+
+NOT_INTEGERS = [2.7, "32", True]
+PROBES = [0, -1, math.nan, math.inf, "x", [], None] + NOT_INTEGERS
+
+
+def config_leaves():
+    """(path, integer leaf?) for the seed, every DEFAULTS leaf, every scenario key and every
+    power and traffic field; a path is the key sequence from the config's top level."""
+    yield ("seed",), True
+    for section, value in pipeline.DEFAULTS.items():
+        leaves = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, leaf in leaves:
+            path = (section,) if key is None else (section, key)
+            yield path, type(leaf) is int or key in ("max_archs", "max_depth")
+    for key in ("scenario_id", "attenuation_db", "jsr_db", "noise_seed", "multipath"):
+        yield ("dataset", "scenarios", 0, key), key in ("scenario_id", "noise_seed")
+    for section, model in (("power", energy.PowerModel), ("traffic", energy.TrafficModel)):
+        for f in dataclasses.fields(model):
+            yield (section, f.name), f.type is int
+
+
+def test_every_probe_value_builds_or_raises_invalid_spec(tmp_path):
+    """Each leaf takes each probe value in turn: the config builds or raises InvalidSpecError,
+    never another exception, and an integer leaf never builds from a fraction, a string or a bool."""
+    pipeline.ExperimentConfig(0, tmp_path, copy.deepcopy(pipeline.DEFAULTS))
+    wrong = []
+    for path, integer in config_leaves():
+        for probe in PROBES:
+            config = {"seed": 0, "sections": copy.deepcopy(pipeline.DEFAULTS)}
+            node = config if path == ("seed",) else config["sections"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = probe
+            try:
+                pipeline.ExperimentConfig(config["seed"], tmp_path, config["sections"])
+            except InvalidSpecError:
+                continue
+            except Exception as exc:
+                wrong.append((path, probe, repr(exc)))
+                continue
+            if integer and any(probe is p for p in NOT_INTEGERS):
+                wrong.append((path, probe, "built"))
+    assert wrong == []
 
 
 def test_optional_scenario_keys_are_accepted(tiny_config):

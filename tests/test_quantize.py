@@ -1,6 +1,8 @@
 import hashlib
 from fractions import Fraction
+import json
 import math
+import struct
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -408,6 +410,18 @@ class TestSerialization:
     def test_trailing_bytes(self, saved):
         saved.write_bytes(saved.read_bytes() + b"\x00\x00")
         with pytest.raises(InvalidSpecError):
+            quantize.load_quantized(saved)
+
+    @pytest.mark.parametrize("qp, scale", [("in_qp", -0.5), ("out_qp", 0.0)])
+    def test_a_non_positive_layer_scale_is_rejected(self, saved, qp, scale):
+        data = saved.read_bytes()
+        head = len(quantize.QUANT_MAGIC) + 4
+        (n,) = struct.unpack("<I", data[len(quantize.QUANT_MAGIC):head])
+        descriptor = json.loads(data[head:head + n])
+        descriptor["layers"][1][qp][0] = scale
+        blob = json.dumps(descriptor).encode()
+        saved.write_bytes(quantize.QUANT_MAGIC + struct.pack("<I", len(blob)) + blob + data[head + n:])
+        with pytest.raises(InvalidSpecError, match="scale must be positive"):
             quantize.load_quantized(saved)
 
     def test_corrupt_descriptor(self, saved):

@@ -163,9 +163,6 @@ class TestSynthWaveform:
                                  tones=(signals.ToneSpec(4000.0, 1.0, 0.0),))
         with pytest.raises(InvalidSpecError):
             signals.synth_waveform(w, spec, seed=0)
-        allowed = signals.WaveformSpec(signals.MULTITONE, allow_alias=True,
-                                       tones=(signals.ToneSpec(4000.0, 1.0, 0.0),))
-        signals.synth_waveform(allowed, spec, seed=0)
 
 
 class TestApplyChannel:
