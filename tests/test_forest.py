@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from jamcodec import forest, nn, quantize
 from jamcodec.errors import InvalidSpecError, ShapeError
+
+from conftest import CPUS
 
 
 def tied_data(seed, n=90):
@@ -246,12 +250,19 @@ class TestEvaluateProtocol:
             (v, ["detection", "classification"]) for v in (forest.RAW, forest.FLOAT_RECON, forest.INT8_RECON)]
         assert protocol_digest(results) == self.GOLDEN
 
-    def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self):
-        """The check runs before the float and int8 reconstructions and before any worker forks."""
+    @pytest.mark.parametrize("cpu_set", sorted(CPUS))
+    def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self, cpu_set, monkeypatch):
+        """The check runs before the float and int8 reconstructions and before any worker forks,
+        whether or not fork_map would use workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[cpu_set])
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
         X, labels, train, ae, qae = protocol_data()
         X[1, 2] = np.nan
         with pytest.raises(InvalidSpecError, match="finite"):
             forest.evaluate_protocol(X, labels, train, ae, qae, forest.ForestConfig(n_trees=2))
+        assert contexts == []
 
 
 class TestPredict:
