@@ -70,15 +70,12 @@ class TrafficModel:
             raise InvalidSpecError("bytes_per_value must be positive")
 
 
-def tpu_energy(pm: PowerModel, batches: int, seconds_per_batch=None) -> dict:
-    """Energy for running the compressor: watts times duty time.
+def tpu_energy(pm: PowerModel) -> dict:
+    """Energy for running the compressor on one batch: watts times duty time.
 
     Returns watt-seconds plus uWh/mWh conversions (1 Wh = 3600 Ws).
     """
-    duty = _frac(seconds_per_batch if seconds_per_batch is not None else pm.seconds_per_batch)
-    if batches < 0 or duty <= 0:
-        raise InvalidSpecError("batches must be >= 0 and duty positive")
-    ws = _frac(pm.tpu_watts) * batches * duty
+    ws = _frac(pm.tpu_watts) * _frac(pm.seconds_per_batch)
     wh = ws / SECONDS_PER_HOUR
     return {
         "watt_seconds": float(ws),
@@ -179,7 +176,7 @@ def savings_report(pm: PowerModel = PowerModel(), tm: TrafficModel = TrafficMode
     traffic = traffic_reduction(tm)
     rounded_residual = Fraction(int(traffic["reduction_percent"]), 100)
     one_percent = _frac(pm.network_mwh_per_period) / 100
-    tpu = tpu_energy(pm, batches=1)
+    tpu = tpu_energy(pm)
     return EnergyReport(
         tpu=tpu,
         traffic=traffic,

@@ -33,6 +33,7 @@ BATCH_SIZE = 32
 VAE_BETAS = (0.9, 0.999)
 DISC_BETAS = (0.5, 0.9)
 IMAGE_SIDE = 32  # spectrogram images are IMAGE_SIDE x IMAGE_SIDE
+DISC_WIDTH, DISC_LAYERS = 256, 4  # the discriminator's hidden width and its dense layers, output included
 
 
 class Conv2d(Conv1d):
@@ -87,9 +88,9 @@ class FactorVaeConfig:
 class Discriminator:
     """MLP mapping a latent batch to two logits (joint vs permuted), on one flat buffer."""
 
-    def __init__(self, latent_dim, width=256, n_layers=4, seed=0):
+    def __init__(self, latent_dim, seed=0):
         rng = derived_rng(seed, 0xD15C)
-        dims = [latent_dim] + [width] * (n_layers - 1)
+        dims = [latent_dim] + [DISC_WIDTH] * (DISC_LAYERS - 1)
         self.layers = [Dense(a, b, activation="leaky_relu", rng=rng) for a, b in zip(dims, dims[1:])]
         self.layers.append(Dense(dims[-1], 2, activation="linear", rng=rng))
         self.flat_params, self.flat_grads = flat_buffers(self.layers)
@@ -170,11 +171,11 @@ class ImageVae(AeModel):
         super().__init__(encoder, decoder, latent_dim, h * w, mu_head, logvar_head)
         self.image_hw = (h, w)
 
-    def encode(self, x, train=False):
+    def encode(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.image_hw:
             raise ShapeError(f"expected (B, {self.image_hw[0]}, {self.image_hw[1]}) images, got {x.shape}")
-        return super().encode(x, train=train)
+        return super().encode(x)
 
 
 def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:

@@ -2,9 +2,10 @@
 
 The spectral path runs a forward radix-2 FFT (built here; the toolkit never
 calls a library FFT and needs no inverse) over Hann-windowed segments and
-folds the magnitude-squared spectrum into 128 band powers. The temporal path
-splits the magnitude sequence into 7 sub-windows and computes 7 statistics
-per sub-window. Concatenating both (spectral first) yields the 177-value
+folds the magnitude-squared spectrum into 128 band powers in dB. The temporal
+path splits the magnitude sequence into 7 sub-windows and computes 7 statistics
+per sub-window. Both return plain arrays and raise InvalidSpecError on a
+non-finite value; concatenating them (spectral first) yields the 177-value
 mixed vector.
 
 The FFT's bit-reverse permutation and twiddles, and the Hann window, are
@@ -89,36 +90,6 @@ def fft(x) -> np.ndarray:
     return y
 
 
-@dataclass
-class SpectralFrame:
-    """128 log-power bins (dB) plus the analysis window length."""
-
-    bins: np.ndarray
-    window_len: int
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.float64)
-        if self.bins.shape != (SPECTRAL_DIM,):
-            raise InvalidSpecError(f"spectral frame must have {SPECTRAL_DIM} bins")
-        if not np.all(np.isfinite(self.bins)):
-            raise InvalidSpecError("spectral frame contains non-finite values")
-
-
-@dataclass
-class TemporalFrame:
-    """7 sub-windows x 7 statistics of the magnitude sequence, row-major."""
-
-    stats: np.ndarray
-    degenerate: tuple = ()  # sub-windows where sigma == 0 (skew/kurtosis defaulted)
-
-    def __post_init__(self):
-        self.stats = np.asarray(self.stats, dtype=np.float64)
-        if self.stats.shape != (TEMPORAL_DIM,):
-            raise InvalidSpecError(f"temporal frame must have {TEMPORAL_DIM} values")
-        if not np.all(np.isfinite(self.stats)):
-            raise InvalidSpecError("temporal frame contains non-finite values")
-
-
 def _samples_of(x) -> np.ndarray:
     return np.asarray(x.samples if hasattr(x, "samples") else x, dtype=np.complex128)
 
@@ -154,10 +125,13 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
     return p.reshape(*p.shape[:-1], n_bins, window_len // n_bins).sum(axis=-1)
 
 
-def power_spectrum_bins(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> SpectralFrame:
-    """Band powers on a dB scale: 10*log10(band_power + 1e-12)."""
-    p = band_power(x, window_len=window_len, n_bins=n_bins)
-    return SpectralFrame(10.0 * np.log10(p + LOG_EPS), window_len)
+def power_spectrum_bins(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndarray:
+    """Band powers on a dB scale, 10*log10(band_power + 1e-12); batch axes pass through."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bin raises below
+        db = 10.0 * np.log10(band_power(x, window_len=window_len, n_bins=n_bins) + LOG_EPS)
+    if not np.isfinite(db).all():
+        raise InvalidSpecError("spectral bins contain non-finite values")
+    return db
 
 
 _ENTROPY_EDGES = np.linspace(0.0, 1.0, ENTROPY_BINS + 1)
@@ -178,15 +152,15 @@ def _entropy_counts(norm) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=len(norm) * ENTROPY_BINS).reshape(-1, ENTROPY_BINS)
 
 
-def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
-    """Per-sub-window statistics of |x|.
+def temporal_stats(x) -> np.ndarray:
+    """Statistics of |x| in each of TEMPORAL_SUBWINDOWS sub-windows, sub-window-major.
 
     Statistics, in order: mean, population std, skewness, Pearson kurtosis
     (Gaussian ~= 3), max-abs, log-energy ln(sum y^2 + eps), and Shannon
     entropy (natural log) of a 16-bin histogram of the sub-window rescaled to
-    [0, 1]. A zero-variance sub-window gets skewness 0 and kurtosis 3 and is
-    flagged in ``degenerate``.
+    [0, 1]. A zero-variance sub-window (std 0) gets skewness 0 and kurtosis 3.
     """
+    n_sub = TEMPORAL_SUBWINDOWS
     samples = _samples_of(x)
     if len(samples) < n_sub * 8:
         raise InsufficientSamplesError(
@@ -196,19 +170,19 @@ def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
     sub_len = len(mag) // n_sub
     subs = mag[: n_sub * sub_len].reshape(n_sub, sub_len)
 
-    mean = subs.mean(axis=1)
-    centered = subs - mean[:, None]
-    var = np.mean(centered**2, axis=1)
-    std = np.sqrt(var)
-    ok = std > 0.0
-    safe = np.where(ok, std, 1.0)
-    skew = np.where(ok, np.mean(centered**3, axis=1) / safe**3, 0.0)
-    kurt = np.where(ok, np.mean(centered**4, axis=1) / safe**4, 3.0)
-    max_abs = subs.max(axis=1)
-    log_energy = np.log(np.sum(subs**2, axis=1) + LOG_EPS)
-
-    lo = subs.min(axis=1)
-    span = max_abs - lo
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite statistic raises below
+        mean = subs.mean(axis=1)
+        centered = subs - mean[:, None]
+        var = np.mean(centered**2, axis=1)
+        std = np.sqrt(var)
+        ok = std > 0.0
+        safe = np.where(ok, std, 1.0)
+        skew = np.where(ok, np.mean(centered**3, axis=1) / safe**3, 0.0)
+        kurt = np.where(ok, np.mean(centered**4, axis=1) / safe**4, 3.0)
+        max_abs = subs.max(axis=1)
+        log_energy = np.log(np.sum(subs**2, axis=1) + LOG_EPS)
+        lo = subs.min(axis=1)
+        span = max_abs - lo
     rows = np.flatnonzero((span > 0.0) & np.isfinite(span))
     counts = _entropy_counts((subs[rows] - lo[rows, None]) / span[rows, None])
     nonzero = counts > 0
@@ -219,8 +193,10 @@ def temporal_stats(x, n_sub: int = TEMPORAL_SUBWINDOWS) -> TemporalFrame:
     for i, end, n in zip(rows.tolist(), np.cumsum(per_row).tolist(), per_row.tolist()):
         entropy[i] = float(-np.sum(plogp[end - n : end]))  # one pairwise sum per row, as before
 
-    stats = np.stack([mean, std, skew, kurt, max_abs, log_energy, entropy], axis=1)
-    return TemporalFrame(stats.reshape(-1), degenerate=tuple(int(i) for i in np.flatnonzero(~ok)))
+    stats = np.stack([mean, std, skew, kurt, max_abs, log_energy, entropy], axis=1).reshape(-1)
+    if not np.isfinite(stats).all():
+        raise InvalidSpecError("temporal statistics contain non-finite values")
+    return stats
 
 
 @dataclass
@@ -257,8 +233,8 @@ def apply_minmax(stats: NormStats, X) -> tuple:
 
 def snapshot_features(snapshot, window_len: int = 1024) -> dict:
     """All three domains for one snapshot; mixed is the 177-value concatenation, spectral first."""
-    s = power_spectrum_bins(snapshot.iq, window_len=window_len).bins
-    t = temporal_stats(snapshot.iq).stats
+    s = power_spectrum_bins(snapshot.iq, window_len=window_len)
+    t = temporal_stats(snapshot.iq)
     return {DOMAIN_SPECTRAL: s, DOMAIN_TEMPORAL: t, DOMAIN_MIXED: np.concatenate([s, t])}
 
 
@@ -328,7 +304,7 @@ def read_feature_csv(path) -> dict:
 
 
 def spectrogram_image(x, n_time: int = 32, n_freq: int = 32, n_avg: int = 1) -> np.ndarray:
-    """Small time-frequency log-power image (rows = time slices).
+    """Small time-frequency log-power image: power_spectrum_bins of each time slice (row).
 
     Used as the input representation for the generative-model experiments;
     each time slice averages ``n_avg`` consecutive windows of 2*n_freq
@@ -339,5 +315,4 @@ def spectrogram_image(x, n_time: int = 32, n_freq: int = 32, n_avg: int = 1) -> 
     need = n_time * n_avg * 2 * n_freq
     if len(samples) < need:
         raise InsufficientSamplesError(f"need {need} samples for a {n_time}x{n_freq} spectrogram")
-    rows = samples[:need].reshape(n_time, n_avg * 2 * n_freq)
-    return 10.0 * np.log10(band_power(rows, 2 * n_freq, n_freq) + LOG_EPS)
+    return power_spectrum_bins(samples[:need].reshape(n_time, n_avg * 2 * n_freq), 2 * n_freq, n_freq)

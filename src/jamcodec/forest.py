@@ -162,7 +162,6 @@ class Forest:
     trees: list
     classes: tuple  # sorted original labels; index order breaks vote ties
     n_features: int
-    degenerate: bool = False  # trained on a single class
 
     def predict_indices(self, X):
         """Majority-vote class index per row, walking each tree on Python floats."""
@@ -191,8 +190,8 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
     trees share a step cannot change any of them. Gini sums are exact
     integers, which makes every split the one a per-node search would choose.
 
-    Single-class data yields a flagged constant classifier rather than an
-    error; a NaN or infinite value in X raises InvalidSpecError.
+    Single-class data yields a constant classifier (``classes`` holds one
+    label), not an error; a NaN or infinite value in X raises InvalidSpecError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
@@ -269,7 +268,7 @@ def train_forest(X, y, cfg: ForestConfig = ForestConfig()) -> Forest:
             settle(node.left, child_rows[lo:mid], depth + 1, labels[2 * b], pure[2 * b],
                    stacks[t])
         live = [t for t in live if stacks[t]]
-    return Forest(trees=trees, classes=classes, n_features=n_features, degenerate=n_classes == 1)
+    return Forest(trees=trees, classes=classes, n_features=n_features)
 
 
 def predict(forest: Forest, x):
@@ -296,13 +295,11 @@ class ConfusionMatrix:
             raise InvalidSpecError("confusion counts must be non-negative")
 
 
-def confusion_matrix(y_true, y_pred, labels=None) -> ConfusionMatrix:
+def confusion_matrix(y_true, y_pred, labels) -> ConfusionMatrix:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise InvalidSpecError("prediction/truth lengths differ")
-    if labels is None:
-        labels = tuple(sorted(set(y_true.tolist()) | set(y_pred.tolist())))
     index = {l: i for i, l in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for t, p in zip(y_true.tolist(), y_pred.tolist()):
@@ -310,17 +307,8 @@ def confusion_matrix(y_true, y_pred, labels=None) -> ConfusionMatrix:
     return ConfusionMatrix(counts, tuple(labels))
 
 
-@dataclass
-class FBetaScore:
-    beta: float
-    precision: np.ndarray
-    recall: np.ndarray
-    per_class: np.ndarray
-    macro: float
-
-
-def fbeta(cm: ConfusionMatrix, beta: float) -> FBetaScore:
-    """One-vs-rest F-beta per class, macro-averaged over classes present in truth."""
+def fbeta(cm: ConfusionMatrix, beta: float) -> tuple:
+    """One-vs-rest F-beta per class, and its macro average over classes present in truth."""
     if beta <= 0:
         raise InvalidSpecError("beta must be positive")
     counts = cm.counts.astype(np.float64)
@@ -335,20 +323,19 @@ def fbeta(cm: ConfusionMatrix, beta: float) -> FBetaScore:
                           out=np.zeros_like(denom), where=denom > 0)
     present = row > 0
     macro = float(np.mean(per_class[present])) if present.any() else 0.0
-    return FBetaScore(beta=beta, precision=precision, recall=recall,
-                      per_class=per_class, macro=macro)
+    return per_class, macro
 
 
 def _score_task(X, y, train, cfg) -> dict:
     """A forest trained on the ``train`` rows of (X, y), scored on the other rows."""
     model = train_forest(X[train], y[train], cfg)
-    cm = confusion_matrix(y[~train], predict_batch(model, X[~train]), labels=tuple(sorted(set(y.tolist()))))
-    f2 = fbeta(cm, 2.0)
+    cm = confusion_matrix(y[~train], predict_batch(model, X[~train]), tuple(sorted(set(y.tolist()))))
+    f2_per_class, f2 = fbeta(cm, 2.0)
     return {
-        "f2": f2.macro,
-        "f05": fbeta(cm, 0.5).macro,
+        "f2": f2,
+        "f05": fbeta(cm, 0.5)[1],
         "confusion": cm,
-        "per_class_f2": {l: float(v) for l, v in zip(cm.labels, f2.per_class)},
+        "per_class_f2": {l: float(v) for l, v in zip(cm.labels, f2_per_class)},
     }
 
 

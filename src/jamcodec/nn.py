@@ -398,11 +398,11 @@ class AeModel:
     def n_params(self):
         return self.flat_params.size
 
-    def encode(self, x, train=False):
-        h = run_layers(self.encoder, x, train)
+    def encode(self, x):
+        h = run_layers(self.encoder, x)
         if self.variational:
-            mu = self.mu_head.forward(h, train=train)
-            logvar = np.clip(self.logvar_head.forward(h, train=train), -LOGVAR_CLAMP, LOGVAR_CLAMP)
+            mu = self.mu_head.forward(h)
+            logvar = np.clip(self.logvar_head.forward(h), -LOGVAR_CLAMP, LOGVAR_CLAMP)
             return mu, logvar
         return h
 
@@ -728,19 +728,22 @@ def _read_descriptor(fh, path, magic) -> dict:
 
 
 def load_model(path) -> AeModel:
-    """Read an AEM1 file; a short read or trailing bytes raise InvalidSpecError."""
+    """Read an AEM1 file; a short read, trailing bytes or a malformed arch raise InvalidSpecError."""
     with open(path, "rb") as fh:
         descriptor = _read_descriptor(fh, path, MODEL_MAGIC)
-        arch = descriptor["arch"]
-        model = build_autoencoder(
-            arch["input_dim"],
-            arch["hidden"],
-            arch["latent_dim"],
-            seed=arch.get("seed", 0),
-            variational=arch.get("variational", False),
-            conv_front=tuple(tuple(c) for c in arch.get("conv_front", [])),
-            hidden_activation=arch.get("hidden_activation", "relu"),
-        )
+        try:
+            arch = descriptor["arch"]
+            model = build_autoencoder(
+                arch["input_dim"],
+                arch["hidden"],
+                arch["latent_dim"],
+                seed=arch.get("seed", 0),
+                variational=arch.get("variational", False),
+                conv_front=tuple(tuple(c) for c in arch.get("conv_front", [])),
+                hidden_activation=arch.get("hidden_activation", "relu"),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"{path}: malformed descriptor: {exc!r}") from None
         model.metadata = descriptor.get("metadata", {})
         model.flat_params[...] = np.frombuffer(_read_exact(fh, 4 * model.n_params(), path, "weights"),
                                                dtype="<f4")

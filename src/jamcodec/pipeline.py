@@ -140,7 +140,7 @@ _DOMAIN_DIM = {feat.DOMAIN_SPECTRAL: feat.SPECTRAL_DIM, feat.DOMAIN_TEMPORAL: fe
 def _check_known_keys(sections):
     """Reject a section or key that DEFAULTS lacks: the stages would never read it.
 
-    Scenario entries are list items and keep their optional keys; power and
+    Scenario entries are list items, checked by ``_scenario``; power and
     traffic keys are checked by the models they are passed to.
     """
     for name, value in sections.items():
@@ -194,6 +194,8 @@ def _tap(t, name) -> tuple:
 
 
 def _scenario(s, name) -> signals.Scenario:
+    if unknown := sorted(set(s) - {"scenario_id", "attenuation_db", "jsr_db", "multipath", "noise_seed"}):
+        raise InvalidSpecError(f"{name}: unknown keys {unknown}")
     channel = signals.ChannelSpec(_real(s.get("attenuation_db", 0.0), f"{name}.attenuation_db"),
                                   None if s.get("jsr_db") is None else _real(s["jsr_db"], f"{name}.jsr_db"),
                                   _array(s.get("multipath", []), f"{name}.multipath", _tap),

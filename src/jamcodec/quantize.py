@@ -148,20 +148,18 @@ class QuantLayer:
     shift: int
     activation: str
     geometry: dict
-    # w_q as float64 in the shape its matmul takes; derived here, never serialized
-    w_mat: np.ndarray = field(init=False, repr=False, compare=False)
-    # w_mat as float32 where float32 sums every dot product exactly, else w_mat itself
+    # w_q in the shape its matmul takes, as float32 where float32 sums every dot
+    # product exactly, else as float64; derived here, never serialized
     w_acc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = self.w_q.astype(np.float64)
+        fan_in = self.w_q.size // max(self.w_q.shape[-1], 1)  # kernel * in for both convs
+        w = self.w_q.astype(np.float32 if fan_in * _MAX_PRODUCT <= 2**24 else np.float64)
         if self.kind == "conv1d":  # (kernel, in, out) -> (kernel * in, out)
             w = w.reshape(-1, w.shape[2])
         elif self.kind == "conv1d_t":  # (kernel, in, out) -> (in, kernel * out)
             w = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(w.shape[1], -1)
-        self.w_mat = w
-        fan_in = self.w_q.size // max(self.w_q.shape[-1], 1)  # kernel * in for both convs
-        self.w_acc = w.astype(np.float32) if fan_in * _MAX_PRODUCT <= 2**24 else w
+        self.w_acc = w
 
 
 @dataclass
@@ -367,29 +365,29 @@ def save_quantized(path, qm: QuantizedModel) -> None:
 
 
 def load_quantized(path) -> QuantizedModel:
-    """Read an AEQ1 file; a short read or trailing bytes raise InvalidSpecError."""
+    """Read an AEQ1 file; a short read, trailing bytes or a malformed descriptor raise InvalidSpecError."""
     with open(path, "rb") as fh:
         descriptor = nn._read_descriptor(fh, path, QUANT_MAGIC)
-        layers = []
-        for spec in descriptor["layers"]:
-            w_size = int(np.prod(spec["w_shape"])) if spec["w_shape"] else 0
-            b_size = int(np.prod(spec["b_shape"])) if spec["b_shape"] else 0
-            w_q = np.frombuffer(nn._read_exact(fh, w_size, path, f"{spec['kind']} weights"),
-                                dtype="<i1").reshape(spec["w_shape"])
-            b_q = np.frombuffer(nn._read_exact(fh, 4 * b_size, path, f"{spec['kind']} biases"),
-                                dtype="<i4").reshape(spec["b_shape"])
-            layers.append(QuantLayer(
-                spec["kind"], w_q.astype(np.int8), b_q.astype(np.int32),
-                QuantParams(*spec["in_qp"]), QuantParams(*spec["out_qp"]),
-                spec["w_scale"], spec["multiplier"], spec["shift"], spec["activation"],
-                spec["geometry"],
-            ))
+        try:
+            layers = []
+            for spec in descriptor["layers"]:
+                w_size = int(np.prod(spec["w_shape"])) if spec["w_shape"] else 0
+                b_size = int(np.prod(spec["b_shape"])) if spec["b_shape"] else 0
+                w_q = np.frombuffer(nn._read_exact(fh, w_size, path, f"{spec['kind']} weights"),
+                                    dtype="<i1").reshape(spec["w_shape"])
+                b_q = np.frombuffer(nn._read_exact(fh, 4 * b_size, path, f"{spec['kind']} biases"),
+                                    dtype="<i4").reshape(spec["b_shape"])
+                layers.append(QuantLayer(
+                    spec["kind"], w_q.astype(np.int8), b_q.astype(np.int32),
+                    QuantParams(*spec["in_qp"]), QuantParams(*spec["out_qp"]),
+                    spec["w_scale"], spec["multiplier"], spec["shift"], spec["activation"],
+                    spec["geometry"],
+                ))
+            qm = QuantizedModel(layers=layers, input_qp=QuantParams(*descriptor["input_qp"]),
+                                arch=descriptor.get("arch", {}), latent_dim=descriptor["latent_dim"],
+                                input_dim=descriptor["input_dim"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"{path}: malformed descriptor: {exc!r}") from None
         if fh.read(1):
             raise InvalidSpecError(f"{path}: trailing bytes after the last tensor")
-    return QuantizedModel(
-        layers=layers,
-        input_qp=QuantParams(*descriptor["input_qp"]),
-        arch=descriptor.get("arch", {}),
-        latent_dim=descriptor["latent_dim"],
-        input_dim=descriptor["input_dim"],
-    )
+    return qm

@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import InvalidSpecError
 
+GRID_PAD = 2  # background columns between the images of a PGM grid
+
 
 def _heat_color(v):
     # white -> blue ramp
@@ -68,13 +70,13 @@ def write_pgm(path, image) -> None:
         fh.write(data.tobytes())
 
 
-def write_image_grid_pgm(path, images, pad=2) -> None:
+def write_image_grid_pgm(path, images) -> None:
     """Row of images (e.g. an interpolation strip) as one PGM file."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
         raise InvalidSpecError("image grid expects (N, H, W)")
     n, h, w = images.shape
-    canvas = np.full((h, n * (w + pad) - pad), images.min(), dtype=np.float64)
+    canvas = np.full((h, n * (w + GRID_PAD) - GRID_PAD), images.min(), dtype=np.float64)
     for i, img in enumerate(images):
-        canvas[:, i * (w + pad) : i * (w + pad) + w] = img
+        canvas[:, i * (w + GRID_PAD) : i * (w + GRID_PAD) + w] = img
     write_pgm(path, canvas)

@@ -202,20 +202,6 @@ class IqBuffer:
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise InvalidSpecError("buffer contains non-finite samples")
 
-    @property
-    def i(self) -> np.ndarray:
-        return self.samples.real
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.samples.imag
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
-
-    def power(self) -> float:
-        return self.energy() / len(self.samples)
-
 
 @dataclass
 class LabeledSnapshot:
@@ -425,34 +411,33 @@ def channel_noise_floor(ch: ChannelSpec) -> float:
     return gain * atten / (10.0 ** (ch.jsr_db / 10.0))
 
 
-def random_waveform(class_label: str, spec: SampleSpec, rng, power: float = 1.0) -> WaveformSpec:
-    """Draw class parameters from the desk-scale grids.
+def random_waveform(class_label: str, spec: SampleSpec, rng) -> WaveformSpec:
+    """Draw class parameters from the desk-scale grids, at WaveformSpec's unit power.
 
     The grids are this artifact's own choice: each class varies enough to make
     classification non-trivial while staying clearly below Nyquist.
     """
     fs = spec.sample_rate_hz
     if class_label == CLEAN:
-        return WaveformSpec(CLEAN, power=power)
+        return WaveformSpec(CLEAN)
     if class_label == NOISE:
-        return WaveformSpec(NOISE, power=power, bandwidth_hz=rng.uniform(0.25, 0.8) * fs / 2.0)
+        return WaveformSpec(NOISE, bandwidth_hz=rng.uniform(0.25, 0.8) * fs / 2.0)
     if class_label == CHIRP:
         f0 = rng.uniform(-0.35, -0.05) * fs / 2.0
         f1 = rng.uniform(0.05, 0.35) * fs / 2.0
         period = rng.uniform(0.2, 0.5) * spec.duration_s
-        return WaveformSpec(CHIRP, power=power, f_start_hz=f0, f_stop_hz=f1, sweep_period_s=period)
+        return WaveformSpec(CHIRP, f_start_hz=f0, f_stop_hz=f1, sweep_period_s=period)
     if class_label == MULTITONE:
         n_tones = int(rng.integers(1, 4))
         offsets = rng.uniform(-0.4, 0.4, size=n_tones) * fs / 2.0
-        amp = math.sqrt(power / n_tones)
+        amp = math.sqrt(1.0 / n_tones)
         tones = tuple(
             ToneSpec.from_polar(float(f), amp, float(rng.uniform(0, 2 * math.pi))) for f in offsets
         )
-        return WaveformSpec(MULTITONE, power=power, tones=tones)
+        return WaveformSpec(MULTITONE, tones=tones)
     if class_label == PULSED:
         return WaveformSpec(
             PULSED,
-            power=power,
             duty=float(rng.uniform(0.1, 0.4)),
             pulse_rate_hz=float(rng.uniform(20, 200) / spec.duration_s),
             pulse_freq_hz=float(rng.uniform(-0.3, 0.3)) * fs / 2.0,
@@ -462,14 +447,12 @@ def random_waveform(class_label: str, spec: SampleSpec, rng, power: float = 1.0)
         freqs = tuple(float(f) for f in rng.uniform(-0.4, 0.4, size=n_hops) * fs / 2.0)
         return WaveformSpec(
             HOPPER,
-            power=power,
             hop_freqs_hz=freqs,
             dwell_s=float(rng.uniform(0.01, 0.05)) * spec.duration_s,
         )
     if class_label == MODULATED:
         return WaveformSpec(
             MODULATED,
-            power=power,
             symbol_rate_hz=float(rng.uniform(0.01, 0.05)) * fs,
             carrier_hz=float(rng.uniform(-0.3, 0.3)) * fs / 2.0,
         )

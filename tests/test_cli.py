@@ -135,6 +135,8 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"forest": {"max_depth": -3}}, id="max_depth_negative"),
     pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "attenuation_db": math.nan}, TWO_SCENARIOS[1]],
                               "test_scenarios": [1]}}, id="attenuation_nan"),
+    pytest.param({"dataset": {"scenarios": [{"scenario_id": 0, "attenuaton_db": 20}, TWO_SCENARIOS[1]],
+                              "test_scenarios": [1]}}, id="misspelled_scenario_key"),
     pytest.param({"forest": {"n_trees": math.inf}}, id="n_trees_infinity"),
     pytest.param({"train": {"batch_size": math.inf}}, id="batch_size_infinity"),
     pytest.param({"dataset": {"sample_rate_hz": 0}}, id="sample_rate_zero"),

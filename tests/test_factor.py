@@ -166,7 +166,7 @@ class TestGradients:
         assert layer_fd_fraction(factor.Upsample2x(), x) == 1.0
 
     def test_tc_gradient_wrt_z(self):
-        disc = factor.Discriminator(4, width=16, n_layers=3, seed=1)
+        disc = factor.Discriminator(4, seed=1)
         z = np.random.default_rng(9).standard_normal((6, 4))
         weight = 6.4
         tc, grad_z = factor.tc_term(disc, z, weight)

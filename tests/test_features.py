@@ -96,8 +96,8 @@ class TestPowerSpectrumBins:
         freq = (8 * 40 + 4) * fs / window
         spec = signals.SampleSpec.from_samples(fs, 4096)
         buf = signals.synth_tone(signals.ToneSpec.from_polar(freq, 1.0, 0.0), spec)
-        frame = features.power_spectrum_bins(buf, window_len=window)
-        assert int(np.argmax(frame.bins)) == 40
+        bins = features.power_spectrum_bins(buf, window_len=window)
+        assert int(np.argmax(bins)) == 40
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -117,8 +117,8 @@ class TestPowerSpectrumBins:
             rng = np.random.default_rng(seed)
             n = 2**18
             x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-            frame = features.power_spectrum_bins(x, window_len=1024, n_bins=128)
-            spreads.append(frame.bins.max() - frame.bins.min())
+            bins = features.power_spectrum_bins(x, window_len=1024, n_bins=128)
+            spreads.append(bins.max() - bins.min())
         assert np.mean(spreads) < 6.0
 
     def test_phase_rotation_invariance(self):
@@ -126,7 +126,7 @@ class TestPowerSpectrumBins:
         x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
         a = features.power_spectrum_bins(x, window_len=1024)
         b = features.power_spectrum_bins(np.exp(1j * 0.77) * x, window_len=1024)
-        assert np.max(np.abs(a.bins - b.bins)) < 1e-9
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_too_short_buffer(self):
         with pytest.raises(InsufficientSamplesError):
@@ -137,8 +137,15 @@ class TestPowerSpectrumBins:
             features.band_power(np.zeros(2048, dtype=complex), window_len=1024, n_bins=100)
 
     def test_finite_on_zero_input(self):
-        frame = features.power_spectrum_bins(np.zeros(1024, dtype=complex))
-        assert np.all(np.isfinite(frame.bins))
+        bins = features.power_spectrum_bins(np.zeros(1024, dtype=complex))
+        assert bins.shape == (features.SPECTRAL_DIM,) and np.all(np.isfinite(bins))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.arange(2048, dtype=complex)
+        x[100] = bad
+        with pytest.raises(InvalidSpecError):
+            features.power_spectrum_bins(x, window_len=1024)
 
     def test_a_batch_gives_each_row_s_bytes(self):
         rng = np.random.default_rng(5)
@@ -148,6 +155,14 @@ class TestPowerSpectrumBins:
         for row, powers in zip(rows, batch):
             assert powers.tobytes() == features.band_power(row, window_len=1024, n_bins=128).tobytes()
 
+    def test_a_batch_of_db_bins_gives_each_row_s_bytes(self):
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((3, 2560)) + 1j * rng.standard_normal((3, 2560))
+        batch = features.power_spectrum_bins(rows, window_len=1024)
+        assert batch.shape == (3, features.SPECTRAL_DIM)
+        assert batch.tobytes() == b"".join(features.power_spectrum_bins(row, window_len=1024).tobytes()
+                                           for row in rows)
+
     def test_band_power_golden_bytes(self):
         digest = hashlib.sha256(features.band_power(golden_buffer(), window_len=1024, n_bins=128).tobytes())
         assert digest.hexdigest() == "b116f785fb40c62014c2e969c860b0bddd7b5a4f6a6e912bacff71fff2d052df"
@@ -156,35 +171,31 @@ class TestPowerSpectrumBins:
 class TestTemporalStats:
     def test_constant_buffer(self):
         x = np.full(700, 2.5 + 0.0j)
-        frame = features.temporal_stats(x)
-        stats = frame.stats.reshape(7, 7)
+        stats = features.temporal_stats(x).reshape(7, 7)
         assert np.allclose(stats[:, 0], 2.5)        # mean
         assert np.allclose(stats[:, 1], 0.0)        # std
         assert np.allclose(stats[:, 2], 0.0)        # skew (degenerate rule)
         assert np.allclose(stats[:, 3], 3.0)        # kurtosis (degenerate rule)
         assert np.allclose(stats[:, 4], 2.5)        # max-abs
         assert np.allclose(stats[:, 6], 0.0)        # entropy
-        assert frame.degenerate == tuple(range(7))
+        assert np.flatnonzero(stats[:, 1] == 0.0).tolist() == list(range(7))  # every sub-window degenerate
 
     def test_gaussian_kurtosis_monte_carlo(self):
         # shifted normals keep the magnitude positive; kurtosis is shift-invariant
         rng = np.random.default_rng(0)
         x = 1000.0 + rng.standard_normal(1_000_002)
-        frame = features.temporal_stats(x.astype(complex))
-        kurt = frame.stats.reshape(7, 7)[:, 3]
+        kurt = features.temporal_stats(x.astype(complex)).reshape(7, 7)[:, 3]
         assert np.all((2.9 <= kurt) & (kurt <= 3.1))
 
     def test_uniform_histogram_entropy(self):
         # 16 evenly spread values hit all 16 bins equally -> entropy ln(16)
         vals = np.tile(np.arange(16) / 15.0, 7 * 16)
-        frame = features.temporal_stats(vals.astype(complex))
-        entropy = frame.stats.reshape(7, 7)[:, 6]
+        entropy = features.temporal_stats(vals.astype(complex)).reshape(7, 7)[:, 6]
         assert np.max(np.abs(entropy - math.log(16))) < 1e-12
 
     def test_log_energy(self):
         x = np.full(7 * 8, 2.0 + 0.0j)
-        frame = features.temporal_stats(x)
-        stats = frame.stats.reshape(7, 7)
+        stats = features.temporal_stats(x).reshape(7, 7)
         assert np.allclose(stats[:, 5], math.log(8 * 4.0 + features.LOG_EPS))
 
     def test_phase_rotation_invariance(self):
@@ -192,7 +203,7 @@ class TestTemporalStats:
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         a = features.temporal_stats(x)
         b = features.temporal_stats(np.exp(1j * 1.3) * x)
-        assert np.max(np.abs(a.stats - b.stats)) < 1e-9
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(InsufficientSamplesError):
@@ -201,14 +212,14 @@ class TestTemporalStats:
     def test_finite_for_any_finite_input(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(256) * 1e6
-        frame = features.temporal_stats(x.astype(complex))
-        assert np.all(np.isfinite(frame.stats))
+        stats = features.temporal_stats(x.astype(complex))
+        assert stats.shape == (features.TEMPORAL_DIM,) and np.all(np.isfinite(stats))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_input_rejected(self, bad):
         x = np.arange(700, dtype=complex)
         x[100] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError):
             features.temporal_stats(x)
 
     @staticmethod
@@ -227,19 +238,17 @@ class TestTemporalStats:
         sub = np.clip(sub, lo, hi)
         rng = np.random.default_rng(6)
         subs = [rng.permutation(sub)] + [rng.uniform(lo, hi, len(sub)) for _ in range(6)]
-        frame = features.temporal_stats(np.concatenate(subs).astype(complex))
-        entropy = frame.stats.reshape(7, 7)[:, 6]
+        entropy = features.temporal_stats(np.concatenate(subs).astype(complex)).reshape(7, 7)[:, 6]
         assert entropy.tolist() == [self._histogram_entropy(s) for s in subs]
 
     def test_one_constant_subwindow(self):
         rng = np.random.default_rng(8)
         subs = rng.uniform(0.5, 2.0, (7, 40))
         subs[3] = 1.25
-        frame = features.temporal_stats(subs.reshape(-1).astype(complex))
-        stats = frame.stats.reshape(7, 7)
+        stats = features.temporal_stats(subs.reshape(-1).astype(complex)).reshape(7, 7)
         assert stats[3, 1] == 0.0 and stats[3, 2] == 0.0 and stats[3, 3] == 3.0
         assert stats[3, 6] == 0.0
-        assert frame.degenerate == (3,)
+        assert np.flatnonzero(stats[:, 1] == 0.0).tolist() == [3]  # the one degenerate sub-window
         assert np.all(stats[np.arange(7) != 3, 6] > 0.0)
 
 

@@ -142,7 +142,7 @@ class TestTrees:
         X, _ = baseline_shaped(0, n=40)
         X_test, _ = baseline_shaped(1, n=36)
         model = forest.train_forest(X, np.full(40, 5), forest.ForestConfig(n_trees=7, seed=2))
-        assert model.degenerate and {dump(t) for t in model.trees} == {"L0"}
+        assert model.classes == (5,) and {dump(t) for t in model.trees} == {"L0"}
         assert (fingerprint(model, X_test)
                 == "0bd98dfed517aea8d82d0b89959b191f1de13fc4ab31785a2894f96b08abd439")
 
@@ -296,20 +296,20 @@ class TestFBeta:
     def test_two_class_hand_count(self):
         cm = forest.ConfusionMatrix([[3, 1], [2, 4]], ("a", "b"))
         # a: P = 3/5, R = 3/4; b: P = 4/5, R = 4/6
-        f2 = forest.fbeta(cm, 2.0)
-        np.testing.assert_allclose(f2.precision, [0.6, 0.8], rtol=1e-15)
-        np.testing.assert_allclose(f2.recall, [0.75, 2 / 3], rtol=1e-15)
-        np.testing.assert_allclose(f2.per_class, [5 / 7, 20 / 29], rtol=1e-14)
-        assert f2.macro == pytest.approx((5 / 7 + 20 / 29) / 2, rel=1e-14)
-        f05 = forest.fbeta(cm, 0.5)
-        np.testing.assert_allclose(f05.per_class, [5 / 8, 10 / 13], rtol=1e-14)
+        # F-beta tends to precision as beta -> 0 and to recall as beta -> inf
+        np.testing.assert_allclose(forest.fbeta(cm, 1e-6)[0], [0.6, 0.8], rtol=1e-10)
+        np.testing.assert_allclose(forest.fbeta(cm, 1e6)[0], [0.75, 2 / 3], rtol=1e-10)
+        per_class, macro = forest.fbeta(cm, 2.0)
+        np.testing.assert_allclose(per_class, [5 / 7, 20 / 29], rtol=1e-14)
+        assert macro == pytest.approx((5 / 7 + 20 / 29) / 2, rel=1e-14)
+        np.testing.assert_allclose(forest.fbeta(cm, 0.5)[0], [5 / 8, 10 / 13], rtol=1e-14)
 
     def test_class_absent_from_truth(self):
         # y never occurs in truth but is predicted once; it scores 0 and is left
         # out of the macro average.
         cm = forest.ConfusionMatrix([[2, 0, 1], [0, 0, 0], [1, 1, 3]], ("x", "y", "z"))
-        f2 = forest.fbeta(cm, 2.0)
-        np.testing.assert_allclose(f2.precision, [2 / 3, 0.0, 3 / 4], rtol=1e-15)
-        np.testing.assert_allclose(f2.recall, [2 / 3, 0.0, 3 / 5], rtol=1e-15)
-        np.testing.assert_allclose(f2.per_class, [2 / 3, 0.0, 5 / 8], rtol=1e-14)
-        assert f2.macro == pytest.approx((2 / 3 + 5 / 8) / 2, rel=1e-14)
+        np.testing.assert_allclose(forest.fbeta(cm, 1e-6)[0], [2 / 3, 0.0, 3 / 4], rtol=1e-10)  # precision
+        np.testing.assert_allclose(forest.fbeta(cm, 1e6)[0], [2 / 3, 0.0, 3 / 5], rtol=1e-10)  # recall
+        per_class, macro = forest.fbeta(cm, 2.0)
+        np.testing.assert_allclose(per_class, [2 / 3, 0.0, 5 / 8], rtol=1e-14)
+        assert macro == pytest.approx((2 / 3 + 5 / 8) / 2, rel=1e-14)

@@ -342,7 +342,7 @@ class TestFlatBuffer:
         assert model.n_params() == sum(p.size for p in model.parameters())
 
     def test_discriminator_views_its_buffers_through_a_backward_pass(self):
-        disc = factor.Discriminator(4, width=16, n_layers=3, seed=1)
+        disc = factor.Discriminator(4, seed=1)
         assert_layers_view(disc.layers, disc.flat_params, disc.flat_grads)
         assert not disc.flat_grads.any()
         factor.tc_term(disc, np.random.default_rng(9).standard_normal((6, 4)), 6.4)
@@ -675,4 +675,15 @@ class TestModelFile:
         body = data[header + desc_len:]
         saved.write_bytes(nn.MODEL_MAGIC + len(descriptor).to_bytes(4, "little") + descriptor + body)
         with pytest.raises(InvalidSpecError):
+            nn.load_model(saved)
+
+    def test_a_descriptor_without_arch_names_the_file(self, saved):
+        data = saved.read_bytes()
+        header = len(nn.MODEL_MAGIC) + 4
+        desc_len = int.from_bytes(data[len(nn.MODEL_MAGIC):header], "little")
+        descriptor = json.loads(data[header:header + desc_len])
+        del descriptor["arch"]
+        blob = json.dumps(descriptor).encode()
+        saved.write_bytes(nn.MODEL_MAGIC + len(blob).to_bytes(4, "little") + blob + data[header + desc_len:])
+        with pytest.raises(InvalidSpecError, match="model.aem"):
             nn.load_model(saved)

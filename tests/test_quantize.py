@@ -201,7 +201,7 @@ class TestAccumulationDtype:
         ql = quantize.QuantLayer("dense", w_q, np.array([4, -4], np.int32), quantize.QuantParams(1.0, -128),
                                  quantize.QuantParams(1.0, 0), 1.0, 2**30, 30, "linear",
                                  {"in": fan_in, "out": 2})
-        assert ql.w_acc.dtype == dtype and ql.w_mat.dtype == np.float64
+        assert ql.w_acc.dtype == dtype and np.array_equal(ql.w_acc, w_q)
         h = np.full((3, fan_in), 127, dtype=np.int8)
         dot = (h.astype(np.int64) + 128) @ w_q.astype(np.int64)
         assert np.all(dot % 2 == 1) and (abs(dot).max() > 2**24) == (fan_in == 515)
@@ -380,12 +380,12 @@ class TestSerialization:
             path = tmp_path / f"{arch}.aeq"
             quantize.save_quantized(path, models[arch][0])
             for ql in quantize.load_quantized(path).layers:
-                assert ql.w_mat.dtype == np.float64 and ql.w_mat.size == ql.w_q.size
+                assert ql.w_acc.dtype in (np.float32, np.float64) and ql.w_acc.size == ql.w_q.size
                 if ql.kind == "conv1d_t":
-                    assert np.array_equal(ql.w_mat.reshape(ql.w_q.shape[1], ql.w_q.shape[0], -1),
+                    assert np.array_equal(ql.w_acc.reshape(ql.w_q.shape[1], ql.w_q.shape[0], -1),
                                           ql.w_q.transpose(1, 0, 2))
                 else:
-                    assert np.array_equal(ql.w_mat.reshape(ql.w_q.shape), ql.w_q)
+                    assert np.array_equal(ql.w_acc.reshape(ql.w_q.shape), ql.w_q)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.aeq"
@@ -412,16 +412,29 @@ class TestSerialization:
         with pytest.raises(InvalidSpecError):
             quantize.load_quantized(saved)
 
-    @pytest.mark.parametrize("qp, scale", [("in_qp", -0.5), ("out_qp", 0.0)])
-    def test_a_non_positive_layer_scale_is_rejected(self, saved, qp, scale):
-        data = saved.read_bytes()
+    @staticmethod
+    def _rewrite_descriptor(path, edit):
+        """Rewrite the file's JSON descriptor through edit(descriptor), keeping its tensors."""
+        data = path.read_bytes()
         head = len(quantize.QUANT_MAGIC) + 4
         (n,) = struct.unpack("<I", data[len(quantize.QUANT_MAGIC):head])
         descriptor = json.loads(data[head:head + n])
-        descriptor["layers"][1][qp][0] = scale
+        edit(descriptor)
         blob = json.dumps(descriptor).encode()
-        saved.write_bytes(quantize.QUANT_MAGIC + struct.pack("<I", len(blob)) + blob + data[head + n:])
+        path.write_bytes(quantize.QUANT_MAGIC + struct.pack("<I", len(blob)) + blob + data[head + n:])
+
+    @pytest.mark.parametrize("qp, scale", [("in_qp", -0.5), ("out_qp", 0.0)])
+    def test_a_non_positive_layer_scale_is_rejected(self, saved, qp, scale):
+        self._rewrite_descriptor(saved, lambda d: d["layers"][1][qp].__setitem__(0, scale))
         with pytest.raises(InvalidSpecError, match="scale must be positive"):
+            quantize.load_quantized(saved)
+
+    @pytest.mark.parametrize("edit", [lambda d: d.pop("layers"), lambda d: d.pop("latent_dim"),
+                                      lambda d: d.__setitem__("input_qp", [0.5])],
+                             ids=["no_layers", "no_latent_dim", "one_item_input_qp"])
+    def test_a_malformed_descriptor_names_the_file(self, saved, edit):
+        self._rewrite_descriptor(saved, edit)
+        with pytest.raises(InvalidSpecError, match="model.aeq"):
             quantize.load_quantized(saved)
 
     def test_corrupt_descriptor(self, saved):

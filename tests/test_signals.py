@@ -50,11 +50,11 @@ class TestToneSpec:
 class TestSynthTone:
     def test_dc_tone(self):
         buf = signals.synth_tone(signals.ToneSpec(0.0, 1.0, 0.0), spec_of(8000.0, 4))
-        assert np.allclose(buf.i, 1.0, atol=0) and np.allclose(buf.q, 0.0, atol=0)
+        assert np.allclose(buf.samples.real, 1.0, atol=0) and np.allclose(buf.samples.imag, 0.0, atol=0)
 
     def test_quarter_rate_cosine(self):
         buf = signals.synth_tone(signals.ToneSpec(2000.0, 1.0, 0.0), spec_of(8000.0, 4))
-        assert np.max(np.abs(buf.i - np.array([1.0, 0.0, -1.0, 0.0]))) < 1e-12
+        assert np.max(np.abs(buf.samples.real - np.array([1.0, 0.0, -1.0, 0.0]))) < 1e-12
 
     def test_scalar_loop_oracle(self):
         # independent per-sample evaluation of the closed form
@@ -65,14 +65,14 @@ class TestSynthTone:
         phase = math.atan2(0.8, 0.6)
         for k in range(8):
             arg = 2 * math.pi * 1000.0 * k / 8000.0 - phase
-            assert abs(buf.i[k] - amp * math.cos(arg)) < 1e-12
-            assert abs(buf.q[k] - amp * math.sin(arg)) < 1e-12
+            assert abs(buf.samples.real[k] - amp * math.cos(arg)) < 1e-12
+            assert abs(buf.samples.imag[k] - amp * math.sin(arg)) < 1e-12
 
     def test_energy(self):
         spec = spec_of(8000.0, 64)
         buf = signals.synth_tone(signals.ToneSpec(700.0, 1.5, 2.0), spec)
         amp2 = 1.5**2 + 2.0**2
-        assert abs(buf.energy() - amp2 * 64) <= 1e-6 * amp2 * 64
+        assert abs(np.sum(np.abs(buf.samples) ** 2) - amp2 * 64) <= 1e-6 * amp2 * 64
 
     def test_quadrature_identity(self):
         # rectangular and polar parameterizations give the same samples
@@ -128,8 +128,8 @@ class TestSynthWaveform:
         buf = signals.synth_waveform(
             signals.WaveformSpec(signals.MULTITONE, tones=tones), spec, seed=0
         )
-        frame = features.power_spectrum_bins(buf, window_len=1024, n_bins=128)
-        top2 = set(np.argsort(frame.bins)[-2:].tolist())
+        bins = features.power_spectrum_bins(buf, window_len=1024, n_bins=128)
+        top2 = set(np.argsort(bins)[-2:].tolist())
         # fs/8 -> DFT bin 128 -> group 16; fs/4 -> bin 256 -> group 32
         assert top2 == {16, 32}
 
