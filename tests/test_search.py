@@ -85,15 +85,34 @@ class TestCostProfile:
             assert search.count_params_ops(arch).n_params == model.n_params()
 
     def test_macs_hand_count(self):
-        # 4 -> 3 -> 2 and mirror: 12 + 6 + 6 + 12 = 36 MACs
+        # 4 -> 3 -> 2 and mirror: 12 + 6 + 6 + 12 = 36 MACs, plus 3 + 2 + 3 + 4 biases
         cost = search.count_params_ops(search.ArchSpec(4, (3,), 2))
-        assert cost.n_macs == 36
+        assert (cost.n_params, cost.n_macs) == (48, 36)
 
     def test_conv_front_counted(self):
         arch = search.ArchSpec(64, (16,), 4, conv_front=((2, 4, 3, 2),))
         model = nn.build_autoencoder(arch.input_dim, arch.hidden, arch.latent_dim,
                                      seed=0, conv_front=arch.conv_front)
-        assert search.count_params_ops(arch).n_params == model.n_params()
+        cost = search.count_params_ops(arch)
+        assert cost.n_params == model.n_params()
+        # conv 32x2 -> 16x4: 24 weights at 16 positions; dense 64 -> 16 -> 4 -> 16 -> 64;
+        # the transposed conv's 24 weights at its 16 input positions
+        assert (cost.n_params, cost.n_macs) == (
+            28 + 1040 + 68 + 80 + 1088 + 26, 384 + 1024 + 64 + 64 + 1024 + 384)
+
+    def test_costs_match_golden(self):
+        """(n_params, n_macs) over the canonical grid, perfbench's conv slice and a two-layer conv front."""
+        archs = (search.enumerate_archs(SPECTRAL_SPACE)
+                 + search.enumerate_archs(search.SearchSpace(
+                     177, widths=(64,), depths=(2,), latents=(6,),
+                     conv_options=(((3, 8, 5, 2),), ((3, 4, 3, 1),))))
+                 + [search.ArchSpec(177, (64, 64), 6, conv_front=((3, 8, 5, 2), (8, 16, 3, 1)))])
+        digest = hashlib.sha256()
+        for arch in archs:
+            cost = search.count_params_ops(arch)
+            digest.update(struct.pack("<qq", cost.n_params, cost.n_macs))
+        assert len(archs) == 131
+        assert digest.hexdigest() == "2885f8007d28a8b173a34c8b4752f574c2fee9dd90c233f8c2724a6234a04b81"
 
 
 def low_rank_data(n, d=12, rank=2, seed=0):
