@@ -8,7 +8,10 @@ written (one ``error:`` line), 2 usage error (argparse default).
 tables and SVG heatmaps) is the same run stopped after that stage; it keeps
 the manifest's records of the later stages, so a following ``run`` still
 hits them. ``energy`` prints the energy accounting for the given model
-parameters without touching a run.
+parameters without touching a run: its flags are the fields of
+``energy.PowerModel`` and ``energy.TrafficModel`` (``--tpu-watts`` sets
+``tpu_watts``), with the models' defaults, plus ``--rate-mb-per-s`` and
+``--json``.
 
 ``main`` pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``) unless the caller set them: the
@@ -18,6 +21,7 @@ imports numpy-using modules inside the commands, never at import time.
 """
 
 import argparse
+from dataclasses import fields
 import os
 import sys
 
@@ -38,20 +42,11 @@ def cmd_run(args):
     return 0
 
 
+ENERGY_MODELS = (energy.PowerModel, energy.TrafficModel)
+
+
 def cmd_energy(args):
-    pm = energy.PowerModel(
-        tpu_watts=args.tpu_watts,
-        batch_size=args.batch_size,
-        network_mwh_per_period=args.network_mwh,
-        cellular_usd_per_gb=args.usd_per_gb,
-        seconds_per_batch=args.seconds_per_batch,
-    )
-    tm = energy.TrafficModel(
-        values_per_second=args.values_per_second,
-        compressed_block=args.compressed_block,
-        latent_values=args.latent_values,
-        bytes_per_value=args.bytes_per_value,
-    )
+    pm, tm = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)}) for cls in ENERGY_MODELS)
     rep = energy.savings_report(pm, tm, rate_mb_per_s=args.rate_mb_per_s)
     print(energy.format_table(rep))
     if args.json:
@@ -97,15 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         s.set_defaults(handler=cmd_run)
 
     s = sub.add_parser("energy", help="print the energy/traffic accounting table")
-    s.add_argument("--tpu-watts", type=float, default=1.6)
-    s.add_argument("--batch-size", type=int, default=1000)
-    s.add_argument("--seconds-per-batch", type=float, default=energy.DEFAULT_SECONDS_PER_BATCH)
-    s.add_argument("--network-mwh", type=float, default=394.0)
-    s.add_argument("--usd-per-gb", type=float, default=2.6)
-    s.add_argument("--values-per-second", type=int, default=253)
-    s.add_argument("--compressed-block", type=int, default=177)
-    s.add_argument("--latent-values", type=int, default=6)
-    s.add_argument("--bytes-per-value", type=int, default=4)
+    for cls in ENERGY_MODELS:
+        for f in fields(cls):
+            s.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     s.add_argument("--rate-mb-per-s", type=float, default=4.0)
     s.add_argument("--json", action="store_true", help="also print the JSON report")
     s.set_defaults(handler=cmd_energy)

@@ -12,7 +12,7 @@ The published downstream figures (264 mWh remaining, 130 mWh saved, the
 ~29,000x ratio) follow the whole-budget reading at a rounded 67% reduction.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 import json
 
@@ -33,25 +33,26 @@ def _frac(x) -> Fraction:
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86_400
-# Effective TPU duty per 1,000-input batch that yields the published 4.44 uWh
-# at 1.6 W (the published "1.6 Ws" would be 444 uWh; the uWh figure is the one
-# every downstream ratio uses, so it wins).
-DEFAULT_SECONDS_PER_BATCH = 0.01
 
 
 @dataclass(frozen=True)
 class PowerModel:
     tpu_watts: float = 1.6
-    batch_size: int = 1000
     network_mwh_per_period: float = 394.0
     cellular_usd_per_gb: float = 2.6
-    seconds_per_batch: float = DEFAULT_SECONDS_PER_BATCH
+    # Effective TPU duty per 1,000-input batch that yields the published 4.44 uWh
+    # at 1.6 W (the published "1.6 Ws" would be 444 uWh; the uWh figure is the one
+    # every downstream ratio uses, so it wins).
+    seconds_per_batch: float = 0.01
 
     def __post_init__(self):
-        for name in ("tpu_watts", "batch_size", "network_mwh_per_period",
-                     "cellular_usd_per_gb", "seconds_per_batch"):
-            if _frac(getattr(self, name)) <= 0:
-                raise InvalidSpecError(f"{name} must be positive")
+        for f in fields(self):
+            if _frac(getattr(self, f.name)) <= 0:
+                raise InvalidSpecError(f"{f.name} must be positive")
+
+    def tpu_uwh(self) -> Fraction:
+        """Exact TPU energy of one batch in uWh: watts times duty time (1 Wh = 3600 Ws)."""
+        return _frac(self.tpu_watts) * _frac(self.seconds_per_batch) * 1_000_000 / SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,15 @@ class TrafficModel:
 
 
 def tpu_energy(pm: PowerModel) -> dict:
-    """Energy for running the compressor on one batch: watts times duty time.
+    """Energy for running the compressor on one batch (PowerModel.tpu_uwh).
 
     Returns watt-seconds plus uWh/mWh conversions (1 Wh = 3600 Ws).
     """
-    ws = _frac(pm.tpu_watts) * _frac(pm.seconds_per_batch)
-    wh = ws / SECONDS_PER_HOUR
+    uwh = pm.tpu_uwh()
     return {
-        "watt_seconds": float(ws),
-        "uwh": float(wh * 1_000_000),
-        "mwh": float(wh * 1_000),
+        "watt_seconds": float(uwh * SECONDS_PER_HOUR / 1_000_000),
+        "uwh": float(uwh),
+        "mwh": float(uwh / 1_000),
     }
 
 
@@ -122,8 +122,8 @@ def network_energy(pm: PowerModel, residual_fraction) -> dict:
     budget = _frac(pm.network_mwh_per_period)
     new = budget * residual
     saved = budget - new
-    tpu_uwh = _frac(pm.tpu_watts) * _frac(pm.seconds_per_batch) / SECONDS_PER_HOUR * 1_000_000
-    ratio = (saved * 1000) / tpu_uwh if tpu_uwh > 0 else Fraction(0)
+    tpu_uwh = pm.tpu_uwh()
+    ratio = (saved * 1000) / tpu_uwh
     return {
         "new_mwh": float(new),
         "saved_mwh": float(saved),
@@ -176,15 +176,14 @@ def savings_report(pm: PowerModel = PowerModel(), tm: TrafficModel = TrafficMode
     traffic = traffic_reduction(tm)
     rounded_residual = Fraction(int(traffic["reduction_percent"]), 100)
     one_percent = _frac(pm.network_mwh_per_period) / 100
-    tpu = tpu_energy(pm)
     return EnergyReport(
-        tpu=tpu,
+        tpu=tpu_energy(pm),
         traffic=traffic,
         network_exact_residual=network_energy(pm, traffic["residual_fraction"]),
         network_rounded_residual=network_energy(pm, rounded_residual),
         daily_cost=daily_traffic_cost(rate_mb_per_s, pm.cellular_usd_per_gb),
         one_percent_saving_mwh=float(one_percent),
-        one_percent_over_tpu_ratio=float(one_percent * 1000 / _frac(tpu["uwh"])),
+        one_percent_over_tpu_ratio=float(one_percent * 1000 / pm.tpu_uwh()),
     )
 
 
@@ -208,7 +207,7 @@ def format_table(report: EnergyReport) -> str:
         f"saves {report.network_rounded_residual['saved_mwh']:.1f} mWh "
         f"({report.network_rounded_residual['saved_over_tpu_ratio']:,.0f}x TPU energy)",
         f"1% of network budget:        {report.one_percent_saving_mwh:.3g} mWh "
-        f"(~{report.one_percent_over_tpu_ratio:,.0f}x TPU energy per 1000 batches)",
+        f"(~{report.one_percent_over_tpu_ratio:,.0f}x the TPU energy of one 1,000-input batch)",
         f"Uncompressed daily traffic:  {report.daily_cost['gb_per_day']:.1f} GB/day "
         f"-> {report.daily_cost['usd_per_day']:,.0f} USD/day",
     ]

@@ -32,13 +32,6 @@ class ShapeError(JamcodecError):
 class TrainingDivergedError(JamcodecError):
     """Training loss became non-finite."""
 
-    def __init__(self, message, last_finite_epoch):
-        super().__init__(message)
-        self.last_finite_epoch = last_finite_epoch
-
-    def __reduce__(self):  # pickle (a worker process's error) with both arguments
-        return type(self), (*self.args, self.last_finite_epoch)
-
 
 class EmptySearchSpaceError(JamcodecError):
     """Architecture search space enumerates to nothing."""

@@ -235,9 +235,7 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
             sums += (recon_loss, kl, tc_raw, disc_loss)
             n_batches += 1
             if not np.isfinite(recon_loss + kl + tc_raw):
-                raise TrainingDivergedError(
-                    f"FactorVAE loss non-finite at epoch {epoch}", last_finite_epoch=epoch - 1
-                )
+                raise TrainingDivergedError(f"FactorVAE loss non-finite at epoch {epoch}")
         means = sums / n_batches
         pixels = images.shape[1] * images.shape[2]
         history.append({

@@ -108,7 +108,8 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
     the bins total the windowed time-domain energy divided by window_len
     (Parseval). Averaged over all full windows along the last axis; leading
     batch axes pass through, so a (T, N) buffer gives T rows of n_bins, each
-    the bytes of band_power on its row alone.
+    the bytes of band_power on its row alone. A non-finite sample, or one whose
+    power overflows, raises InvalidSpecError.
     """
     samples = _samples_of(x)
     check_window_len(window_len)
@@ -120,18 +121,18 @@ def band_power(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndar
             f"buffer of {samples.shape[-1]} samples is shorter than one window ({window_len})"
         )
     frames = samples[..., : n_windows * window_len].reshape(*samples.shape[:-1], n_windows, window_len)
-    spectra = fft(frames * _hann(window_len))
-    p = np.mean(np.abs(spectra) ** 2, axis=-2) / float(window_len) ** 2
-    return p.reshape(*p.shape[:-1], n_bins, window_len // n_bins).sum(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bin raises below
+        spectra = fft(frames * _hann(window_len))
+        p = np.mean(np.abs(spectra) ** 2, axis=-2) / float(window_len) ** 2
+        bins = p.reshape(*p.shape[:-1], n_bins, window_len // n_bins).sum(axis=-1)
+    if not np.isfinite(bins).all():
+        raise InvalidSpecError("spectral bins contain non-finite values")
+    return bins
 
 
 def power_spectrum_bins(x, window_len: int = 1024, n_bins: int = SPECTRAL_DIM) -> np.ndarray:
     """Band powers on a dB scale, 10*log10(band_power + 1e-12); batch axes pass through."""
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bin raises below
-        db = 10.0 * np.log10(band_power(x, window_len=window_len, n_bins=n_bins) + LOG_EPS)
-    if not np.isfinite(db).all():
-        raise InvalidSpecError("spectral bins contain non-finite values")
-    return db
+    return 10.0 * np.log10(band_power(x, window_len=window_len, n_bins=n_bins) + LOG_EPS)
 
 
 _ENTROPY_EDGES = np.linspace(0.0, 1.0, ENTROPY_BINS + 1)

@@ -593,9 +593,7 @@ def train_autoencoder(model: AeModel, train_x, val_x, budget: TrainBudget,
         train_loss = float(np.mean(epoch_losses))
         val_loss = _epoch_loss(model, val_x, _mix(budget.seed, epoch, -1))
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise TrainingDivergedError(
-                f"loss became non-finite at epoch {epoch}", last_finite_epoch=epoch - 1
-            )
+            raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": float(val_loss)})
         if val_loss < best_val:
             best_val = val_loss

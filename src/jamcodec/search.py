@@ -3,7 +3,9 @@
 Width sequences are non-increasing (a deeper hidden layer never has more
 neurons than a shallower one) and the latent dimension stays below the last
 hidden width. The canonical spectral grid -- widths {32, 64, 128}, depth 2-3,
-latents 3-10 -- enumerates to exactly 128 architectures.
+latents 3-10 -- enumerates to exactly 128 architectures. An architecture's
+parameter and MAC counts come from the layers nn builds for it, so nn alone
+owns the autoencoder's layout.
 
 screen and retrain_topk train each candidate as one parallel.fork_map job: in
 forked worker processes, or in this process on one usable CPU. Every candidate
@@ -86,44 +88,29 @@ def enumerate_archs(space: SearchSpace) -> list:
     return out
 
 
-def dense_cost(n_in: int, n_out: int) -> tuple:
-    """(parameters, MACs) of one dense layer: weights plus bias, in*out MACs."""
-    return n_in * n_out + n_out, n_in * n_out
+def _build(arch: ArchSpec, seed: int, variational: bool):
+    return nn.build_autoencoder(
+        arch.input_dim, arch.hidden, arch.latent_dim, seed=seed,
+        variational=variational, conv_front=arch.conv_front,
+    )
 
 
 def count_params_ops(arch: ArchSpec) -> CostProfile:
-    """Parameters and multiply-accumulates for encoder plus mirrored decoder."""
-    params = 0
-    macs = 0
+    """Parameters and multiply-accumulates of the autoencoder nn builds for arch.
 
-    dense_in = arch.input_dim
-    conv_lens = []
-    if arch.conv_front:
-        length = arch.input_dim // arch.conv_front[0][0]
-        for in_c, out_c, kernel, stride in arch.conv_front:
-            out_len = nn._conv1d_geometry(length, kernel, stride)[0]
-            params += in_c * out_c * kernel + out_c
-            macs += out_len * out_c * in_c * kernel
-            conv_lens.append((length, out_len, in_c, out_c, kernel))
-            length = out_len
-        dense_in = length * arch.conv_front[-1][1]
-
-    dims = [dense_in, *arch.hidden, arch.latent_dim]
-    for a, b in zip(dims, dims[1:]):
-        p, m = dense_cost(a, b)
-        params += p
-        macs += m
-    for a, b in zip(dims[::-1], dims[::-1][1:]):
-        p, m = dense_cost(a, b)
-        params += p
-        macs += m
-
-    if arch.conv_front:
-        # transposed mirror: same weight shapes, MACs counted at the larger output extent
-        for in_len, out_len, in_c, out_c, kernel in reversed(conv_lens):
-            params += in_c * out_c * kernel + in_c
-            macs += out_len * out_c * in_c * kernel
-
+    One zero row runs through the built path. Each layer costs its weights plus
+    biases in parameters, and its weights once per position in MACs: once for
+    a dense layer, at each output position for a conv, and at each input
+    position for a transposed conv.
+    """
+    params = macs = 0
+    h = np.zeros((1, arch.input_dim))
+    for layer in _build(arch, 0, False).path:
+        out = layer.forward(h)
+        if layer.params:
+            params += layer.w.size + layer.b.size
+            macs += layer.w.size * {"dense": 1, "conv1d": out.shape[1], "conv1d_t": h.shape[1]}[layer.kind]
+        h = out
     return CostProfile(n_params=params, n_macs=macs)
 
 
@@ -133,13 +120,6 @@ class ScreenResult:
     val_mse: float
     model: object = None
     diverged: bool = False
-
-
-def _build(arch: ArchSpec, seed: int, variational: bool):
-    return nn.build_autoencoder(
-        arch.input_dim, arch.hidden, arch.latent_dim, seed=seed,
-        variational=variational, conv_front=arch.conv_front,
-    )
 
 
 def _train(candidates, train_x, val_x, budget, variational, epochs, early_stop):

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from jamcodec import cli, pipeline
+from jamcodec import cli, energy, pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,6 +28,20 @@ def test_energy_exits_zero():
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.strip()
+
+
+def test_energy_flags_are_the_model_fields():
+    done = jamcodec("energy", "--help")
+    assert done.returncode == 0
+    fields = {"--" + f.name.replace("_", "-") for cls in (energy.PowerModel, energy.TrafficModel)
+              for f in dataclasses.fields(cls)}
+    assert set(re.findall(r"--[a-z][a-z-]*", done.stdout)) == fields | {"--help", "--rate-mb-per-s", "--json"}
+
+
+def test_removed_batch_size_flag_is_a_usage_error():
+    done = jamcodec("energy", "--batch-size", "1000")
+    assert done.returncode == 2
+    assert done.stdout == ""
 
 
 def test_truncated_run_manifest_is_a_cache_miss_with_a_warning(tmp_path, monkeypatch, capsys):
@@ -112,6 +128,7 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
                  id="too_few_calibration_vectors"),
     pytest.param({"dataset": {"test_scenarios": [7]}}, id="test_scenario_not_listed"),
     pytest.param({"power": {"watts": 2.0}}, id="unknown_power_key"),
+    pytest.param({"power": {"batch_size": 1000}}, id="removed_power_batch_size"),
     pytest.param({"forest": {"ntrees": 4}}, id="misspelled_forest_key"),
     pytest.param({"tarin": {"retrain_epochs_max": 3}}, id="misspelled_section"),
     pytest.param({"search": {"enabled": "false"}}, id="enabled_not_a_bool"),
@@ -175,6 +192,7 @@ def test_bad_config_exits_one_before_writing(tmp_path, config):
     pytest.param(["--tpu-watts", "nan"], id="tpu_watts_nan"),
     pytest.param(["--latent-values", "500"], id="latent_values_above_block"),
     pytest.param(["--rate-mb-per-s", "0"], id="rate_zero"),
+    pytest.param(["--network-mwh-per-period", "0"], id="network_mwh_per_period_zero"),
 ])
 def test_bad_energy_value_exits_one_without_traceback(args):
     done = jamcodec("energy", *args)

@@ -23,3 +23,13 @@ def test_network_saving_with_rounded_residual(report):
     assert rounded["new_mwh"] == pytest.approx(263.98, rel=1e-12)
     assert rounded["saved_mwh"] == pytest.approx(130.02, rel=1e-12)
     assert rounded["saved_over_tpu_ratio"] == pytest.approx(29_254.5, rel=1e-12)
+
+
+def test_one_percent_ratio_is_exact():
+    # 3.94 mWh over the 40/9 uWh of one batch is 886.5 exactly
+    assert energy.savings_report().one_percent_over_tpu_ratio == 886.5
+
+
+def test_network_and_tpu_energy_read_one_batch_energy():
+    pm = energy.PowerModel()
+    assert energy.network_energy(pm, 0.5)["tpu_uwh"] == energy.tpu_energy(pm)["uwh"]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ class TestPowerSpectrumBins:
         x[100] = bad
         with pytest.raises(InvalidSpecError):
             features.power_spectrum_bins(x, window_len=1024)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200], ids=["inf", "nan", "overflow"])
+    def test_band_power_rejects_non_finite_input_without_a_warning(self, bad):
+        x = np.ones(2048, dtype=complex)
+        x[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpecError, match="non-finite"):
+                features.band_power(x, window_len=1024)
 
     def test_a_batch_gives_each_row_s_bytes(self):
         rng = np.random.default_rng(5)

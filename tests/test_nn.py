@@ -537,9 +537,8 @@ class TestTrainAutoencoder:
         budget = nn.TrainBudget(screen_epochs=1, retrain_epochs_max=50,
                                 early_stop_patience=50, batch_size=8, seed=0, lr=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
+            with pytest.raises(TrainingDivergedError, match=r"non-finite at epoch \d+$"):
                 nn.train_autoencoder(model, X[:30], X[30:], budget)
-        assert err.value.last_finite_epoch >= -1
 
     def test_returns_best_checkpoint(self):
         X = np.random.default_rng(3).uniform(0, 1, (60, 6))

@@ -455,9 +455,9 @@ TINY_GOLDEN = {
     "data/snap_*.iqf":
         "620ce95510b1cff0d50c4a52b8a43abb7f27223cd1401f88dc8b52072fb0671a",
     "energy/energy.json":
-        "db6b850ec7ed33b18ff79e655402db2a3b0ce9b36a84306452d711c2fc3e5d02",
+        "ef09ef8cf6d5318901fb20ef3111bc453a6f6f629a8aaaf4e421aab872425e5f",
     "energy/energy.txt":
-        "89858059371f8e99f11399c3b46da13a382a312a65ec41cf5ef70bdeec900cf2",
+        "f8742626b38ff31e620e5581cd0e80fb953f4f9d1ecd55ae6cacfe495c679c72",
     "features/features.csv":
         "8b3b79015748945713e459d4df203a0a4e55db8ace99a7bb5079e6eb0242d103",
     "quantize/model.aeq":

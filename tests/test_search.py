@@ -64,9 +64,6 @@ class TestEnumerate:
 
 
 class TestCostProfile:
-    def test_dense_layer_hand_count(self):
-        assert search.dense_cost(2, 3) == (9, 6)
-
     def test_paper_mixed_arch(self):
         cost = search.count_params_ops(search.ArchSpec(177, (128, 128), 6))
         assert 79_000 <= cost.n_params <= 81_000
