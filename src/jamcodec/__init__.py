@@ -16,4 +16,4 @@ parallel  fork_map: independent jobs in forked worker processes
 
 __version__ = "0.1.0"
 
-FORMAT_VERSIONS = {"iq": "IQF1", "model": "AEM1", "quantized": "AEQ1"}
+FORMAT_VERSIONS = {"iq": "IQF1", "model": "AEM1", "quantized": "AEQ1"}  # the magics of the file formats

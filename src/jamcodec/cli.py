@@ -55,9 +55,7 @@ def cmd_energy(args):
 
 
 def cmd_interpolate(args):
-    import numpy as np
-
-    from . import factor, render
+    from . import factor, render, signals
 
     if args.steps < 2:
         raise InvalidSpecError(f"--steps must be at least 2, got {args.steps}")
@@ -69,8 +67,7 @@ def cmd_interpolate(args):
         raise InvalidSpecError(f"--strips must lie in [1, {len(images) // 2}] for {len(images)} images, "
                                f"got {args.strips}")
     model, _, hist = factor.train_factorvae(cfg, images)
-    rng = np.random.default_rng(args.seed)
-    pairs = rng.choice(len(images), size=(args.strips, 2), replace=False)
+    pairs = signals.derived_rng(args.seed).choice(len(images), size=(args.strips, 2), replace=False)
     for i, (a, b) in enumerate(pairs):
         strip = factor.interpolate(model, images[int(a)], images[int(b)], args.steps)
         out = f"{args.output_prefix}_{i}.pgm"

@@ -1,8 +1,10 @@
 """Compression, traffic, energy, and cost arithmetic for the edge deployment.
 
-All core quantities are computed in exact rational arithmetic
-(``fractions.Fraction`` over the decimal reading of each input) and converted
-to float only for reporting, so recomputation is bit-stable.
+Every quantity is exact (``fractions.Fraction`` over the decimal reading of
+each input): the functions below return Fractions, and ``savings_report``
+keeps them exact, its exact residual included, until it converts each leaf of
+the report to float once. A value beyond float range raises InvalidSpecError
+naming it, never OverflowError, and recomputation is bit-stable.
 
 Two readings of the transmission saving are always reported side by side:
 the side-channel reading (only the 177-value block is compressed, the other
@@ -72,16 +74,9 @@ class TrafficModel:
 
 
 def tpu_energy(pm: PowerModel) -> dict:
-    """Energy for running the compressor on one batch (PowerModel.tpu_uwh).
-
-    Returns watt-seconds plus uWh/mWh conversions (1 Wh = 3600 Ws).
-    """
+    """The compressor's energy for one batch (PowerModel.tpu_uwh) in Ws, uWh and mWh."""
     uwh = pm.tpu_uwh()
-    return {
-        "watt_seconds": float(uwh * SECONDS_PER_HOUR / 1_000_000),
-        "uwh": float(uwh),
-        "mwh": float(uwh / 1_000),
-    }
+    return {"watt_seconds": uwh * SECONDS_PER_HOUR / 1_000_000, "uwh": uwh, "mwh": uwh / 1_000}
 
 
 def traffic_reduction(tm: TrafficModel) -> dict:
@@ -92,21 +87,19 @@ def traffic_reduction(tm: TrafficModel) -> dict:
     by its latent values. The end-to-end factor assumes the side channel is
     suppressed too.
     """
-    total = _frac(tm.values_per_second)
-    block = _frac(tm.compressed_block)
-    latent = _frac(tm.latent_values)
+    total, block, latent = map(_frac, (tm.values_per_second, tm.compressed_block, tm.latent_values))
     transmitted = total - block + latent
     residual = transmitted / total
     return {
-        "values_per_second": float(total),
-        "transmitted_values": float(transmitted),
-        "residual_fraction": float(residual),
-        "reduction_percent": float((1 - residual) * 100),
-        "compression_factor_block": float(block / latent),
-        "compression_factor_end_to_end": float(total / latent),
-        "compression_rate_percent_end_to_end": float((1 - latent / total) * 100),
-        "bytes_per_second_raw": float(total * tm.bytes_per_value),
-        "bytes_per_second_compressed": float(transmitted * tm.bytes_per_value),
+        "values_per_second": total,
+        "transmitted_values": transmitted,
+        "residual_fraction": residual,
+        "reduction_percent": (1 - residual) * 100,
+        "compression_factor_block": block / latent,
+        "compression_factor_end_to_end": total / latent,
+        "compression_rate_percent_end_to_end": (1 - latent / total) * 100,
+        "bytes_per_second_raw": total * tm.bytes_per_value,
+        "bytes_per_second_compressed": transmitted * tm.bytes_per_value,
     }
 
 
@@ -123,31 +116,33 @@ def network_energy(pm: PowerModel, residual_fraction) -> dict:
     new = budget * residual
     saved = budget - new
     tpu_uwh = pm.tpu_uwh()
-    ratio = (saved * 1000) / tpu_uwh
-    return {
-        "new_mwh": float(new),
-        "saved_mwh": float(saved),
-        "tpu_uwh": float(tpu_uwh),
-        "saved_over_tpu_ratio": float(ratio),
-    }
+    return {"new_mwh": new, "saved_mwh": saved, "tpu_uwh": tpu_uwh,
+            "saved_over_tpu_ratio": saved * 1000 / tpu_uwh}
 
 
 def daily_traffic_cost(rate_mb_per_s, usd_per_gb) -> dict:
     """GB/day at a constant byte rate and its cellular cost (1 GB = 1000 MB)."""
-    rate = _frac(rate_mb_per_s)
-    price = _frac(usd_per_gb)
+    rate, price = _frac(rate_mb_per_s), _frac(usd_per_gb)
     if rate <= 0 or price <= 0:
         raise InvalidSpecError("rate and price must be positive")
     gb_per_day = rate * SECONDS_PER_DAY / 1000
-    return {
-        "gb_per_day": float(gb_per_day),
-        "usd_per_day": float(gb_per_day * price),
-    }
+    return {"gb_per_day": gb_per_day, "usd_per_day": gb_per_day * price}
+
+
+def _floats(exact, name=""):
+    """``exact`` as a float, or its nested dicts as dicts of floats; a value beyond float
+    range raises InvalidSpecError naming its key path."""
+    if isinstance(exact, dict):
+        return {k: _floats(v, f"{name}.{k}" if name else k) for k, v in exact.items()}
+    try:
+        return float(exact)
+    except OverflowError:
+        raise InvalidSpecError(f"energy report value {name} is beyond float range") from None
 
 
 @dataclass
 class EnergyReport:
-    """Bundle of every published figure, under both residual readings."""
+    """Bundle of every published figure, under both residual readings, as floats."""
 
     tpu: dict
     traffic: dict
@@ -171,20 +166,21 @@ def savings_report(pm: PowerModel = PowerModel(), tm: TrafficModel = TrafficMode
     The rounded reading follows the published arithmetic: the reduction
     percentage is truncated to a whole percent and applied directly as the
     multiplier on the networking budget (394 mWh * 0.67 = 264 mWh remaining,
-    130 mWh saved).
+    130 mWh saved). Every figure stays exact until ``_floats`` converts the
+    report once.
     """
     traffic = traffic_reduction(tm)
     rounded_residual = Fraction(int(traffic["reduction_percent"]), 100)
     one_percent = _frac(pm.network_mwh_per_period) / 100
-    return EnergyReport(
-        tpu=tpu_energy(pm),
-        traffic=traffic,
-        network_exact_residual=network_energy(pm, traffic["residual_fraction"]),
-        network_rounded_residual=network_energy(pm, rounded_residual),
-        daily_cost=daily_traffic_cost(rate_mb_per_s, pm.cellular_usd_per_gb),
-        one_percent_saving_mwh=float(one_percent),
-        one_percent_over_tpu_ratio=float(one_percent * 1000 / pm.tpu_uwh()),
-    )
+    return EnergyReport(**_floats({
+        "tpu": tpu_energy(pm),
+        "traffic": traffic,
+        "network_exact_residual": network_energy(pm, traffic["residual_fraction"]),
+        "network_rounded_residual": network_energy(pm, rounded_residual),
+        "daily_cost": daily_traffic_cost(rate_mb_per_s, pm.cellular_usd_per_gb),
+        "one_percent_saving_mwh": one_percent,
+        "one_percent_over_tpu_ratio": one_percent * 1000 / pm.tpu_uwh(),
+    }))
 
 
 def format_table(report: EnergyReport) -> str:

@@ -11,10 +11,10 @@ The split threshold is the largest left-group value (predicate x <= t), which
 makes tree structure and predictions invariant under any strictly monotone
 per-feature transform. Vote ties resolve to the smallest class index.
 
-``evaluate_protocol(X, labels, train, ae, qae, cfg)`` is the paper's comparison:
-forests on the raw features and on their float and int8 autoencoder
-reconstructions, trained on the ``train`` rows and scored on the rest. It is
-the one call here that fans out: its six forests train in forked workers (see
+``evaluate_protocol(reps, labels, train, cfg)`` is the paper's comparison: a
+forest per representation (raw features, float and int8 reconstructions),
+trained on the ``train`` rows and scored on the rest. It is the one call
+here that fans out: its six forests train in forked workers (see
 ``parallel``), while ``train_forest`` and ``predict`` run in their caller.
 """
 
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from . import nn, parallel, quantize
+from . import parallel
 from .errors import InvalidSpecError, ShapeError
 from .signals import derived_rng
 
@@ -339,22 +339,21 @@ def _score_task(X, y, train, cfg) -> dict:
     }
 
 
-def evaluate_protocol(X, labels, train, ae: nn.AeModel, qae: quantize.QuantizedModel,
-                      cfg: ForestConfig = ForestConfig()) -> dict:
-    """Score raw, float-recon and int8-recon forests on every task: {variant: {task: scores}}.
+def evaluate_protocol(reps, labels, train, cfg: ForestConfig = ForestConfig()) -> dict:
+    """Score a forest per representation and task: {variant: {task: scores}}.
 
-    ``labels`` maps each task to the labels of X's rows, in the order the
-    results list them. Each forest trains on the rows the boolean mask
-    ``train`` marks and is scored on the rest; scores hold F2, F0.5, the
-    confusion matrix and the per-class F2. Each (variant, task) forest is one
+    ``reps`` maps each variant to its matrix and ``labels`` each task to the
+    matrices' row labels, both in result order. Each forest trains on the rows
+    the boolean mask ``train`` marks and is scored on the rest; scores hold
+    F2, F0.5, the confusion matrix and the per-class F2. A non-finite matrix
+    raises InvalidSpecError before any fork. Each (variant, task) forest is one
     parallel.fork_map job that returns only its scores, never its trees.
     """
     train = np.asarray(train, dtype=bool)
     if train.all() or not train.any():
         raise InvalidSpecError("both scenario splits must be non-empty")
-    if not np.isfinite(X).all():  # before the int8 cast, which would warn on NaN
-        raise InvalidSpecError("X must be finite")
-    reps = {RAW: X, FLOAT_RECON: nn.forward(ae, X)[0], INT8_RECON: quantize.int8_forward(qae, X)}
+    if not all(np.isfinite(X).all() for X in reps.values()):
+        raise InvalidSpecError("every representation must be finite")
     jobs = [(reps[variant], labels[task]) for variant in reps for task in labels]
     scores = iter(parallel.fork_map(lambda i: _score_task(*jobs[i], train, cfg), len(jobs)))
     return {variant: {task: next(scores) for task in labels} for variant in reps}

@@ -47,10 +47,11 @@ import struct
 
 import numpy as np
 
+from . import FORMAT_VERSIONS
 from .errors import InvalidSpecError, ShapeError, TrainingDivergedError
 from .signals import _read_exact, derived_rng
 
-MODEL_MAGIC = b"AEM1"
+MODEL_MAGIC = FORMAT_VERSIONS["model"].encode()
 LOGVAR_CLAMP = 10.0
 
 _LEAKY_SLOPE = 0.2

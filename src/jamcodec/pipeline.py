@@ -274,8 +274,8 @@ class ExperimentConfig:
                 min_leaf=_int(f["min_leaf"], "min_leaf"),
                 seed=self.seed,
             )
-        self.power = _model(sections, "power", energy.PowerModel)
-        self.traffic = _model(sections, "traffic", energy.TrafficModel)
+        self.energy_report = energy.savings_report(_model(sections, "power", energy.PowerModel),
+                                                   _model(sections, "traffic", energy.TrafficModel))
         self._check_dataset()
 
     def _check_dataset(self):
@@ -614,8 +614,9 @@ def stage_classify(runner: Runner) -> list:
     if leaked:
         raise LeakageError(f"AE was trained on test scenarios {leaked}")
     split = _split(runner)
-    results = forest.evaluate_protocol(split.X, split.labels, split.train, model, qm,
-                                       runner.cfg.forest_config)
+    reps = {forest.RAW: split.X, forest.FLOAT_RECON: nn.forward(model, split.X)[0],
+            forest.INT8_RECON: quantize.int8_forward(qm, split.X)}
+    results = forest.evaluate_protocol(reps, split.labels, split.train, runner.cfg.forest_config)
     forest.write_metrics_json(cdir / "metrics.json", results)
     outputs = [cdir / "metrics.json"]
     for variant, tasks in results.items():
@@ -630,7 +631,7 @@ def stage_classify(runner: Runner) -> list:
 def stage_energy(runner: Runner) -> list:
     edir = runner.out / "energy"
     edir.mkdir(exist_ok=True)
-    rep = energy.savings_report(runner.cfg.power, runner.cfg.traffic)
+    rep = runner.cfg.energy_report
     with open(edir / "energy.json", "w", encoding="utf-8") as fh:
         fh.write(rep.dumps())
     with open(edir / "energy.txt", "w", encoding="utf-8") as fh:

@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 
-from . import nn
+from . import FORMAT_VERSIONS, nn
 from .errors import InvalidSpecError, ShapeError
 
-QUANT_MAGIC = b"AEQ1"
+QUANT_MAGIC = FORMAT_VERSIONS["quantized"].encode()
 QMIN, QMAX = -128, 127
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 SCALE_FLOOR = 1e-8
@@ -272,9 +272,11 @@ def _accumulate(ql: QuantLayer, h: np.ndarray) -> np.ndarray:
 def int8_forward(qm: QuantizedModel, x, return_info=False):
     """Reconstruction through the integer path; float only at the ends.
 
-    Accepts one vector or a batch. With ``return_info`` also returns a dict
-    holding the int32-saturation count. Each layer's matmul gives the exact
-    integer accumulator (see above), converted to int64 once.
+    Accepts one vector or a batch; a NaN or infinite input raises
+    InvalidSpecError, as the int8 cast would make it a finite code. With
+    ``return_info`` also returns a dict holding the int32-saturation count.
+    Each layer's matmul gives the exact integer accumulator (see above),
+    converted to int64 once.
 
     The batch runs through the layers ``_CHUNK_ROWS`` rows at a time, and each
     chunk's dequantized rows fill one preallocated output. This cannot change
@@ -282,6 +284,8 @@ def int8_forward(qm: QuantizedModel, x, return_info=False):
     requantization act row by row, and the saturation count is a sum.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InvalidSpecError("int8_forward input must be finite")
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[-1] != qm.input_dim:

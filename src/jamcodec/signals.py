@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from . import FORMAT_VERSIONS
 from .errors import (
     InvalidChannelError,
     InvalidSpecError,
@@ -38,7 +39,7 @@ WAVEFORM_CLASSES = (CLEAN, NOISE, CHIRP, MULTITONE, PULSED, HOPPER, MODULATED)
 DETECTION_CLEAN = "clean"
 DETECTION_INTERFERENCE = "interference"
 
-IQ_MAGIC = b"IQF1"
+IQ_MAGIC = FORMAT_VERSIONS["iq"].encode()
 _MANIFEST_KEYS = ("file", "class", "detection", "scenario_id")
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -109,6 +111,21 @@ def test_a_directory_at_a_recorded_output_ends_every_rerun_with_an_error_line(tm
         assert "report/summary.txt" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_version_names_the_package_and_file_formats():
+    done = jamcodec("--version")
+    assert done.returncode == 0
+    assert done.stdout == "jamcodec 0.1.0 (formats: iq=IQF1, model=AEM1, quantized=AEQ1)\n"
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11; the floor is 3.10
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["jamcodec"]
+    module, _, name = target.partition(":")
+    assert (module, name) == ("jamcodec.cli", "main")
+    assert getattr(importlib.import_module(module), name) is cli.main
+
+
 def test_missing_config_is_a_usage_error():
     done = jamcodec("train")
     assert done.returncode == 2
@@ -171,6 +188,8 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"forest": {"n_trees": True}}, id="n_trees_true"),
     pytest.param({"power": {"tpu_watts": "1.6"}}, id="tpu_watts_string"),
     pytest.param({"traffic": {"values_per_second": math.nan}}, id="values_per_second_nan"),
+    pytest.param({"power": {"tpu_watts": 1e308, "seconds_per_batch": 1e308}}, id="tpu_energy_beyond_float_range"),
+    pytest.param({"traffic": {"values_per_second": int("9" * 400)}}, id="values_per_second_400_digits"),
     pytest.param({"output_dir": 5}, id="output_dir_number"),
 ])
 def test_bad_config_exits_one_before_writing(tmp_path, config):
@@ -193,6 +212,10 @@ def test_bad_config_exits_one_before_writing(tmp_path, config):
     pytest.param(["--latent-values", "500"], id="latent_values_above_block"),
     pytest.param(["--rate-mb-per-s", "0"], id="rate_zero"),
     pytest.param(["--network-mwh-per-period", "0"], id="network_mwh_per_period_zero"),
+    pytest.param(["--tpu-watts", "1e308", "--seconds-per-batch", "1e308"], id="tpu_energy_beyond_float_range"),
+    pytest.param(["--tpu-watts", "1e-300", "--seconds-per-batch", "1e-300"], id="ratio_beyond_float_range"),
+    pytest.param(["--rate-mb-per-s", "1e308"], id="daily_traffic_beyond_float_range"),
+    pytest.param(["--values-per-second", "9" * 400], id="values_per_second_400_digits"),
 ])
 def test_bad_energy_value_exits_one_without_traceback(args):
     done = jamcodec("energy", *args)
@@ -209,8 +232,17 @@ def test_interpolate_writes_one_pgm(tmp_path):
     done = jamcodec("interpolate", *TINY_INTERPOLATE, "--output-prefix", str(prefix))
     assert done.returncode == 0, done.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["strip_0.pgm"]
-    assert (tmp_path / "strip_0.pgm").read_bytes().startswith(b"P5\n")
+    pgm = (tmp_path / "strip_0.pgm").read_bytes()
+    assert pgm.startswith(b"P5\n")
+    assert hashlib.sha256(pgm).hexdigest() == "c1001031e08505827661d7b0e953860e5740da6d9ba4dcebc1088e2301926b76"
     assert done.stdout.splitlines()[0] == f"{prefix}_0.pgm"
+
+
+def test_interpolate_takes_a_negative_seed(tmp_path):
+    """The strip pairs are drawn like every other draw, through derived_rng, which masks the seed."""
+    done = jamcodec("interpolate", *TINY_INTERPOLATE, "--seed", "-1", "--output-prefix", str(tmp_path / "strip"))
+    assert done.returncode == 0, done.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["strip_0.pgm"]
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -222,7 +222,8 @@ class TestBatchedSearch:
 
 
 def protocol_data(seed=0, n=72, d=12):
-    """evaluate_protocol's arguments: rows with two tasks' labels, a train mask, an untrained AE and its int8 model."""
+    """evaluate_protocol's arguments: the raw rows and their float and int8 reconstructions by an
+    untrained AE, the rows' labels for two tasks, and a train mask."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     score = X[:, :3] @ rng.normal(size=3)
@@ -230,7 +231,10 @@ def protocol_data(seed=0, n=72, d=12):
     labels = {"detection": np.where(cls > 0, "jam", "clean"),
               "classification": np.asarray(["a", "b", "c"])[cls]}
     ae = nn.build_autoencoder(d, (8,), 3, seed=seed)
-    return X, labels, np.arange(n) % 3 != 0, ae, quantize.quantize_model(ae, quantize.calibrate(ae, X))
+    qae = quantize.quantize_model(ae, quantize.calibrate(ae, X))
+    reps = {forest.RAW: X, forest.FLOAT_RECON: nn.forward(ae, X)[0],
+            forest.INT8_RECON: quantize.int8_forward(qae, X)}
+    return reps, labels, np.arange(n) % 3 != 0
 
 
 def protocol_digest(results):
@@ -252,16 +256,16 @@ class TestEvaluateProtocol:
 
     @pytest.mark.parametrize("cpu_set", sorted(CPUS))
     def test_a_non_finite_matrix_raises_invalid_spec_in_the_caller(self, cpu_set, monkeypatch):
-        """The check runs before the float and int8 reconstructions and before any worker forks,
-        whether or not fork_map would use workers."""
+        """The check covers every representation and runs before any worker forks, whether or not
+        fork_map would use workers."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[cpu_set])
         contexts = []
         get_context = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: contexts.append(method) or get_context(method))
-        X, labels, train, ae, qae = protocol_data()
-        X[1, 2] = np.nan
+        reps, labels, train = protocol_data()
+        reps[forest.RAW][1, 2] = np.nan
         with pytest.raises(InvalidSpecError, match="finite"):
-            forest.evaluate_protocol(X, labels, train, ae, qae, forest.ForestConfig(n_trees=2))
+            forest.evaluate_protocol(reps, labels, train, forest.ForestConfig(n_trees=2))
         assert contexts == []
 
 

@@ -455,7 +455,7 @@ TINY_GOLDEN = {
     "data/snap_*.iqf":
         "620ce95510b1cff0d50c4a52b8a43abb7f27223cd1401f88dc8b52072fb0671a",
     "energy/energy.json":
-        "ef09ef8cf6d5318901fb20ef3111bc453a6f6f629a8aaaf4e421aab872425e5f",
+        "feb5fd135fd0440a924dc1846895aa9ba0bd41df805ec133db204f3658df392b",
     "energy/energy.txt":
         "f8742626b38ff31e620e5581cd0e80fb953f4f9d1ecd55ae6cacfe495c679c72",
     "features/features.csv":

@@ -3,6 +3,7 @@ from fractions import Fraction
 import json
 import math
 import struct
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -160,6 +161,17 @@ class TestInt8Forward:
             batch = quantize.int8_forward(qm, x)
             for row, expect in zip(x, batch):
                 assert quantize.int8_forward(qm, row).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["single", "block"])
+    def test_non_finite_input_raises_without_a_warning(self, models, bad, kind):
+        """The int8 cast would warn on NaN and saturate inf to a finite code; neither may reach it."""
+        x = _inputs(kind)
+        x.reshape(-1, INPUT_DIM)[-1, 7] = bad  # one entry of the vector or of the block's last row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpecError, match="finite"):
+                quantize.int8_forward(models["dense"][0], x)
 
 
 C = quantize._CHUNK_ROWS
