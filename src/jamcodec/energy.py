@@ -3,8 +3,9 @@
 Every quantity is exact (``fractions.Fraction`` over the decimal reading of
 each input): the functions below return Fractions, and ``savings_report``
 keeps them exact, its exact residual included, until it converts each leaf of
-the report to float once. A value beyond float range raises InvalidSpecError
-naming it, never OverflowError, and recomputation is bit-stable.
+the report to float once. A value beyond float range (one that overflows, or a
+nonzero one whose float is 0.0) raises InvalidSpecError naming it, never
+OverflowError, and recomputation is bit-stable.
 
 Two readings of the transmission saving are always reported side by side:
 the side-channel reading (only the 177-value block is compressed, the other
@@ -130,14 +131,16 @@ def daily_traffic_cost(rate_mb_per_s, usd_per_gb) -> dict:
 
 
 def _floats(exact, name=""):
-    """``exact`` as a float, or its nested dicts as dicts of floats; a value beyond float
-    range raises InvalidSpecError naming its key path."""
+    """``exact`` as a float, or its nested dicts as dicts of floats; a value that overflows,
+    or a nonzero one whose float is 0.0, raises InvalidSpecError naming its key path."""
     if isinstance(exact, dict):
         return {k: _floats(v, f"{name}.{k}" if name else k) for k, v in exact.items()}
     try:
-        return float(exact)
+        if (value := float(exact)) or not exact:  # an exact zero is the one 0.0
+            return value
     except OverflowError:
-        raise InvalidSpecError(f"energy report value {name} is beyond float range") from None
+        pass
+    raise InvalidSpecError(f"energy report value {name} is beyond float range")
 
 
 @dataclass

@@ -12,9 +12,10 @@ walks its layers with nn.run_layers and nn.backward_layers. Both networks
 keep their parameters and gradients in nn.flat_buffers, so each update is
 one nn.Adam step over a whole buffer.
 
-Conv2d is nn's one convolution kernel on two spatial axes; it declares only
-its (kernel, kernel, in, out) weight and its defaults, and so runs the same
-GEMMs and the same ascending-tap scatter as the 1-D layers.
+Conv2d is nn's one convolution kernel on two spatial axes; it sets only its
+kind and ``ndim = 2``, so it takes Conv1d's arguments, has a (kernel, kernel,
+in, out) weight, and runs the same GEMMs and the same ascending-tap scatter as
+the 1-D layers.
 """
 
 from dataclasses import dataclass
@@ -41,9 +42,6 @@ class Conv2d(Conv1d):
 
     kind = "conv2d"
     ndim = 2
-
-    def __init__(self, in_ch, out_ch, kernel=3, stride=1, activation="relu", rng=None):
-        super().__init__(in_ch, out_ch, kernel, stride, activation, rng)
 
 
 class Upsample2x:
@@ -130,13 +128,14 @@ def permute_dims(z, seed) -> np.ndarray:
 
 
 def tc_term(disc: Discriminator, z, weight) -> tuple:
-    """Generator TC estimate mean(logit0 - logit1) over z, and the gradient of
-    weight times that estimate with respect to z."""
+    """(tc, grad_z, logits): the generator TC estimate mean(logit0 - logit1) over z, the
+    gradient of weight * tc with respect to z, and the discriminator's logits of z. Its layers
+    keep that forward's caches, so a backward from gradients of the logits needs no rerun."""
     logits = disc.forward(z, train=True)
     grad_logits = np.zeros_like(logits)
     grad_logits[:, 0] = weight / len(z)
     grad_logits[:, 1] = -weight / len(z)
-    return float(np.mean(logits[:, 0] - logits[:, 1])), disc.backward(grad_logits)
+    return float(np.mean(logits[:, 0] - logits[:, 1])), disc.backward(grad_logits), logits
 
 
 class ImageVae(AeModel):
@@ -210,18 +209,17 @@ def train_factorvae(cfg: FactorVaeConfig, images) -> tuple:
             kl = gaussian_kl(fwd.mu, fwd.logvar)
             tc_raw, grad_z_tc = 0.0, np.zeros_like(fwd.z)
             if cfg.tc_weight > 0.0:
-                tc_raw, grad_z_tc = tc_term(disc, fwd.z, cfg.tc_weight)
+                tc_raw, grad_z_tc, logits_t = tc_term(disc, fwd.z, cfg.tc_weight)
             # Reconstruction term sums squared error over pixels (per sample,
             # batch-averaged); a per-pixel mean would let the KL term crush
             # the latent code. The logged "recon" metric stays per-pixel MSE.
             vae_backward(model, fwd, 2.0 * (fwd.recon - x) / bsz, grad_z_tc)
             opt_vae.step()
 
-            # --- discriminator update on detached latents ---
+            # --- discriminator update on detached latents, from tc_term's logits and caches ---
             disc_loss = math.log(2.0)
             if cfg.tc_weight > 0.0:
                 z_perm = permute_dims(fwd.z, _permute_seed(cfg.seed, epoch, bi))
-                logits_t = disc.forward(fwd.z, train=True)
                 loss_t, gt = softmax_cross_entropy(logits_t, np.zeros(bsz, dtype=np.int64))
                 disc.backward(0.5 * gt)
                 grads_t = disc.flat_grads.copy()

@@ -232,34 +232,33 @@ def apply_minmax(stats: NormStats, X) -> tuple:
     return clipped, clip_rate
 
 
+def _domains(mixed) -> dict:
+    """The three domains of mixed vectors (last axis): spectral and temporal are views of them."""
+    return {DOMAIN_MIXED: mixed, DOMAIN_SPECTRAL: mixed[..., :SPECTRAL_DIM],
+            DOMAIN_TEMPORAL: mixed[..., SPECTRAL_DIM:]}
+
+
 def snapshot_features(snapshot, window_len: int = 1024) -> dict:
     """All three domains for one snapshot; mixed is the 177-value concatenation, spectral first."""
-    s = power_spectrum_bins(snapshot.iq, window_len=window_len)
-    t = temporal_stats(snapshot.iq)
-    return {DOMAIN_SPECTRAL: s, DOMAIN_TEMPORAL: t, DOMAIN_MIXED: np.concatenate([s, t])}
+    return _domains(np.concatenate([power_spectrum_bins(snapshot.iq, window_len=window_len),
+                                    temporal_stats(snapshot.iq)]))
 
 
 def dataset_features(snapshots, window_len: int = 1024) -> dict:
     """Feature matrices plus label arrays for a snapshot list.
 
     The snapshots split into one contiguous chunk per parallel.fork_map
-    worker; each row is snapshot_features' bytes, in snapshot order.
+    worker; each row is snapshot_features' mixed vector, in snapshot order.
     """
     n = parallel.n_workers(len(snapshots))
     bounds = [len(snapshots) * i // n for i in range(n + 1)]
 
     def chunk(i):
-        rows = [snapshot_features(snap, window_len=window_len) for snap in snapshots[bounds[i]:bounds[i + 1]]]
-        return (np.asarray([f[DOMAIN_SPECTRAL] for f in rows]),
-                np.asarray([f[DOMAIN_TEMPORAL] for f in rows]))
+        return np.asarray([snapshot_features(snap, window_len=window_len)[DOMAIN_MIXED]
+                           for snap in snapshots[bounds[i]:bounds[i + 1]]])
 
-    chunks = parallel.fork_map(chunk, n)
-    spectral = np.concatenate([c[0] for c in chunks])
-    temporal = np.concatenate([c[1] for c in chunks])
     return {
-        DOMAIN_SPECTRAL: spectral,
-        DOMAIN_TEMPORAL: temporal,
-        DOMAIN_MIXED: np.concatenate([spectral, temporal], axis=1),
+        **_domains(np.concatenate(parallel.fork_map(chunk, n))),
         "class_labels": np.asarray([s.waveform for s in snapshots]),
         "detection_labels": np.asarray([s.detection_label for s in snapshots]),
         "scenario_ids": np.asarray([s.scenario_id for s in snapshots], dtype=np.int64),
@@ -296,9 +295,7 @@ def read_feature_csv(path) -> dict:
     except (ValueError, csv.Error) as exc:  # bad UTF-8, a non-numeric value, a broken quote
         raise InvalidSpecError(f"{path}: unreadable feature CSV: {exc!r}") from None
     return {
-        DOMAIN_MIXED: X,
-        DOMAIN_SPECTRAL: X[:, :SPECTRAL_DIM],
-        DOMAIN_TEMPORAL: X[:, SPECTRAL_DIM:],
+        **_domains(X),
         "class_labels": np.asarray([row[MIXED_DIM] for row in rows]),
         "detection_labels": np.asarray([row[MIXED_DIM + 1] for row in rows]),
     }

@@ -736,14 +736,14 @@ def load_model(path) -> AeModel:
                 arch["input_dim"],
                 arch["hidden"],
                 arch["latent_dim"],
-                seed=arch.get("seed", 0),
-                variational=arch.get("variational", False),
-                conv_front=tuple(tuple(c) for c in arch.get("conv_front", [])),
-                hidden_activation=arch.get("hidden_activation", "relu"),
+                seed=arch["seed"],
+                variational=arch["variational"],
+                conv_front=tuple(tuple(c) for c in arch["conv_front"]),
+                hidden_activation=arch["hidden_activation"],
             )
+            model.metadata = descriptor["metadata"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSpecError(f"{path}: malformed descriptor: {exc!r}") from None
-        model.metadata = descriptor.get("metadata", {})
         model.flat_params[...] = np.frombuffer(_read_exact(fh, 4 * model.n_params(), path, "weights"),
                                                dtype="<f4")
         if fh.read(1):

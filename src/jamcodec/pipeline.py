@@ -67,7 +67,7 @@ class Stage:
     reads: tuple = ()
 
 
-_SPLIT_READS = (("features", "features/features.csv"), ("synth", "data/manifest.jsonl"))
+_SPLIT_READS = (("features", "features/features.csv"), ("synth", signals.DATASET_MANIFEST))
 _MODEL_READS = _SPLIT_READS + (("train", "train/model.aem"),)
 
 STAGES = (
@@ -288,8 +288,8 @@ class ExperimentConfig:
         ids = [s.scenario_id for s in self.dataset.scenarios]
         if not self.test_scenarios <= set(ids):
             raise InvalidSpecError(f"test scenarios {sorted(self.test_scenarios - set(ids))} are not listed")
-        # make_dataset puts repetition r of every class in scenario ids[r % len(ids)]
-        reps = [ids[r % len(ids)] in self.test_scenarios for r in range(self.dataset.per_class_count)]
+        reps = [self.dataset.scenario_of(r).scenario_id in self.test_scenarios
+                for r in range(self.dataset.per_class_count)]
         n_test = len(self.dataset.classes) * sum(reps)
         n_train = len(self.dataset.classes) * len(reps) - n_test
         if not n_test or min(n_train, self.calib_count) < 16:
@@ -315,7 +315,7 @@ class ExperimentConfig:
     def section_hash(self, *names) -> str:
         payload = {"seed": self.seed}
         for n in names:
-            payload[n] = self.sections.get(n, {})
+            payload[n] = self.sections[n]
         return _sha_bytes(json.dumps(payload, sort_keys=True).encode())
 
 
@@ -354,14 +354,13 @@ class RunManifest:
                 d = json.load(fh)
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise InvalidSpecError(f"{path}: unreadable run manifest: {exc}") from None
-        if (not isinstance(d, dict) or not {"config_hash", "tool_version"} <= d.keys()
-                or not isinstance(d.get("stages", {}), dict)
+        if (not isinstance(d, dict) or not {"config_hash", "tool_version", "stages"} <= d.keys()
+                or not isinstance(d["stages"], dict)
                 or not all(isinstance(rec, dict) and isinstance(rec.get("outputs"), dict)
-                           for rec in d.get("stages", {}).values())):
+                           for rec in d["stages"].values())):
             raise InvalidSpecError(f"{path}: run manifest needs config_hash, tool_version, "
                                    f"object stages, each with object outputs")
-        return cls(config_hash=d["config_hash"], tool_version=d["tool_version"],
-                   stages=d.get("stages", {}))
+        return cls(config_hash=d["config_hash"], tool_version=d["tool_version"], stages=d["stages"])
 
 
 class Runner:
@@ -416,7 +415,7 @@ class Runner:
         prev = (self.previous.stages.get(name) if self.previous else None) or {}
         if prev.get("key") == key:
             out = os.fspath(self.out)
-            for rel, sha in prev.get("outputs", {}).items():
+            for rel, sha in prev["outputs"].items():
                 try:
                     digest = _sha_file(os.path.join(out, rel))
                 except FileNotFoundError:
@@ -474,42 +473,14 @@ def _metrics_table(path) -> list:
 
 @_cached
 def stage_synth(runner: Runner) -> list:
-    data_dir = runner.out / "data"
-    data_dir.mkdir(exist_ok=True)
-    snapshots = signals.make_dataset(runner.cfg.dataset)
-    records = []
-    for i, snap in enumerate(snapshots):
-        rel = f"data/snap_{i:05d}.iqf"
-        signals.write_iq(runner.out / rel, snap.iq)
-        records.append({
-            "file": rel,
-            "class": snap.waveform,
-            "detection": snap.detection_label,
-            "scenario_id": snap.scenario_id,
-            "seed": snap.seed,
-        })
-    signals.write_manifest(data_dir / "manifest.jsonl", records)
-    return [data_dir / "manifest.jsonl"] + [runner.out / r["file"] for r in records]
-
-
-def _load_snapshots(runner: Runner):
-    records = signals.read_manifest(runner.out / "data" / "manifest.jsonl")
-    snaps = []
-    for rec in records:
-        iq = signals.read_iq(runner.out / rec["file"])
-        snaps.append(signals.LabeledSnapshot(
-            iq=iq, waveform=rec["class"], detection_label=rec["detection"],
-            scenario_id=int(rec["scenario_id"]), seed=int(rec.get("seed", 0)),
-        ))
-    return snaps
+    return signals.write_dataset(runner.out, signals.make_dataset(runner.cfg.dataset))
 
 
 @_cached
 def stage_features(runner: Runner) -> list:
     fdir = runner.out / "features"
     fdir.mkdir(exist_ok=True)
-    snaps = _load_snapshots(runner)
-    data = feat.dataset_features(snaps, window_len=runner.cfg.window_len)
+    data = feat.dataset_features(signals.read_dataset(runner.out), window_len=runner.cfg.window_len)
     feat.write_feature_csv(
         fdir / "features.csv", data[feat.DOMAIN_MIXED],
         data["class_labels"], data["detection_labels"],
@@ -530,8 +501,8 @@ def _split(runner: Runner) -> Split:
     training rows; ``train_scenarios`` lists the training scenario ids.
     """
     data = feat.read_feature_csv(runner.out / "features" / "features.csv")
-    records = signals.read_manifest(runner.out / "data" / "manifest.jsonl")
-    scenario_ids = np.asarray([int(r["scenario_id"]) for r in records], dtype=np.int64)
+    records = signals.read_manifest(runner.out / signals.DATASET_MANIFEST)
+    scenario_ids = np.asarray([r["scenario_id"] for r in records], dtype=np.int64)
     if len(scenario_ids) != data[feat.DOMAIN_MIXED].shape[0]:
         raise StageError("feature rows and dataset manifest are out of step")
     train = ~np.isin(scenario_ids, sorted(runner.cfg.test_scenarios))

@@ -388,7 +388,7 @@ def load_quantized(path) -> QuantizedModel:
                     spec["geometry"],
                 ))
             qm = QuantizedModel(layers=layers, input_qp=QuantParams(*descriptor["input_qp"]),
-                                arch=descriptor.get("arch", {}), latent_dim=descriptor["latent_dim"],
+                                arch=descriptor["arch"], latent_dim=descriptor["latent_dim"],
                                 input_dim=descriptor["input_dim"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSpecError(f"{path}: malformed descriptor: {exc!r}") from None

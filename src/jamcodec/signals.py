@@ -10,11 +10,19 @@ of class ``c`` in a dataset with master seed ``s`` uses entropy
 ``(s, class_index, i)``; the channel additionally mixes in its ``noise_seed``.
 This keeps per-snapshot generation independent and stable, so datasets may be
 produced in any order (or in parallel) without changing a single sample.
+
+A sampling grid is ``SampleSpec(rate, n_samples)``; its duration is their
+quotient. ``DatasetSpec.scenario_of`` is the one scenario rotation. On disk,
+``write_dataset`` puts one IQF1 file per snapshot under a run directory and
+the ``DATASET_MANIFEST`` JSON lines (file, class, detection, scenario_id,
+seed); ``read_dataset`` reads them back, and ``read_manifest`` requires every
+key and ints for scenario_id and seed, so no reader casts.
 """
 
 from dataclasses import dataclass
 import json
 import math
+from pathlib import Path
 import struct
 
 import numpy as np
@@ -40,7 +48,8 @@ DETECTION_CLEAN = "clean"
 DETECTION_INTERFERENCE = "interference"
 
 IQ_MAGIC = FORMAT_VERSIONS["iq"].encode()
-_MANIFEST_KEYS = ("file", "class", "detection", "scenario_id")
+_MANIFEST_KEYS = ("file", "class", "detection", "scenario_id", "seed")
+DATASET_MANIFEST = "data/manifest.jsonl"  # under a run directory, beside the snapshots' files
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -50,33 +59,26 @@ def derived_rng(*parts):
     return np.random.default_rng(np.random.SeedSequence([int(p) & _U64 for p in parts]))
 
 
-def _check_rate(sample_rate_hz):
-    if not 0 < sample_rate_hz < math.inf:
-        raise InvalidSpecError(f"sample rate must be positive and finite, got {sample_rate_hz}")
-
-
 @dataclass(frozen=True)
 class SampleSpec:
-    """Uniform sampling grid: rate in Hz and capture duration in seconds."""
+    """Uniform sampling grid: rate in Hz and an integer count of at least 2 samples."""
 
     sample_rate_hz: float
-    duration_s: float
+    n_samples: int
 
     def __post_init__(self):
-        _check_rate(self.sample_rate_hz)
-        if self.duration_s <= 0:
-            raise InvalidSpecError(f"duration must be positive, got {self.duration_s}")
-        if self.n_samples < 2:
-            raise InvalidSpecError("spec yields fewer than 2 samples")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise InvalidSpecError(f"sample rate must be positive and finite, got {self.sample_rate_hz}")
+        if type(self.n_samples) is not int or self.n_samples < 2:
+            raise InvalidSpecError(f"sample count must be an integer >= 2, got {self.n_samples!r}")
 
     @property
-    def n_samples(self) -> int:
-        return int(round(self.sample_rate_hz * self.duration_s))
+    def duration_s(self) -> float:
+        return self.n_samples / self.sample_rate_hz
 
     @classmethod
     def from_samples(cls, sample_rate_hz: float, n_samples: int) -> "SampleSpec":
-        _check_rate(sample_rate_hz)
-        return cls(sample_rate_hz, n_samples / sample_rate_hz)
+        return cls(sample_rate_hz, n_samples)
 
 
 @dataclass(frozen=True)
@@ -208,14 +210,12 @@ class IqBuffer:
 class LabeledSnapshot:
     iq: IqBuffer
     waveform: str
-    detection_label: str
     scenario_id: int
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self):
-        is_clean = self.waveform == CLEAN
-        if is_clean != (self.detection_label == DETECTION_CLEAN):
-            raise InvalidSpecError("detection label must be 'clean' iff the waveform is clean")
+    @property
+    def detection_label(self) -> str:
+        return DETECTION_CLEAN if self.waveform == CLEAN else DETECTION_INTERFERENCE
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,10 @@ class DatasetSpec:
         for c in self.classes:
             if c not in WAVEFORM_CLASSES:
                 raise UnsupportedWaveformError(f"unknown waveform class {c!r}")
+
+    def scenario_of(self, rep: int) -> Scenario:
+        """The scenario that records repetition ``rep`` of every class: the scenarios in turn."""
+        return self.scenarios[rep % len(self.scenarios)]
 
 
 def synth_tone(tone: ToneSpec, spec: SampleSpec) -> IqBuffer:
@@ -465,28 +469,18 @@ def make_dataset(dspec: DatasetSpec) -> list:
     out = []
     for class_idx, label in enumerate(dspec.classes):
         for rep in range(dspec.per_class_count):
-            scenario = dspec.scenarios[rep % len(dspec.scenarios)]
+            scenario = dspec.scenario_of(rep)
             rng = derived_rng(dspec.seed, class_idx, rep)
             snap_seed = int(rng.integers(0, 2**63))
             if label == CLEAN:
                 floor = channel_noise_floor(scenario.channel)
                 w = WaveformSpec(CLEAN, power=floor if floor > 0 else 1.0)
                 iq = synth_waveform(w, dspec.sample, snap_seed)
-                detection = DETECTION_CLEAN
             else:
                 w = random_waveform(label, dspec.sample, rng)
                 iq = synth_waveform(w, dspec.sample, snap_seed)
                 iq = apply_channel(iq, scenario.channel, snap_seed)
-                detection = DETECTION_INTERFERENCE
-            out.append(
-                LabeledSnapshot(
-                    iq=iq,
-                    waveform=label,
-                    detection_label=detection,
-                    scenario_id=scenario.scenario_id,
-                    seed=snap_seed,
-                )
-            )
+            out.append(LabeledSnapshot(iq, label, scenario.scenario_id, snap_seed))
     return out
 
 
@@ -524,14 +518,15 @@ def read_iq(path) -> IqBuffer:
 
 
 def write_manifest(path, records) -> None:
-    """JSON lines, one record per snapshot: file, class, detection, scenario, seed."""
+    """JSON lines, one record per snapshot: file, class, detection, scenario_id, seed."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> list:
-    """Records of write_manifest; bad JSON or a missing key raises InvalidSpecError."""
+    """Records of write_manifest; bad JSON, a missing key or a scenario_id or seed that
+    is not an int raises InvalidSpecError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -540,4 +535,25 @@ def read_manifest(path) -> list:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or not all(k in rec for k in _MANIFEST_KEYS):
             raise InvalidSpecError(f"{path}: record {i} lacks one of {_MANIFEST_KEYS}")
+        if type(rec["scenario_id"]) is not int or type(rec["seed"]) is not int:
+            raise InvalidSpecError(f"{path}: record {i} has a scenario_id or seed that is not an integer")
     return records
+
+
+def write_dataset(run_dir, snapshots) -> list:
+    """Each snapshot's IQF1 file under ``run_dir``, then DATASET_MANIFEST; returns the paths, manifest first."""
+    run_dir = Path(run_dir)
+    (run_dir / "data").mkdir(exist_ok=True)
+    records = [{"file": f"data/snap_{i:05d}.iqf", "class": snap.waveform, "detection": snap.detection_label,
+                "scenario_id": snap.scenario_id, "seed": snap.seed} for i, snap in enumerate(snapshots)]
+    for rec, snap in zip(records, snapshots):
+        write_iq(run_dir / rec["file"], snap.iq)
+    write_manifest(run_dir / DATASET_MANIFEST, records)
+    return [run_dir / DATASET_MANIFEST] + [run_dir / rec["file"] for rec in records]
+
+
+def read_dataset(run_dir) -> list:
+    """The snapshots that write_dataset wrote under ``run_dir``, in manifest order."""
+    run_dir = Path(run_dir)
+    return [LabeledSnapshot(read_iq(run_dir / rec["file"]), rec["class"], rec["scenario_id"], rec["seed"])
+            for rec in read_manifest(run_dir / DATASET_MANIFEST)]

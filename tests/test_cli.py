@@ -189,6 +189,8 @@ TWO_SCENARIOS = [{"scenario_id": i, "noise_seed": i} for i in range(2)]
     pytest.param({"power": {"tpu_watts": "1.6"}}, id="tpu_watts_string"),
     pytest.param({"traffic": {"values_per_second": math.nan}}, id="values_per_second_nan"),
     pytest.param({"power": {"tpu_watts": 1e308, "seconds_per_batch": 1e308}}, id="tpu_energy_beyond_float_range"),
+    pytest.param({"power": {"tpu_watts": 1e-200, "seconds_per_batch": 1e-200, "network_mwh_per_period": 1e-300}},
+                 id="tpu_energy_below_float_range"),
     pytest.param({"traffic": {"values_per_second": int("9" * 400)}}, id="values_per_second_400_digits"),
     pytest.param({"output_dir": 5}, id="output_dir_number"),
 ])
@@ -215,6 +217,8 @@ def test_bad_config_exits_one_before_writing(tmp_path, config):
     pytest.param(["--tpu-watts", "1e308", "--seconds-per-batch", "1e308"], id="tpu_energy_beyond_float_range"),
     pytest.param(["--tpu-watts", "1e-300", "--seconds-per-batch", "1e-300"], id="ratio_beyond_float_range"),
     pytest.param(["--rate-mb-per-s", "1e308"], id="daily_traffic_beyond_float_range"),
+    pytest.param(["--tpu-watts", "1e-200", "--seconds-per-batch", "1e-200", "--network-mwh-per-period", "1e-300"],
+                 id="tpu_energy_below_float_range"),
     pytest.param(["--values-per-second", "9" * 400], id="values_per_second_400_digits"),
 ])
 def test_bad_energy_value_exits_one_without_traceback(args):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from jamcodec import energy
+from jamcodec.errors import InvalidSpecError
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,13 @@ def test_exact_residual_ratio_is_exact():
     ratio = Fraction(394) * Fraction(171, 253) * 1000 / Fraction(40, 9)
     assert energy.savings_report().network_exact_residual["saved_over_tpu_ratio"] == float(ratio)
     assert float(ratio) == 59917.58893280633
+
+
+def test_an_exact_zero_is_zero_and_a_nonzero_figure_below_float_range_raises():
+    tm = energy.TrafficModel(compressed_block=2, latent_values=1)  # a 0.4% reduction truncates to 0%
+    assert energy.savings_report(tm=tm).network_rounded_residual["new_mwh"] == 0.0
+    with pytest.raises(InvalidSpecError, match="tpu.watt_seconds is beyond float range"):
+        energy.savings_report(energy.PowerModel(tpu_watts=1e-200, seconds_per_batch=1e-200))
 
 
 def random_models(seed):

@@ -169,8 +169,9 @@ class TestGradients:
         disc = factor.Discriminator(4, seed=1)
         z = np.random.default_rng(9).standard_normal((6, 4))
         weight = 6.4
-        tc, grad_z = factor.tc_term(disc, z, weight)
+        tc, grad_z, tc_logits = factor.tc_term(disc, z, weight)
         logits = disc.forward(z)
+        assert tc_logits.tobytes() == logits.tobytes()
         assert tc == float(np.mean(logits[:, 0] - logits[:, 1]))
 
         def loss():

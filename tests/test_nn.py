@@ -676,6 +676,21 @@ class TestModelFile:
         with pytest.raises(InvalidSpecError):
             nn.load_model(saved)
 
+    @pytest.mark.parametrize("key", ["seed", "variational", "conv_front", "hidden_activation", "metadata"])
+    def test_a_descriptor_missing_a_written_key_is_rejected(self, tmp_path, key):
+        # with no default to fall back on, a linear model cannot load as ReLU
+        path = tmp_path / "model.aem"
+        nn.save_model(path, nn.build_autoencoder(12, (8,), 3, seed=5, hidden_activation="linear"))
+        data = path.read_bytes()
+        header = len(nn.MODEL_MAGIC) + 4
+        desc_len = int.from_bytes(data[len(nn.MODEL_MAGIC):header], "little")
+        descriptor = json.loads(data[header:header + desc_len])
+        del (descriptor if key == "metadata" else descriptor["arch"])[key]
+        blob = json.dumps(descriptor).encode()
+        path.write_bytes(nn.MODEL_MAGIC + len(blob).to_bytes(4, "little") + blob + data[header + desc_len:])
+        with pytest.raises(InvalidSpecError, match=f"model.aem.*{key}"):
+            nn.load_model(path)
+
     def test_a_descriptor_without_arch_names_the_file(self, saved):
         data = saved.read_bytes()
         header = len(nn.MODEL_MAGIC) + 4

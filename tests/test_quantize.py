@@ -449,6 +449,11 @@ class TestSerialization:
         with pytest.raises(InvalidSpecError, match="model.aeq"):
             quantize.load_quantized(saved)
 
+    def test_a_descriptor_without_arch_is_rejected(self, saved):
+        self._rewrite_descriptor(saved, lambda d: d.pop("arch"))
+        with pytest.raises(InvalidSpecError, match="model.aeq.*arch"):
+            quantize.load_quantized(saved)
+
     def test_corrupt_descriptor(self, saved):
         data = bytearray(saved.read_bytes())
         data[8] = 0xFF  # the descriptor's opening brace becomes invalid UTF-8

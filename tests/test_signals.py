@@ -18,7 +18,7 @@ def spec_of(fs, n):
 
 class TestSampleSpec:
     def test_n_samples_rounding(self):
-        assert signals.SampleSpec(8000.0, 1.0).n_samples == 8000
+        assert signals.SampleSpec(8000.0, 8000).duration_s == 1.0
 
     def test_rejects_bad_rate(self):
         with pytest.raises(InvalidSpecError):
@@ -29,6 +29,11 @@ class TestSampleSpec:
     def test_rejects_single_sample(self):
         with pytest.raises(InvalidSpecError):
             signals.SampleSpec.from_samples(1000.0, 1)
+
+    @pytest.mark.parametrize("n", [4096.0, 1.5, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, n):
+        with pytest.raises(InvalidSpecError, match="sample count"):
+            signals.SampleSpec(8000.0, n)
 
 
 class TestToneSpec:
@@ -293,6 +298,14 @@ class TestMakeDataset:
                 else signals.DETECTION_INTERFERENCE
             assert s.detection_label == expected
 
+    def test_scenario_of_assigns_the_scenarios_in_turn(self):
+        scenarios = default_scenarios(3)
+        dspec = signals.DatasetSpec(classes=(signals.CLEAN, signals.CHIRP), per_class_count=7,
+                                    scenarios=scenarios, seed=3, sample=spec_of(64000.0, 2048))
+        assert [dspec.scenario_of(r) for r in range(7)] == [scenarios[r % 3] for r in range(7)]
+        snaps = signals.make_dataset(dspec)
+        assert [s.scenario_id for s in snaps] == [0, 1, 2, 0, 1, 2, 0] * 2
+
     def test_empty_classes_rejected(self):
         with pytest.raises(InvalidSpecError):
             signals.DatasetSpec(classes=(), per_class_count=1,
@@ -337,6 +350,38 @@ class TestIqFileFormat:
         path = tmp_path / "manifest.jsonl"
         signals.write_manifest(path, records)
         assert signals.read_manifest(path) == records
+
+    @pytest.mark.parametrize("edit", [
+        {"scenario_id": 3.7}, {"scenario_id": "3"}, {"scenario_id": True}, {"seed": 1.0}, {"seed": None},
+    ], ids=["scenario_id_fraction", "scenario_id_string", "scenario_id_true", "seed_float", "seed_null"])
+    def test_manifest_rejects_a_scenario_id_or_seed_that_is_not_an_int(self, tmp_path, edit):
+        path = tmp_path / "manifest.jsonl"
+        signals.write_manifest(path, [{"file": "a.iqf", "class": "chirp", "detection": "interference",
+                                       "scenario_id": 3, "seed": 99, **edit}])
+        with pytest.raises(InvalidSpecError, match="not an integer"):
+            signals.read_manifest(path)
+
+    def test_manifest_requires_a_seed(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        signals.write_manifest(path, [{"file": "a.iqf", "class": "chirp", "detection": "interference",
+                                       "scenario_id": 3}])
+        with pytest.raises(InvalidSpecError, match="lacks"):
+            signals.read_manifest(path)
+
+    def test_dataset_roundtrip(self, tmp_path):
+        dspec = signals.DatasetSpec(classes=(signals.CLEAN, signals.HOPPER), per_class_count=3,
+                                    scenarios=default_scenarios(2), seed=4, sample=spec_of(64000.0, 256))
+        snaps = signals.make_dataset(dspec)
+        written = signals.write_dataset(tmp_path, snaps)
+        assert written == [tmp_path / signals.DATASET_MANIFEST] + [
+            tmp_path / f"data/snap_{i:05d}.iqf" for i in range(len(snaps))]
+        back = signals.read_dataset(tmp_path)
+        assert len(back) == len(snaps)
+        for s, t in zip(snaps, back):
+            assert t.iq.samples.tobytes() == s.iq.samples.astype(np.complex64).astype(np.complex128).tobytes()
+            assert t.iq.spec == s.iq.spec
+            assert (t.waveform, t.detection_label, t.scenario_id, t.seed) == \
+                (s.waveform, s.detection_label, s.scenario_id, s.seed)
 
     @pytest.fixture
     def saved_iq(self, tmp_path):
