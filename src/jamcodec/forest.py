@@ -38,7 +38,7 @@ TASK_CLASSIFICATION = "classification"
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 200
+    n_trees: int = 120
     max_depth: int | None = None
     min_leaf: int = 1
     features_per_split: int | None = None  # default ceil(sqrt(n_features))

@@ -41,6 +41,7 @@ conv1d pads and gathers with it.
 """
 
 import collections
+from dataclasses import dataclass
 import json
 import math
 import struct
@@ -536,24 +537,25 @@ class Adam:
         self.params -= step
 
 
+@dataclass(frozen=True)
 class TrainBudget:
     """Epoch/batch budget shared by screening and retraining."""
 
-    def __init__(self, screen_epochs=40, retrain_epochs_max=700, early_stop_patience=20,
-                 batch_size=32, seed=0, lr=1e-3):
-        if not (retrain_epochs_max >= screen_epochs >= 1):
+    screen_epochs: int = 40
+    retrain_epochs_max: int = 250
+    early_stop_patience: int = 20
+    batch_size: int = 32
+    seed: int = 0
+    lr: float = 1e-3
+
+    def __post_init__(self):
+        if not (self.retrain_epochs_max >= self.screen_epochs >= 1):
             raise InvalidSpecError("need retrain_epochs_max >= screen_epochs >= 1")
-        if batch_size < 1 or early_stop_patience < 0:
+        if self.batch_size < 1 or self.early_stop_patience < 0:
             raise InvalidSpecError(f"need batch_size >= 1 and early_stop_patience >= 0, "
-                                   f"got {batch_size} and {early_stop_patience}")
-        if not 0.0 < lr < math.inf:
-            raise InvalidSpecError(f"lr must be finite and positive, got {lr}")
-        self.screen_epochs = int(screen_epochs)
-        self.retrain_epochs_max = int(retrain_epochs_max)
-        self.early_stop_patience = int(early_stop_patience)
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self.lr = float(lr)
+                                   f"got {self.batch_size} and {self.early_stop_patience}")
+        if not 0.0 < self.lr < math.inf:
+            raise InvalidSpecError(f"lr must be finite and positive, got {self.lr}")
 
 
 def _epoch_loss(model, x, seed):

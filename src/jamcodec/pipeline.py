@@ -1,14 +1,22 @@
 """Config-driven orchestration: synth -> features -> [search] -> train ->
 quantize -> classify -> energy -> report, with reproducible on-disk artifacts.
 
-``ExperimentConfig.from_json`` validates the whole config before any stage
-runs, so an unreadable file, a section or key that DEFAULTS lacks, a wrong
-type, an out-of-range value, or a dataset that a stage would refuse raises
+One table, ``SCHEMA``, maps each config section to its keys and each key to
+its (default, reader) pair. ``DEFAULTS`` (those defaults and ``domain``) and
+the known sections and keys derive from it. A default that a spec class
+holds (TrainBudget, ForestConfig, SearchSpace, PowerModel, TrafficModel) is
+taken from that class, so each default is written once.
+
+``ExperimentConfig.from_json`` merges the file over DEFAULTS and validates
+the whole config before any stage runs: one loop reads every section's leaves
+through their readers, then the specs are built from the values read. An
+unreadable file, a section or key that SCHEMA lacks, a wrong type, an
+out-of-range value, or a dataset that a stage would refuse raises
 InvalidSpecError and nothing is written. One reader per JSON type reads each
 leaf: ``_int`` an int, not a bool (>= ``low`` if given); ``_real`` a finite
 int or float, as a float; ``_bool`` true or false; ``_array`` a JSON array,
 each item through its type's reader (DatasetSpec checks class names). The
-specs built from the leaves (dataset, forest, ...) own the range checks.
+specs own the range checks.
 
 One ordered table, ``STAGES``, gives each stage's config subsections and the
 files it reads, named by the upstream stage that writes them.
@@ -74,53 +82,15 @@ STAGES = (
     Stage("synth", ("dataset",)),
     Stage("features", ("features", "dataset"), (("synth", "*"),)),
     Stage("search", ("search", "train", "dataset", "domain"), _SPLIT_READS),
-    Stage("train", ("train", "dataset", "domain", "search"),
+    Stage("train", ("train", "dataset", "domain"),
           _SPLIT_READS + (("search", "search/best_arch.json"),)),
     Stage("quantize", ("quant", "dataset", "domain"), _MODEL_READS),
     Stage("classify", ("forest", "dataset", "domain"),
           _MODEL_READS + (("quantize", "quantize/model.aeq"),)),
     Stage("energy", ("power", "traffic")),
-    Stage("report", ("forest",), (("classify", "*"),)),
+    Stage("report", (), (("classify", "*"),)),
 )
 _STAGE = {s.name: s for s in STAGES}
-
-DEFAULTS = {
-    "dataset": {
-        "classes": ["clean", "chirp", "multitone", "pulsed", "hopper", "modulated"],
-        "per_class_count": 30,
-        "sample_rate_hz": 1_000_000.0,
-        "n_samples": 4096,
-        "scenarios": [
-            {"scenario_id": i, "attenuation_db": 20.0, "jsr_db": 10.0, "noise_seed": i}
-            for i in range(5)
-        ],
-        "test_scenarios": [4],
-    },
-    "domain": "mixed",
-    "features": {"window_len": 1024},
-    "search": {
-        "enabled": False,
-        "widths": [32, 64, 128],
-        "depths": [2, 3],
-        "latents": [3, 4, 5, 6, 7, 8, 9, 10],
-        "top_k": 14,
-        "max_archs": None,
-    },
-    "train": {
-        "hidden": [128, 128],
-        "latent_dim": 6,
-        "screen_epochs": 40,
-        "retrain_epochs_max": 250,
-        "early_stop_patience": 20,
-        "batch_size": 32,
-        "lr": 1e-3,
-        "val_fraction": 0.15,
-    },
-    "quant": {"calib_count": 256, "percentile": 99.9},
-    "forest": {"n_trees": 120, "max_depth": None, "min_leaf": 1},
-    "power": {},
-    "traffic": {},
-}
 
 
 def _merge(base, override):
@@ -135,22 +105,6 @@ def _merge(base, override):
 
 _DOMAIN_DIM = {feat.DOMAIN_SPECTRAL: feat.SPECTRAL_DIM, feat.DOMAIN_TEMPORAL: feat.TEMPORAL_DIM,
                feat.DOMAIN_MIXED: feat.MIXED_DIM}
-
-
-def _check_known_keys(sections):
-    """Reject a section or key that DEFAULTS lacks: the stages would never read it.
-
-    Scenario entries are list items, checked by ``_scenario``; power and
-    traffic keys are checked by the models they are passed to.
-    """
-    for name, value in sections.items():
-        if name not in DEFAULTS:
-            raise InvalidSpecError(f"unknown config section {name!r}")
-        known = DEFAULTS[name]
-        if known and isinstance(known, dict) and isinstance(value, dict):
-            unknown = sorted(set(value) - set(known))
-            if unknown:
-                raise InvalidSpecError(f"config section {name!r}: unknown keys {unknown}")
 
 
 @contextlib.contextmanager
@@ -187,6 +141,11 @@ def _array(value, name, read=None) -> tuple:
     return tuple(value if read is None else (read(v, f"{name}[{i}]") for i, v in enumerate(value)))
 
 
+def _optional(read):
+    """``read``, except that null reads as None."""
+    return lambda value, name: None if value is None else read(value, name)
+
+
 def _tap(t, name) -> tuple:
     if type(t) is not list or len(t) != 3:
         raise InvalidSpecError(f"{name} must be an array [delay, real, imag], got {t!r}")
@@ -203,10 +162,55 @@ def _scenario(s, name) -> signals.Scenario:
     return signals.Scenario(_int(s["scenario_id"], f"{name}.scenario_id"), channel)
 
 
-def _model(sections, name, cls):
-    with _section(name):
-        read = {f.name: _int if f.type is int else _real for f in fields(cls)}  # cls rejects an unknown key
-        return cls(**{k: read[k](v, k) if k in read else v for k, v in sections[name].items()})
+_ints = functools.partial(_array, read=_int)
+_positive = functools.partial(_int, low=1)
+
+# section -> key -> (default, reader). A default that a spec class holds is taken from it.
+SCHEMA = {
+    "dataset": {
+        "classes": (["clean", "chirp", "multitone", "pulsed", "hopper", "modulated"], _array),
+        "per_class_count": (30, _int),
+        "sample_rate_hz": (1_000_000.0, _real),
+        "n_samples": (4096, _int),
+        "scenarios": ([{"scenario_id": i, "attenuation_db": 20.0, "jsr_db": 10.0, "noise_seed": i}
+                       for i in range(5)], functools.partial(_array, read=_scenario)),
+        "test_scenarios": ([4], _ints),
+    },
+    "features": {"window_len": (1024, _int)},
+    "search": {
+        "enabled": (False, _bool),
+        "widths": (list(search.SearchSpace.widths), _ints),
+        "depths": (list(search.SearchSpace.depths), _ints),
+        "latents": (list(search.SearchSpace.latents), _ints),
+        "top_k": (14, _positive),
+        "max_archs": (None, _optional(_positive)),
+    },
+    "train": {
+        "hidden": ([128, 128], _ints),
+        "latent_dim": (6, _int),
+        "screen_epochs": (nn.TrainBudget.screen_epochs, _int),
+        "retrain_epochs_max": (nn.TrainBudget.retrain_epochs_max, _int),
+        "early_stop_patience": (nn.TrainBudget.early_stop_patience, _int),
+        "batch_size": (nn.TrainBudget.batch_size, _int),
+        "lr": (nn.TrainBudget.lr, _real),
+        "val_fraction": (0.15, _real),
+    },
+    "quant": {"calib_count": (256, _int), "percentile": (99.9, _real)},
+    "forest": {
+        "n_trees": (forest.ForestConfig.n_trees, _int),
+        "max_depth": (forest.ForestConfig.max_depth, _optional(_int)),
+        "min_leaf": (forest.ForestConfig.min_leaf, _int),
+    },
+    **{name: {f.name: (f.default, _int if f.type is int else _real) for f in fields(model)}
+       for name, model in (("power", energy.PowerModel), ("traffic", energy.TrafficModel))},
+}
+DEFAULTS = {"domain": feat.DOMAIN_MIXED,
+            **{name: {key: default for key, (default, _) in rows.items()} for name, rows in SCHEMA.items()}}
+
+
+def _build(cls, leaves, **extra):
+    """A ``cls`` from the read leaves that name its fields, and ``extra``."""
+    return cls(**{f.name: leaves[f.name] for f in fields(cls) if f.name in leaves}, **extra)
 
 
 class ExperimentConfig:
@@ -217,65 +221,47 @@ class ExperimentConfig:
     """
 
     def __init__(self, seed, output_dir, sections):
-        _check_known_keys(sections)
+        if unknown := sorted(sections.keys() - DEFAULTS.keys()):
+            raise InvalidSpecError(f"unknown config section {unknown[0]!r}")
         self.sections = sections
         self.seed = _int(seed, "seed")
         self.output_dir = Path(output_dir)
-        with _section("dataset"):
-            d = sections["dataset"]
-            self.dataset = signals.DatasetSpec(
-                classes=_array(d["classes"], "classes"),
-                per_class_count=_int(d["per_class_count"], "per_class_count"),
-                scenarios=_array(d["scenarios"], "scenarios", _scenario),
-                seed=self.seed,
-                sample=signals.SampleSpec.from_samples(_real(d["sample_rate_hz"], "sample_rate_hz"),
-                                                       _int(d["n_samples"], "n_samples")),
-            )
-            self.test_scenarios = frozenset(_array(d["test_scenarios"], "test_scenarios", _int))
         self.domain = sections["domain"]
         if not isinstance(self.domain, str) or self.domain not in _DOMAIN_DIM:
             raise InvalidSpecError(f"unknown domain {self.domain!r}")
+        leaves = {}
+        for name, rows in SCHEMA.items():
+            with _section(name):
+                if unknown := sorted(set(sections[name]) - rows.keys()):
+                    raise InvalidSpecError(f"unknown keys {unknown}")
+                leaves[name] = {key: read(sections[name][key], key) for key, (_, read) in rows.items()}
+        d, sc, t, q = leaves["dataset"], leaves["search"], leaves["train"], leaves["quant"]
+        with _section("dataset"):
+            sample = signals.SampleSpec.from_samples(d["sample_rate_hz"], d["n_samples"])
+            self.dataset = _build(signals.DatasetSpec, d, seed=self.seed, sample=sample)
+        self.test_scenarios = frozenset(d["test_scenarios"])
+        self.window_len = leaves["features"]["window_len"]
         with _section("features"):
-            self.window_len = _int(sections["features"]["window_len"], "window_len")
             feat.check_window_len(self.window_len)
+        self.search_enabled, self.top_k, self.max_archs = sc["enabled"], sc["top_k"], sc["max_archs"]
         with _section("search"):
-            sc = sections["search"]
-            self.search_enabled = _bool(sc["enabled"], "enabled")
-            self.search_space = search.SearchSpace(
-                input_dim=_DOMAIN_DIM[self.domain], widths=_array(sc["widths"], "widths", _int),
-                depths=_array(sc["depths"], "depths", _int), latents=_array(sc["latents"], "latents", _int),
-            )
-            self.max_archs = None if sc["max_archs"] is None else _int(sc["max_archs"], "max_archs", 1)
-            self.top_k = _int(sc["top_k"], "top_k", 1)
+            self.search_space = _build(search.SearchSpace, sc, input_dim=_DOMAIN_DIM[self.domain])
+        self.hidden, self.latent_dim, self.val_fraction = t["hidden"], t["latent_dim"], t["val_fraction"]
         with _section("train"):
-            t = sections["train"]
-            self.budget = nn.TrainBudget(
-                screen_epochs=_int(t["screen_epochs"], "screen_epochs"),
-                retrain_epochs_max=_int(t["retrain_epochs_max"], "retrain_epochs_max"),
-                early_stop_patience=_int(t["early_stop_patience"], "early_stop_patience"),
-                batch_size=_int(t["batch_size"], "batch_size"),
-                seed=self.seed,
-                lr=_real(t["lr"], "lr"),
-            )
-            self.val_fraction = _real(t["val_fraction"], "val_fraction")
+            self.budget = _build(nn.TrainBudget, t, seed=self.seed)
             if not 0.0 <= self.val_fraction < 1.0:
                 raise InvalidSpecError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-            self.hidden = _array(t["hidden"], "hidden", _int)
-            self.latent_dim = _int(t["latent_dim"], "latent_dim")
             nn.check_dims(_DOMAIN_DIM[self.domain], self.hidden, self.latent_dim)
+        self.calib_count, self.percentile = q["calib_count"], q["percentile"]
         with _section("quant"):
-            self.calib_count = _int(sections["quant"]["calib_count"], "calib_count")
-            self.percentile = quantize.check_percentile(_real(sections["quant"]["percentile"], "percentile"))
+            quantize.check_percentile(self.percentile)
         with _section("forest"):
-            f = sections["forest"]
-            self.forest_config = forest.ForestConfig(
-                n_trees=_int(f["n_trees"], "n_trees"),
-                max_depth=None if f["max_depth"] is None else _int(f["max_depth"], "max_depth"),
-                min_leaf=_int(f["min_leaf"], "min_leaf"),
-                seed=self.seed,
-            )
-        self.energy_report = energy.savings_report(_model(sections, "power", energy.PowerModel),
-                                                   _model(sections, "traffic", energy.TrafficModel))
+            self.forest_config = _build(forest.ForestConfig, leaves["forest"], seed=self.seed)
+        with _section("power"):
+            power = _build(energy.PowerModel, leaves["power"])
+        with _section("traffic"):
+            traffic = _build(energy.TrafficModel, leaves["traffic"])
+        self.energy_report = energy.savings_report(power, traffic)
         self._check_dataset()
 
     def _check_dataset(self):
@@ -620,7 +606,8 @@ def stage_report(runner: Runner) -> list:
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     outputs = [summary]
-    for csv_path in sorted(cdir.glob("confusion_*.csv")):
+    recorded = runner.manifest.stages["classify"]["outputs"]
+    for csv_path in sorted(runner.out / rel for rel in recorded if rel.endswith(".csv")):
         with open(csv_path, "r", encoding="utf-8") as fh:
             rows = [r.strip().split(",") for r in fh if r.strip()]
         labels = tuple(rows[0][1:])

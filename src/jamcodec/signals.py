@@ -525,8 +525,8 @@ def write_manifest(path, records) -> None:
 
 
 def read_manifest(path) -> list:
-    """Records of write_manifest; bad JSON, a missing key or a scenario_id or seed that
-    is not an int raises InvalidSpecError."""
+    """Records of write_manifest; bad JSON, a missing key, a scenario_id or seed that
+    is not an int or a class outside WAVEFORM_CLASSES raises InvalidSpecError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -537,6 +537,8 @@ def read_manifest(path) -> list:
             raise InvalidSpecError(f"{path}: record {i} lacks one of {_MANIFEST_KEYS}")
         if type(rec["scenario_id"]) is not int or type(rec["seed"]) is not int:
             raise InvalidSpecError(f"{path}: record {i} has a scenario_id or seed that is not an integer")
+        if rec["class"] not in WAVEFORM_CLASSES:
+            raise InvalidSpecError(f"{path}: record {i} has an unknown class {rec['class']!r}")
     return records
 
 

@@ -7,11 +7,12 @@ import math
 import multiprocessing
 import os
 from pathlib import Path
+import shutil
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from jamcodec import cli, energy, features, pipeline
+from jamcodec import cli, energy, features, forest, nn, pipeline, search
 from jamcodec.errors import ChecksumMismatchError, InvalidSpecError, LeakageError
 
 STAGES = ["synth", "features", "train", "quantize", "classify", "energy", "report"]
@@ -132,6 +133,101 @@ def test_a_source_change_misses_every_stage(tiny_config, monkeypatch):
 
 
 TINY_SEARCH = {"enabled": True, "widths": [8], "depths": [2], "latents": [3], "top_k": 1}
+
+
+def test_search_settings_leave_a_run_without_search_cached(tiny_config, monkeypatch):
+    runners = recording_runners(monkeypatch)
+    pipeline.run(tiny_config)
+    update_config(tiny_config, search={"top_k": 3})
+    pipeline.run(tiny_config)
+    assert runners[1].cache_hits == STAGES
+
+
+def test_the_report_renders_only_the_confusion_tables_classify_recorded(tiny_config):
+    pipeline.run(tiny_config, until="classify")
+    out = tiny_config.parent / "run"
+    (out / "classify" / "confusion_stray.csv").write_bytes(
+        (out / "classify" / "confusion_raw_detection.csv").read_bytes())
+    manifest = pipeline.run(tiny_config)
+    tables = {Path(rel).stem for rel in manifest.stages["classify"]["outputs"] if rel.endswith(".csv")}
+    assert len(tables) == 6
+    assert {p.stem for p in (out / "report").glob("*.svg")} == tables
+
+
+# One other valid value for the seed, the domain and every SCHEMA leaf
+OTHER_VALUES = {
+    ("seed",): 1,
+    ("domain",): "spectral",
+    ("dataset", "classes"): ["clean", "chirp", "multitone", "pulsed", "hopper"],
+    ("dataset", "per_class_count"): 6,
+    ("dataset", "sample_rate_hz"): 2_000_000.0,
+    ("dataset", "n_samples"): 2048,
+    ("dataset", "scenarios"): [{"scenario_id": i, "attenuation_db": 20.0 + (i == 0), "noise_seed": i}
+                               for i in range(5)],
+    ("dataset", "test_scenarios"): [3],
+    ("features", "window_len"): 512,
+    ("search", "enabled"): False,
+    ("search", "widths"): [16],
+    ("search", "depths"): [3],
+    ("search", "latents"): [5],
+    ("search", "top_k"): 2,
+    ("search", "max_archs"): 1,
+    ("train", "hidden"): [16],
+    ("train", "latent_dim"): 4,
+    ("train", "screen_epochs"): 2,
+    ("train", "retrain_epochs_max"): 4,
+    ("train", "early_stop_patience"): 1,
+    ("train", "batch_size"): 8,
+    ("train", "lr"): 3e-3,
+    ("train", "val_fraction"): 0.25,
+    ("quant", "calib_count"): 16,
+    ("quant", "percentile"): 99.0,
+    ("forest", "n_trees"): 5,
+    ("forest", "max_depth"): 3,
+    ("forest", "min_leaf"): 2,
+    ("power", "tpu_watts"): 2.0,
+    ("power", "network_mwh_per_period"): 400.0,
+    ("power", "cellular_usd_per_gb"): 3.0,
+    ("power", "seconds_per_batch"): 0.02,
+    ("traffic", "values_per_second"): 260,
+    ("traffic", "compressed_block"): 170,
+    ("traffic", "latent_values"): 8,
+    ("traffic", "bytes_per_value"): 2,
+}
+
+
+def recorded_files(config, out):
+    """Run ``config`` into ``out``; returns manifest.json's bytes and every recorded file's bytes."""
+    path = out.parent / f"{out.name}.json"
+    path.write_text(json.dumps({**config, "output_dir": str(out)}))
+    manifest = pipeline.run(path)
+    files = {rel: (out / rel).read_bytes() for rec in manifest.stages.values() for rel in rec["outputs"]}
+    return (out / "manifest.json").read_bytes(), files
+
+
+def test_a_cached_rerun_records_what_a_fresh_run_records_for_every_leaf(tiny_config, tmp_path):
+    """Cache soundness: with one leaf changed, a rerun over a finished run records the same files
+    with the same bytes as a fresh run. The search leaves are changed in a run that searches."""
+    assert set(OTHER_VALUES) == {("seed",), ("domain",)} | {
+        (name, key) for name, rows in pipeline.SCHEMA.items() for key in rows}
+    plain = json.loads(tiny_config.read_text())
+    bases = {False: plain, True: {**plain, "search": {**TINY_SEARCH, "latents": [3, 4]}}}
+    for searching, config in bases.items():
+        recorded_files(config, tmp_path / f"base_{searching}")
+    stale = []
+    for path, value in OTHER_VALUES.items():
+        searching = path[0] == "search"
+        config = copy.deepcopy(bases[searching])
+        if len(path) == 1:
+            config[path[0]] = value
+        else:
+            config.setdefault(path[0], {})[path[1]] = value
+        shutil.copytree(tmp_path / f"base_{searching}", tmp_path / "cached")
+        if recorded_files(config, tmp_path / "cached") != recorded_files(config, tmp_path / "fresh"):
+            stale.append(path)
+        shutil.rmtree(tmp_path / "cached")
+        shutil.rmtree(tmp_path / "fresh")
+    assert stale == []
 
 
 @pytest.mark.parametrize("search", [False, True])
@@ -260,6 +356,14 @@ def test_every_probe_value_builds_or_raises_invalid_spec(tmp_path):
             if integer and any(probe is p for p in NOT_INTEGERS):
                 wrong.append((path, probe, "built"))
     assert wrong == []
+
+
+def test_the_spec_classes_default_to_the_pipeline_defaults(tmp_path):
+    cfg = pipeline.ExperimentConfig(0, tmp_path, copy.deepcopy(pipeline.DEFAULTS))
+    assert cfg.forest_config == forest.ForestConfig(seed=0)
+    assert cfg.budget == nn.TrainBudget()
+    assert cfg.search_space == search.SearchSpace(features.MIXED_DIM)
+    assert cfg.energy_report == energy.savings_report()
 
 
 def test_optional_scenario_keys_are_accepted(tiny_config):

@@ -368,6 +368,14 @@ class TestIqFileFormat:
         with pytest.raises(InvalidSpecError, match="lacks"):
             signals.read_manifest(path)
 
+    @pytest.mark.parametrize("label", ["bogus", None, ["chirp"]], ids=["bogus", "null", "array"])
+    def test_manifest_rejects_a_class_outside_the_waveform_classes(self, tmp_path, label):
+        path = tmp_path / "manifest.jsonl"
+        good = {"file": "a.iqf", "class": "chirp", "detection": "interference", "scenario_id": 3, "seed": 99}
+        signals.write_manifest(path, [good, {**good, "file": "b.iqf", "class": label}])
+        with pytest.raises(InvalidSpecError, match=r"record 1 has an unknown class"):
+            signals.read_manifest(path)
+
     def test_dataset_roundtrip(self, tmp_path):
         dspec = signals.DatasetSpec(classes=(signals.CLEAN, signals.HOPPER), per_class_count=3,
                                     scenarios=default_scenarios(2), seed=4, sample=spec_of(64000.0, 256))
